@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import MixedCorrError
+from .errors import EmptyCategory, MixedCorrError
 from .estimator import FitConfig, fit
 from .model import KIND_PEARSON, KIND_POLYCHORIC, KIND_POLYSERIAL, VariableSpec, ingest
 from .moments import CUSTOM, MAX_SET, MIN_SET, build_system
@@ -182,9 +182,11 @@ def _recode_ordinal(name, col, declared):
                 f"ordinal column {name!r}: {labels.size} distinct labels exceed s={declared}"
             )
         if labels.size < declared:
-            raise MixedCorrError(
+            raise EmptyCategory(
+                name,
+                labels.size + 1,
                 f"EmptyCategory: ordinal column {name!r} has {labels.size} distinct "
-                f"labels but s={declared} categories were declared"
+                f"labels but s={declared} categories were declared",
             )
         mapping = {int(lab): k for k, lab in enumerate(labels, start=1)}
         s = declared
@@ -197,9 +199,11 @@ def _recode_ordinal(name, col, declared):
         expected = np.arange(1, s + 1)
         missing = sorted(set(expected) - set(labels))
         if missing:
-            raise MixedCorrError(
+            raise EmptyCategory(
+                name,
+                int(missing[0]),
                 f"EmptyCategory: ordinal column {name!r} has no observations in "
-                f"category {missing[0]} (codes run 1..{s})"
+                f"category {missing[0]} (codes run 1..{s})",
             )
         mapping = {k: k for k in range(1, s + 1)}
     recoded = col.copy()

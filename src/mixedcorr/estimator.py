@@ -18,21 +18,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import EmptyCategory, LineSearchFailure, NonFiniteLoss
-from .model import (
-    CorrelationParams,
-    KIND_POLYCHORIC,
-    ParamVector,
-    ThresholdSet,
-)
+from .model import CorrelationParams, ParamVector, ThresholdSet
 from .moments import (
     CompiledMoments,
     MAX_SET,
-    _cell_probs,
+    _model_pool,
+    _rect,
     _theta_array,
     assemble_gradient,
     weight_matrix,
 )
-from .normal import RHO_MAX, LegendreOrder, norm_cdf, norm_quantile
+from .normal import RHO_MAX, LegendreOrder, norm_quantile
 
 __all__ = [
     "ONE_STEP",
@@ -278,42 +274,13 @@ def compute_sigma(theta, system, order=LegendreOrder.THIRD) -> np.ndarray:
     polychoric coefficient contribute independent blocks.
     """
     theta = _theta_array(theta, system)
-    h_eqs = [eq for eq in system.retained_equations if eq[0] == "h"]
-    bounds = {
-        i2: np.concatenate(
-            (
-                [-np.inf],
-                theta[system.thr_offsets[i2] : system.thr_offsets[i2] + system.s[i2 - 1] - 1],
-                [np.inf],
-            )
-        )
-        for i2 in system.included_ordinals
-    }
-    probs = {i2: np.diff(norm_cdf(b)) for i2, b in bounds.items()}
-
-    cells = {}
-
-    def cell_matrix(lo, hi):
-        if (lo, hi) not in cells:
-            lab = (KIND_POLYCHORIC, hi, lo)
-            if lab in system.coef_pos and lab in system.included_coefficients:
-                rho = theta[system.coef_pos[lab]]
-            else:
-                rho = 0.0
-            cells[(lo, hi)] = _cell_probs(bounds[lo], bounds[hi], rho, order, False)
-        return cells[(lo, hi)]
-
-    nh = len(h_eqs)
-    sigma = np.empty((nh, nh))
-    for r, (_, i2, k) in enumerate(h_eqs):
-        for col, (_, j2, l) in enumerate(h_eqs):
-            if i2 == j2:
-                val = probs[i2][k - 1] * ((k == l) - probs[i2][l - 1])
-            else:
-                lo, hi = min(i2, j2), max(i2, j2)
-                klo, lhi = (k, l) if i2 == lo else (l, k)
-                val = cell_matrix(lo, hi)[klo - 1, lhi - 1] - probs[i2][k - 1] * probs[j2][l - 1]
-            sigma[r, col] = val
+    t = system._tables
+    pool, _ = _model_pool(theta, system, order)
+    p = _rect(pool, t.h_idx)
+    cells = _rect(pool, t.sigma_idx).reshape(p.size, p.size)
+    sigma = np.where(
+        t.sigma_same, p[:, None] * (np.eye(p.size) - p), cells - p[:, None] * p
+    )
     return (sigma + sigma.T) / 2.0
 
 

@@ -294,9 +294,6 @@ class CorrelationParams:
         vals = [mat[dummy.matrix_position(*lab)] for lab in dummy.labels]
         return CorrelationParams(c, d, np.array(vals))
 
-    def index_of(self, kind, i, j) -> int:
-        return self.labels.index((kind, i, j))
-
 
 @dataclass(frozen=True)
 class ParamVector:

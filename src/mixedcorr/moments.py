@@ -16,21 +16,37 @@ equation.
 The moment vector is linear in per-row data products, so sample moments
 factor as m(theta) = mean(A) - b(theta) with A data-only and b(theta)
 model-implied; the gradient G = -db/dtheta is deterministic.
+
+``build_system`` compiles the blocks once into flat index tables, so no
+evaluation dispatches on the equation kind. Each column of A is the
+product of two factor columns out of (1, Y_i, I(X_i = k)). The bounds are
+the cut points of every ordinal with their -inf/+inf ends; the corners are
+the bound pairs (b_lo[k], b_hi[l]) of every pair of included ordinals,
+with the pair's polychoric rho or 0 where the system has none. Per theta,
+each kernel runs once, vectorized over all bounds or corners, to fill
+
+    model pool:    0, 1, phi(bounds), Phi(bounds), corner CDF
+    gradient pool: 0, 1, phi(bounds), z*phi(bounds), corner density,
+                   P(Y <= y | X = x) and P(X <= x | Y = y) at the corners
+
+and every model term and every nonzero entry of G is
+scale * (v11 - v10 - v01 + v00) over four gathered pool values, with the
+scale gathered from (1, theta, phi(bounds)). A threshold term is a
+difference of two Phi values, a Pearson term rho itself, a polyserial term
+rho times a difference of two phi values, a polychoric term the rectangle
+of four corner CDFs. The threshold-moment covariance gathers its joint
+cell probabilities from the same corner CDFs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DegenerateWeight,
-    SingularCorrelation,
-    UncoveredParameter,
-    UnknownPair,
-)
+from .errors import DegenerateWeight, UncoveredParameter, UnknownPair
 from .model import (
     KIND_PEARSON,
     KIND_POLYCHORIC,
@@ -39,10 +55,8 @@ from .model import (
     coefficient_order,
 )
 from .normal import (
-    RHO_MAX,
     LegendreOrder,
-    _NODES as _GL_NODES,
-    _bpdf_raw,
+    binorm_cdf_legendre,
     binorm_cdf_oracle,
     binorm_pdf,
     norm_cdf,
@@ -154,54 +168,194 @@ class EquationSystem:
             [self.coef_pos[lab] for lab in self.included_coefficients], dtype=int
         )
 
-        for lab in self.included_coefficients:
-            blk = next(
-                b
-                for b in self.blocks
-                if b.kind != "threshold" and _block_label(b) == lab
-            )
-            if not any(blk.retained):
+        for b in self.blocks:
+            if b.kind == "threshold" and sum(b.retained) != self.s[b.index[0] - 1] - 1:
+                raise UncoveredParameter(f"threshold block of variable {b.index[0]} incomplete")
+            if b.kind != "threshold" and not any(b.retained):
+                lab = _block_label(b)
                 raise UncoveredParameter(f"coefficient {lab} has no retained equation")
-        for i2 in self.included_ordinals:
-            blk = next(
-                b for b in self.blocks if b.kind == "threshold" and b.index == (i2,)
-            )
-            if sum(blk.retained) != self.s[i2 - 1] - 1:
-                raise UncoveredParameter(f"threshold block of variable {i2} incomplete")
-
-    def theta_labels(self):
-        labels = []
-        for i2 in range(1, self.d + 1):
-            for k in range(1, self.s[i2 - 1]):
-                labels.append(f"a[{self.names[self.c + i2 - 1]},{k}]")
-        for kind, i, j in self.all_coefficients:
-            labels.append(f"rho_{_kind_tag(kind)}[{i},{j}]")
-        return labels
+        self._tables = _compile(self)
 
     def coefficient_names(self):
         """(kind, name_i, name_j) for each included coefficient."""
-        out = []
-        for kind, i, j in self.included_coefficients:
-            if kind == KIND_PEARSON:
-                out.append((kind, self.names[i - 1], self.names[j - 1]))
-            elif kind == KIND_POLYSERIAL:
-                out.append((kind, self.names[i - 1], self.names[self.c + j - 1]))
-            else:
-                out.append((kind, self.names[self.c + i - 1], self.names[self.c + j - 1]))
-        return out
-
-
-def _kind_tag(kind):
-    return {KIND_PEARSON: "yy", KIND_POLYSERIAL: "yx", KIND_POLYCHORIC: "xx"}[kind]
+        return [
+            (lab[0], self.names[a], self.names[b])
+            for lab, (a, b) in zip(self.included_coefficients, self._tables.coef_vars)
+        ]
 
 
 def _block_label(block):
-    kind = {
-        "pearson": KIND_PEARSON,
-        "polyserial": KIND_POLYSERIAL,
-        "polychoric": KIND_POLYCHORIC,
-    }[block.kind]
-    return (kind, block.index[0], block.index[1])
+    return (block.kind,) + block.index
+
+
+@dataclass(frozen=True)
+class _Tables:
+    """Index tables of one equation system (see the module docstring)."""
+
+    bound_src: np.ndarray  # bound -> slot in (-inf, +inf, thresholds)
+    corner_x: np.ndarray  # corner -> bound of the lower-indexed ordinal
+    corner_y: np.ndarray  # corner -> bound of the higher-indexed ordinal
+    corner_rho: np.ndarray  # corner -> theta column of its coefficient, -1 if none
+    ind_var: np.ndarray  # indicator factor -> column of x
+    ind_code: np.ndarray  # indicator factor -> category code
+    factors: np.ndarray  # (2, q_full) factor rows whose product is the data term
+    b_scale: np.ndarray  # equation -> scale slot of its model term
+    b_idx: np.ndarray  # (4, q_full) model-pool slots
+    g_row: np.ndarray  # nonzero gradient entry -> retained row
+    g_col: np.ndarray  # -> theta column
+    g_sign: np.ndarray  # -> +-1
+    g_scale: np.ndarray  # -> scale slot
+    g_idx: np.ndarray  # (4, entries) gradient-pool slots
+    h_idx: np.ndarray  # (4, q_h) model-pool slots of P(X = k), retained thresholds
+    sigma_same: np.ndarray  # (q_h, q_h) both threshold equations on one variable
+    sigma_idx: np.ndarray  # (4, q_h**2) model-pool slots of the joint cell probability
+    coef_vars: tuple  # included coefficient -> positions of its variables in names
+
+
+def _compile(system):
+    """Build the gather tables of ``system``; the only dispatch on equation kind."""
+    c, s, p = system.c, system.s, system.p
+
+    bound, bound_src = {}, []
+    for v in system.included_ordinals:
+        for a in range(s[v - 1] + 1):
+            bound[v, a] = len(bound_src)
+            cut = 1 + system.thr_offsets[v] + a
+            bound_src.append(0 if a == 0 else 1 if a == s[v - 1] else cut)
+    nb = len(bound_src)
+
+    corner, corner_x, corner_y, corner_rho = {}, [], [], []
+    for i, lo in enumerate(system.included_ordinals):
+        for hi in system.included_ordinals[i + 1 :]:
+            lab = (KIND_POLYCHORIC, hi, lo)
+            col = system.coef_pos[lab] if lab in system.included_coefficients else -1
+            for a in range(s[lo - 1] + 1):
+                for b in range(s[hi - 1] + 1):
+                    corner[lo, hi, a, b] = len(corner_x)
+                    corner_x.append(bound[lo, a])
+                    corner_y.append(bound[hi, b])
+                    corner_rho.append(col)
+    nc = len(corner_x)
+
+    def at_bound(segment, v, a):
+        return 2 + segment * nb + bound[v, a]
+
+    def at_corner(segment, lo, hi, a, b):
+        return 2 + 2 * nb + segment * nc + corner[lo, hi, a, b]
+
+    def rect(segment, lo, hi, k, l):
+        # the corners of one pair are stored row by row, s_hi + 1 per row
+        v11, row = at_corner(segment, lo, hi, k, l), s[hi - 1] + 1
+        return (v11, v11 - 1, v11 - row, v11 - row - 1)
+
+    def scale_phi(v, a):
+        return 1 + p + bound[v, a]
+
+    def bound_cols(v, k):
+        # (theta column, sign, bound) of the finite bounds of category k
+        off = system.thr_offsets[v]
+        return [
+            (off + a - 1, sign, a)
+            for a, sign in ((k, -1.0), (k - 1, 1.0))
+            if 1 <= a < s[v - 1]
+        ]
+
+    ind = {}  # factor rows: the constant 1, Y_1..Y_c, then each I(X_v = k)
+    for v in system.included_ordinals:
+        for k in range(1, s[v - 1] + 1):
+            ind[v, k] = 1 + c + len(ind)
+
+    Z, ONE = 0, 1  # value-pool slots of the constants 0 and 1
+    UNIT = 0  # scale slot and factor row of the constant 1
+    factors, terms, grad, h_idx, coef_vars = [], [], [], [], {}
+    row = 0
+    for eq, kept in zip(system.equations, system.retained.tolist()):
+        kind = eq[0]
+        if kind == "h":
+            _, v, k = eq
+            factors.append((UNIT, ind[v, k]))
+            terms.append((UNIT, (at_bound(1, v, k), at_bound(1, v, k - 1), Z, Z)))
+            if kept:
+                h_idx.append(terms[-1][1])
+            entries = [
+                (col, sign, UNIT, (at_bound(0, v, a), Z, Z, Z))
+                for col, sign, a in bound_cols(v, k)
+            ]
+        elif kind == "yy":
+            _, i, j = eq
+            col = system.coef_pos[(KIND_PEARSON, i, j)]
+            coef_vars[KIND_PEARSON, i, j] = (i - 1, j - 1)
+            factors.append((i, j))
+            terms.append((1 + col, (ONE, Z, Z, Z)))
+            entries = [(col, -1.0, UNIT, (ONE, Z, Z, Z))]
+        elif kind == "yx":
+            _, i, v, k = eq
+            col = system.coef_pos[(KIND_POLYSERIAL, i, v)]
+            coef_vars[KIND_POLYSERIAL, i, v] = (i - 1, c + v - 1)
+            factors.append((i, ind[v, k]))
+            xi = (at_bound(0, v, k - 1), at_bound(0, v, k), Z, Z)
+            terms.append((1 + col, xi))
+            entries = [(col, -1.0, UNIT, xi)] + [
+                (tcol, sign, 1 + col, (at_bound(1, v, a), Z, Z, Z))
+                for tcol, sign, a in bound_cols(v, k)
+            ]
+        else:
+            _, lo, hi, k, l = eq
+            col = system.coef_pos[(KIND_POLYCHORIC, hi, lo)]
+            coef_vars[KIND_POLYCHORIC, hi, lo] = (c + hi - 1, c + lo - 1)
+            factors.append((ind[lo, k], ind[hi, l]))
+            terms.append((UNIT, rect(0, lo, hi, k, l)))
+            entries = [(col, -1.0, UNIT, rect(0, lo, hi, k, l))]
+            # a moved bound of one variable enters as phi there times the
+            # conditional probability of the other variable's category
+            for tcol, sign, a in bound_cols(lo, k):
+                v1, v0 = at_corner(1, lo, hi, a, l), at_corner(1, lo, hi, a, l - 1)
+                entries.append((tcol, sign, scale_phi(lo, a), (v1, v0, Z, Z)))
+            for tcol, sign, b in bound_cols(hi, l):
+                v1, v0 = at_corner(2, lo, hi, k, b), at_corner(2, lo, hi, k - 1, b)
+                entries.append((tcol, sign, scale_phi(hi, b), (v1, v0, Z, Z)))
+        if kept:
+            grad += [(row,) + e for e in entries]
+            row += 1
+
+    h_eqs = [eq for eq in system.retained_equations if eq[0] == "h"]
+    sigma_same, sigma_idx = [], []
+    for _, v, k in h_eqs:
+        for _, w, l in h_eqs:
+            sigma_same.append(v == w)
+            if v == w:
+                sigma_idx.append((Z, Z, Z, Z))
+            else:
+                klo, lhi = (k, l) if v < w else (l, k)
+                sigma_idx.append(rect(0, min(v, w), max(v, w), klo, lhi))
+
+    def ints(values, shape=(-1,)):
+        out = np.array(values, dtype=np.intp).reshape(shape)
+        out.setflags(write=False)
+        return out
+
+    nh = len(h_eqs)
+    grad_rows = list(zip(*grad))
+    return _Tables(
+        bound_src=ints(bound_src),
+        corner_x=ints(corner_x),
+        corner_y=ints(corner_y),
+        corner_rho=ints(corner_rho),
+        ind_var=ints([v - 1 for v, _ in ind]),
+        ind_code=ints([k for _, k in ind]),
+        factors=ints(factors, (-1, 2)).T,
+        b_scale=ints([sc for sc, _ in terms]),
+        b_idx=ints([t for _, t in terms], (-1, 4)).T,
+        g_row=ints(grad_rows[0]),
+        g_col=ints(grad_rows[1]),
+        g_sign=np.array(grad_rows[2], dtype=float),
+        g_scale=ints(grad_rows[3]),
+        g_idx=ints(grad_rows[4], (-1, 4)).T,
+        h_idx=ints(h_idx, (-1, 4)).T,
+        sigma_same=np.array(sigma_same, dtype=bool).reshape(nh, nh),
+        sigma_idx=ints(sigma_idx, (-1, 4)).T,
+        coef_vars=tuple(coef_vars[lab] for lab in system.included_coefficients),
+    )
 
 
 def _normalize_pairs(c, d, pairs):
@@ -270,7 +424,7 @@ def build_system(specs, mode=MAX_SET, pairs=None) -> EquationSystem:
         )
     for kind, i, j in coefficients:
         if kind == KIND_PEARSON:
-            blocks.append(EquationBlock("pearson", (i, j), (("yy", i, j),), (True,)))
+            blocks.append(EquationBlock(KIND_PEARSON, (i, j), (("yy", i, j),), (True,)))
         elif kind == KIND_POLYSERIAL:
             si = s[j - 1]
             eqs = tuple(("yx", i, j, k) for k in range(1, si + 1))
@@ -280,7 +434,7 @@ def build_system(specs, mode=MAX_SET, pairs=None) -> EquationSystem:
                 kept = (True,) * si
             else:
                 kept = tuple(k < si for k in range(1, si + 1))
-            blocks.append(EquationBlock("polyserial", (i, j), eqs, kept))
+            blocks.append(EquationBlock(KIND_POLYSERIAL, (i, j), eqs, kept))
         else:
             lo, hi = j, i
             s_lo, s_hi = s[lo - 1], s[hi - 1]
@@ -293,7 +447,7 @@ def build_system(specs, mode=MAX_SET, pairs=None) -> EquationSystem:
                 kept = tuple(eq[3] == 1 and eq[4] == 1 for eq in eqs)
             else:
                 kept = tuple(not (eq[3] == s_lo and eq[4] == s_hi) for eq in eqs)
-            blocks.append(EquationBlock("polychoric", (i, j), eqs, kept))
+            blocks.append(EquationBlock(KIND_POLYCHORIC, (i, j), eqs, kept))
 
     return EquationSystem(c, d, s, names, mode, blocks)
 
@@ -308,86 +462,79 @@ def _theta_array(theta, system):
     return arr
 
 
+class _BoundValues(NamedTuple):
+    """Bounds at one set of thresholds, and Phi, phi and z*phi there."""
+
+    b: np.ndarray
+    finite: np.ndarray  # b with +-inf replaced by 0
+    cdf: np.ndarray
+    pdf: np.ndarray
+    zphi: np.ndarray
+
+
 @lru_cache(maxsize=64)
-def _tables_cached(system, thr_bytes):
+def _bound_values_cached(system, thr_bytes):
     thr = np.frombuffer(thr_bytes, dtype=float)
-    out = {}
-    for i2 in system.included_ordinals:
-        off = system.thr_offsets[i2]
-        cuts = thr[off : off + system.s[i2 - 1] - 1]
-        b = np.concatenate(([-np.inf], cuts, [np.inf]))
-        out[i2] = (b, norm_cdf(b), norm_pdf(b), zphi(b))
-    return out
+    b = np.concatenate(([-np.inf, np.inf], thr))[system._tables.bound_src]
+    finite = np.where(np.isinf(b), 0.0, b)
+    return _BoundValues(b, finite, norm_cdf(b), norm_pdf(b), zphi(b))
 
 
-def _threshold_tables(theta, system):
-    """Per-variable threshold bounds with Phi, phi, z*phi tables (memoized;
-    the two-step loop re-evaluates at frozen thresholds constantly)."""
-    return _tables_cached(system, theta[: system.n_thr].tobytes())
+def _bound_values(theta, system):
+    """Bound values at the thresholds of theta (memoized; the two-step loop
+    re-evaluates at frozen thresholds constantly)."""
+    return _bound_values_cached(system, theta[: system.n_thr].tobytes())
 
 
-def _products_from_arrays(y, x, system, include_removed=False):
+def _corner_rho(theta, system):
+    # the appended 0 is the correlation of pairs without a coefficient
+    return np.append(theta, 0.0)[system._tables.corner_rho]
+
+
+def _scales(theta, bounds):
+    return np.concatenate(([1.0], theta, bounds.pdf))
+
+
+def _rect(pool, idx):
+    """pool[v11] - pool[v10] - pool[v01] + pool[v00] per column of idx."""
+    v11, v10, v01, v00 = pool[idx]
+    return v11 - v10 - v01 + v00
+
+
+def _products(y, x, system, include_removed=False):
+    t = system._tables
     n = y.shape[0] if system.c else x.shape[0]
-    cols = np.empty((n, system.q_full))
-    ind = {}
-
-    def indicator(i2, k):
-        key = (i2, k)
-        if key not in ind:
-            ind[key] = (x[:, i2 - 1] == k).astype(float)
-        return ind[key]
-
-    for idx, eq in enumerate(system.equations):
-        kind = eq[0]
-        if kind == "h":
-            cols[:, idx] = indicator(eq[1], eq[2])
-        elif kind == "yy":
-            cols[:, idx] = y[:, eq[1] - 1] * y[:, eq[2] - 1]
-        elif kind == "yx":
-            cols[:, idx] = y[:, eq[1] - 1] * indicator(eq[2], eq[3])
-        else:
-            _, lo, hi, k, l = eq
-            cols[:, idx] = indicator(lo, k) * indicator(hi, l)
-    return cols if include_removed else cols[:, system.retained]
+    factors = np.empty((1 + system.c + t.ind_var.size, n))
+    factors[0] = 1.0
+    factors[1 : 1 + system.c] = y.T
+    factors[1 + system.c :] = x.T[t.ind_var] == t.ind_code[:, None]
+    keep = slice(None) if include_removed else system.retained
+    left, right = t.factors[:, keep].tolist()
+    # column-major, filled one column at a time: an n x q temporary would
+    # double the peak memory, and the layout fixes the summation order of
+    # the means and the scatter matrix
+    out = np.empty((n, len(left)), order="F")
+    for j, (a, b) in enumerate(zip(left, right)):
+        np.multiply(factors[a], factors[b], out=out[:, j])
+    return out
 
 
 def data_products(data, system, include_removed=False) -> np.ndarray:
     """Per-row data products A such that u_i(theta) = A_i - b(theta)."""
-    return _products_from_arrays(data.y, data.x, system, include_removed)
+    return _products(data.y, data.x, system, include_removed)
 
 
-def _cell_probs(b_lo, b_hi, rho, order, exact_cdf, cdf_lo=None, cdf_hi=None):
-    """Rectangle probabilities of all threshold cells for one ordinal pair.
-
-    The fast path fills the corner CDF grid directly: boundary rows and
-    columns are exact marginals, interior corners use the Legendre
-    approximation on pre-cleaned finite arguments.
-    """
+def _model_pool(theta, system, order=LegendreOrder.THIRD, exact_cdf=False):
+    """The model pool at theta (see the module docstring), and the bound values."""
+    t = system._tables
+    bounds = _bound_values(theta, system)
+    x, y = bounds.b[t.corner_x], bounds.b[t.corner_y]
+    rho = _corner_rho(theta, system)
     if exact_cdf:
-        corners = np.array(
-            [[binorm_cdf_oracle(a, b, rho) for b in b_hi] for a in b_lo]
-        )
+        corners = [binorm_cdf_oracle(*xyr) for xyr in zip(x, y, rho)]
     else:
-        rho = float(rho)
-        if abs(rho) > RHO_MAX or not np.isfinite(rho):
-            raise SingularCorrelation(f"|rho| must be <= {RHO_MAX}")
-        if cdf_lo is None:
-            cdf_lo = norm_cdf(b_lo)
-        if cdf_hi is None:
-            cdf_hi = norm_cdf(b_hi)
-        corners = np.empty((b_lo.size, b_hi.size))
-        corners[0, :] = 0.0
-        corners[:, 0] = 0.0
-        corners[-1, :] = cdf_hi
-        corners[:, -1] = cdf_lo
-        xi = b_lo[1:-1, None]
-        yi = b_hi[None, 1:-1]
-        nodes, weights = _GL_NODES[order]
-        quad = weights[0] * _bpdf_raw(xi, yi, nodes[0] * rho)
-        for t, w in zip(nodes[1:], weights[1:]):
-            quad += w * _bpdf_raw(xi, yi, t * rho)
-        corners[1:-1, 1:-1] = rho * quad + cdf_lo[1:-1, None] * cdf_hi[None, 1:-1]
-    return corners[1:, 1:] - corners[1:, :-1] - corners[:-1, 1:] + corners[:-1, :-1]
+        corners = binorm_cdf_legendre(x, y, rho, order)
+    return np.concatenate(([0.0, 1.0], bounds.pdf, bounds.cdf, corners)), bounds
 
 
 def model_terms(
@@ -404,36 +551,9 @@ def model_terms(
     differences of the moments.
     """
     theta = _theta_array(theta, system)
-    vals = np.empty(system.q_full)
-    tables = _threshold_tables(theta, system)
-
-    pos = 0
-    for block in system.blocks:
-        nb = len(block.equations)
-        if block.kind == "threshold":
-            (i2,) = block.index
-            vals[pos : pos + nb] = np.diff(tables[i2][1])
-        elif block.kind == "pearson":
-            vals[pos] = theta[system.coef_pos[_block_label(block)]]
-        elif block.kind == "polyserial":
-            i1, i2 = block.index
-            pdf = tables[i2][2]
-            xi = pdf[:-1] - pdf[1:]
-            vals[pos : pos + nb] = theta[system.coef_pos[_block_label(block)]] * xi
-        else:
-            i2, j2 = block.index
-            rho = theta[system.coef_pos[_block_label(block)]]
-            cells = _cell_probs(
-                tables[j2][0],
-                tables[i2][0],
-                rho,
-                order,
-                exact_cdf,
-                cdf_lo=tables[j2][1],
-                cdf_hi=tables[i2][1],
-            )
-            vals[pos : pos + nb] = cells.reshape(-1)
-        pos += nb
+    t = system._tables
+    pool, bounds = _model_pool(theta, system, order, exact_cdf)
+    vals = _scales(theta, bounds)[t.b_scale] * _rect(pool, t.b_idx)
     return vals if include_removed else vals[system.retained]
 
 
@@ -444,24 +564,8 @@ def eval_u(row, theta, system, order=LegendreOrder.THIRD) -> np.ndarray:
         raise ValueError("row length does not match the variable count")
     y = row[: system.c].reshape(1, -1)
     x = row[system.c :].astype(np.int64).reshape(1, -1)
-    a = _products_from_arrays(y, x, system)
+    a = _products(y, x, system)
     return a[0] - model_terms(theta, system, order)
-
-
-def _zeta_table(t_bounds, t_pdf, other_bounds, rho):
-    """zeta[i, j] = phi(t_i) * P(other in (b_j, b_j+1] | this = t_i).
-
-    Rows at infinite t are exactly 0 (phi vanishes there).
-    """
-    sq = np.sqrt(1.0 - rho * rho)
-    tf = np.where(np.isinf(t_bounds), 0.0, t_bounds)[:, None]
-    cdf = norm_cdf((other_bounds[None, :] - rho * tf) / sq)
-    return t_pdf[:, None] * (cdf[:, 1:] - cdf[:, :-1])
-
-
-def _pdf_corners(b_lo, b_hi, rho):
-    """binorm_pdf on the threshold corner grid; 0 at infinite corners."""
-    return binorm_pdf(b_lo[:, None], b_hi[None, :], rho)
 
 
 def assemble_gradient(theta, system) -> np.ndarray:
@@ -471,76 +575,26 @@ def assemble_gradient(theta, system) -> np.ndarray:
     dependence; rows of removed equations are absent by construction.
     """
     theta = _theta_array(theta, system)
-    tables = _threshold_tables(theta, system)
+    t = system._tables
+    bounds = _bound_values(theta, system)
+    x, y = bounds.b[t.corner_x], bounds.b[t.corner_y]
+    xf, yf = bounds.finite[t.corner_x], bounds.finite[t.corner_y]
+    rho = _corner_rho(theta, system)
+    sq = np.sqrt(1.0 - rho * rho)
+    pool = np.concatenate(
+        (
+            [0.0, 1.0],
+            bounds.pdf,
+            bounds.zphi,
+            binorm_pdf(x, y, rho),
+            norm_cdf((y - rho * xf) / sq),
+            norm_cdf((x - rho * yf) / sq),
+        )
+    )
     G = np.zeros((system.q, system.p))
-
-    row = 0
-    for block in system.blocks:
-        if block.kind == "threshold":
-            (i2,) = block.index
-            pdf = tables[i2][2]
-            off = system.thr_offsets[i2]
-            si = system.s[i2 - 1]
-            for k, kept in zip(range(1, si + 1), block.retained):
-                if not kept:
-                    continue
-                if k <= si - 1:
-                    G[row, off + k - 1] = -pdf[k]
-                if k - 1 >= 1:
-                    G[row, off + k - 2] = pdf[k - 1]
-                row += 1
-        elif block.kind == "pearson":
-            if block.retained[0]:
-                G[row, system.coef_pos[_block_label(block)]] = -1.0
-                row += 1
-        elif block.kind == "polyserial":
-            i1, i2 = block.index
-            _, _, pdf, zph = tables[i2]
-            off = system.thr_offsets[i2]
-            si = system.s[i2 - 1]
-            cpos = system.coef_pos[_block_label(block)]
-            rho = theta[cpos]
-            for k, kept in zip(range(1, si + 1), block.retained):
-                if not kept:
-                    continue
-                G[row, cpos] = -(pdf[k - 1] - pdf[k])
-                if k <= si - 1:
-                    G[row, off + k - 1] = -rho * zph[k]
-                if k - 1 >= 1:
-                    G[row, off + k - 2] = rho * zph[k - 1]
-                row += 1
-        else:
-            i2, j2 = block.index
-            lo, hi = j2, i2
-            b_lo, _, pdf_lo, _ = tables[lo]
-            b_hi, _, pdf_hi, _ = tables[hi]
-            off_lo, off_hi = system.thr_offsets[lo], system.thr_offsets[hi]
-            s_lo, s_hi = system.s[lo - 1], system.s[hi - 1]
-            cpos = system.coef_pos[_block_label(block)]
-            rho = theta[cpos]
-            corners = _pdf_corners(b_lo, b_hi, rho)
-            phi_cells = (
-                corners[1:, 1:]
-                - corners[1:, :-1]
-                - corners[:-1, 1:]
-                + corners[:-1, :-1]
-            )
-            z_lo = _zeta_table(b_lo, pdf_lo, b_hi, rho)
-            z_hi = _zeta_table(b_hi, pdf_hi, b_lo, rho)
-            for eq, kept in zip(block.equations, block.retained):
-                if not kept:
-                    continue
-                k, l = eq[3], eq[4]
-                G[row, cpos] = -phi_cells[k - 1, l - 1]
-                if k <= s_lo - 1:
-                    G[row, off_lo + k - 1] = -z_lo[k, l - 1]
-                if k - 1 >= 1:
-                    G[row, off_lo + k - 2] = z_lo[k - 1, l - 1]
-                if l <= s_hi - 1:
-                    G[row, off_hi + l - 1] = -z_hi[l, k - 1]
-                if l - 1 >= 1:
-                    G[row, off_hi + l - 2] = z_hi[l - 1, k - 1]
-                row += 1
+    G[t.g_row, t.g_col] = t.g_sign * (
+        _scales(theta, bounds)[t.g_scale] * _rect(pool, t.g_idx)
+    )
     return G
 
 

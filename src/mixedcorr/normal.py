@@ -91,9 +91,17 @@ def norm_quantile(p):
 
 def _check_rho(rho, limit):
     rho = np.asarray(rho, dtype=float)
-    if np.any(np.abs(rho) > limit) or not np.all(np.isfinite(rho)):
+    if not np.all(np.abs(rho) <= limit):  # also rejects NaN
         raise SingularCorrelation(f"|rho| must be <= {limit}")
     return rho
+
+
+def _finite_parts(x, y):
+    """Mask of points with an infinite coordinate, and x, y zeroed there."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    inf = np.isinf(x) | np.isinf(y)
+    return inf, np.where(inf, 0.0, x), np.where(inf, 0.0, y)
 
 
 def binorm_pdf(x, y, rho):
@@ -102,17 +110,10 @@ def binorm_pdf(x, y, rho):
     Requires |rho| < 1. Infinite arguments give exactly 0.
     """
     rho = np.asarray(rho, dtype=float)
-    if np.any(np.abs(rho) >= 1.0) or not np.all(np.isfinite(rho)):
+    if not np.all(np.abs(rho) < 1.0):  # also rejects NaN
         raise SingularCorrelation("binorm_pdf requires |rho| < 1")
-    x, y, rho = np.broadcast_arrays(
-        np.asarray(x, dtype=float), np.asarray(y, dtype=float), rho
-    )
-    inf = np.isinf(x) | np.isinf(y)
-    xf = np.where(inf, 0.0, x)
-    yf = np.where(inf, 0.0, y)
-    d = 1.0 - rho**2
-    q = (xf**2 - 2.0 * rho * xf * yf + yf**2) / (2.0 * d)
-    out = np.where(inf, 0.0, np.exp(-q) / (2.0 * np.pi * np.sqrt(d)))
+    inf, xf, yf = _finite_parts(x, y)
+    out = np.where(inf, 0.0, _bpdf_raw(xf, yf, rho))
     return out if out.ndim else float(out)
 
 
@@ -140,26 +141,18 @@ def _bpdf_raw(xf, yf, rho):
 def binorm_cdf_legendre(x, y, rho, order=LegendreOrder.THIRD):
     """P(X <= x, Y <= y) for standard bivariate normals, Legendre-approximated.
 
-    x and y may be +-inf, in which case the value short-circuits to the
-    exact marginal (0, Phi(y), Phi(x) or 1). Requires |rho| <= RHO_MAX.
+    Arguments broadcast elementwise. x and y may be +-inf: the quadrature
+    term is zeroed there, so Phi(x)Phi(y) gives the exact marginal (0,
+    Phi(y), Phi(x) or 1). Requires |rho| <= RHO_MAX.
     """
     rho = _check_rho(rho, RHO_MAX)
-    x, y, rho = np.broadcast_arrays(
-        np.asarray(x, dtype=float), np.asarray(y, dtype=float), rho
-    )
+    inf, xf, yf = _finite_parts(x, y)
     nodes, weights = _NODES[order]
-    inf_any = np.isinf(x) | np.isinf(y)
-    xf = np.where(inf_any, 0.0, x)
-    yf = np.where(inf_any, 0.0, y)
-    quad = np.zeros(rho.shape)
-    for t, w in zip(nodes, weights):
-        quad = quad + w * _bpdf_raw(xf, yf, t * rho)
-    core = rho * quad + ndtr(x) * ndtr(y)
-    out = np.where(
-        (x == -np.inf) | (y == -np.inf),
-        0.0,
-        np.where(x == np.inf, ndtr(y), np.where(y == np.inf, ndtr(x), core)),
-    )
+    # all nodes in one density call, along a new leading axis
+    axis = (-1,) + (1,) * max(inf.ndim, rho.ndim)
+    terms = weights.reshape(axis) * _bpdf_raw(xf, yf, nodes.reshape(axis) * rho)
+    quad = sum(terms[1:], terms[0])
+    out = rho * np.where(inf, 0.0, quad) + ndtr(x) * ndtr(y)
     return out if out.ndim else float(out)
 
 

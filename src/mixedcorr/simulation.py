@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .errors import AllReplicationsFailed, NotPositiveDefinite, UnknownPair
+from .errors import AllReplicationsFailed, MixedCorrError, NotPositiveDefinite, UnknownPair
 from .estimator import FitConfig, estimate_thresholds, fit
 from .model import (
     CorrelationParams,
@@ -190,7 +190,7 @@ def _run_block(design: SimDesign, start: int, stop: int):
             res = fit(data, system, design.fit)
         except NotPositiveDefinite:
             raise
-        except Exception:
+        except (MixedCorrError, np.linalg.LinAlgError):
             out.append((rep, None, None))
             continue
         if not res.diagnostics.converged:

@@ -27,6 +27,16 @@ R_DESIGN2 = np.array(
 TRUE2 = np.array([-0.4, -0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
 TERNARY_CUTS = [-0.431, 0.431]
 
+R_243 = np.array(
+    [
+        [1.0, 0.35, 0.3, -0.2, 0.25],
+        [0.35, 1.0, 0.4, 0.1, -0.3],
+        [0.3, 0.4, 1.0, 0.45, 0.2],
+        [-0.2, 0.1, 0.45, 1.0, 0.5],
+        [0.25, -0.3, 0.2, 0.5, 1.0],
+    ]
+)
+
 
 def design1(n=1000, replications=2, seed=ACCEPT_SEED, fit=None):
     return mc.SimDesign(
@@ -51,6 +61,21 @@ def design2(n=1000, replications=2, seed=ACCEPT_SEED, fit=None):
         seed=seed,
         fit=fit or mc.FitConfig(),
         name="design2",
+    )
+
+
+def design243(n=1000, replications=2, seed=ACCEPT_SEED, fit=None):
+    """Ordinals of 2, 4 and 3 categories with unequal thresholds: every
+    polychoric block pairs different category counts and cut points."""
+    return mc.SimDesign(
+        continuous=("Y1", "Y2"),
+        ordinal=(("X1", [0.2]), ("X2", [-0.9, -0.1, 0.7]), ("X3", [-0.5, 0.6])),
+        r_true=R_243,
+        n=n,
+        replications=replications,
+        seed=seed,
+        fit=fit or mc.FitConfig(),
+        name="design243",
     )
 
 

@@ -6,6 +6,7 @@ import pytest
 
 import mixedcorr as mc
 from mixedcorr import cli
+from mixedcorr.errors import EmptyCategory
 
 from conftest import design1
 
@@ -108,6 +109,18 @@ class TestFitCommand:
         code = _run(["fit", "--data", path, "--continuous", "Y", "--ordinal", "X:3"])
         assert code == 1
         assert "EmptyCategory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "codes, declared, category",
+        [([1.0, 2.0, 2.0], 3, 3), ([1.0, 3.0, 4.0, 1.0], None, 2)],
+        ids=["declared", "inferred"],
+    )
+    def test_empty_category_is_typed(self, codes, declared, category):
+        with pytest.raises(EmptyCategory) as err:
+            cli._recode_ordinal("X", np.array(codes), declared)
+        assert err.value.variable == "X"
+        assert err.value.category == category
+        assert str(err.value).startswith("EmptyCategory:")
 
     def test_arbitrary_labels_recoded(self, tmp_path):
         rng = np.random.default_rng(4)

@@ -4,9 +4,9 @@ import pytest
 import mixedcorr as mc
 from mixedcorr.errors import DegenerateWeight, UnknownPair
 from mixedcorr.moments import data_products, model_terms
-from mixedcorr.normal import LegendreOrder
+from mixedcorr.normal import LegendreOrder, binorm_cdf_legendre
 
-from conftest import design1, design2
+from conftest import design1, design2, design243
 
 
 def _theta(system, thresholds, rhos):
@@ -122,6 +122,33 @@ class TestEvalU:
         assert np.allclose(ev.omega_hat, np.outer(u, u), atol=1e-13)
 
 
+class TestPolychoricCells:
+    @pytest.mark.parametrize("mode", [mc.MAX_SET, mc.MIN_SET, mc.CUSTOM])
+    def test_cells_are_corner_rectangles(self, mode):
+        # unequal category counts and cut points, so a lo/hi transposition
+        # of the bounds or the wrong pair's rho changes every cell
+        pairs = [("polychoric", 3, 2), ("polychoric", 2, 1)] if mode == mc.CUSTOM else None
+        system = mc.build_system(design243().specs, mode, pairs=pairs)
+        rng = np.random.default_rng(8)
+        theta = np.concatenate(
+            [np.sort(rng.uniform(-1.0, 1.0, s - 1)) for s in system.s]
+            + [rng.uniform(-0.8, 0.8, len(system.all_coefficients))]
+        )
+        cuts = mc.ThresholdSet.from_array(theta[: system.n_thr], [s - 1 for s in system.s])
+        b = model_terms(theta, system, include_removed=True)
+        cells = [(pos, eq) for pos, eq in enumerate(system.equations) if eq[0] == "xx"]
+        assert len(cells) == (20 if pairs else 26)
+        for pos, (_, lo, hi, k, l) in cells:
+            b_lo, b_hi = cuts.with_bounds(lo - 1), cuts.with_bounds(hi - 1)
+            rho = theta[system.coef_pos[("polychoric", hi, lo)]]
+
+            def cdf(i, j):
+                return binorm_cdf_legendre(b_lo[i], b_hi[j], rho)
+
+            rect = cdf(k, l) - cdf(k, l - 1) - cdf(k - 1, l) + cdf(k - 1, l - 1)
+            assert b[pos] == pytest.approx(rect, rel=0, abs=1e-15)
+
+
 class TestRedundancyIdentities:
     def test_per_sample_identities(self, four_var_system):
         system = four_var_system
@@ -186,14 +213,19 @@ class TestGradient:
         col_norms = np.abs(G).max(axis=0)
         assert np.all(col_norms[system.active] > 1e-12)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
-    def test_matches_finite_differences_exact_cdf(self, four_var_system, seed):
-        system = four_var_system
+    @pytest.mark.parametrize(
+        "seed, design",
+        [pytest.param(seed, design1, id=str(seed)) for seed in range(5)]
+        + [pytest.param(0, design243, id="s243")],
+    )
+    def test_matches_finite_differences_exact_cdf(self, seed, design):
+        system = mc.build_system(design().specs, mc.MAX_SET)
         rng = np.random.default_rng(seed)
         theta = np.concatenate(
-            [rng.uniform(-0.7, 0.7, 2), rng.uniform(-0.85, 0.85, 6)]
+            [np.sort(rng.uniform(-0.7, 0.7, s - 1)) for s in system.s]
+            + [rng.uniform(-0.85, 0.85, len(system.all_coefficients))]
         )
-        data = mc.generate(design1(n=60, replications=2, seed=seed + 100), 0)
+        data = mc.generate(design(n=60, replications=2, seed=seed + 100), 0)
         G = mc.assemble_gradient(theta, system)
         h = 1e-5
         fd = np.empty_like(G)

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 import mixedcorr as mc
-from mixedcorr.errors import AllReplicationsFailed, NotPositiveDefinite, UnknownPair
+from mixedcorr import simulation
+from mixedcorr.errors import (
+    AllReplicationsFailed,
+    EmptyCategory,
+    NotPositiveDefinite,
+    UnknownPair,
+)
 
 from conftest import design1, design2
 
@@ -110,6 +116,35 @@ class TestRunStudy:
         )
         with pytest.raises(AllReplicationsFailed):
             mc.run_study(bad, workers=1)
+
+    def test_empty_category_replications_counted(self):
+        # at n=40 the top category (P = 0.029) is often unobserved
+        design = mc.SimDesign(
+            continuous=("Y1",),
+            ordinal=(("X1", [-0.3, 1.9]),),
+            r_true=np.array([[1.0, 0.4], [0.4, 1.0]]),
+            n=40,
+            replications=12,
+            seed=5,
+        )
+        empty = 0
+        for rep in range(design.replications):
+            try:
+                mc.generate(design, rep)
+            except EmptyCategory:
+                empty += 1
+        report = mc.run_study(design, workers=1)
+        assert 0 < empty < design.replications
+        assert report.failures == empty
+        assert report.n_used == design.replications - empty
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken_fit(data, system, cfg):
+            raise TypeError("broken")
+
+        monkeypatch.setattr(simulation, "fit", broken_fit)
+        with pytest.raises(TypeError, match="broken"):
+            mc.run_study(design1(n=150, replications=2, seed=7), workers=1)
 
     def test_needs_two_replications(self):
         with pytest.raises(ValueError):
