@@ -301,6 +301,8 @@ def _fit_report(request, data, system, cfg, res, recode_maps):
             "final_diff": _json_float(d.final_diff),
             "final_loss": _json_float(d.final_loss),
             "final_grad_norm": _json_float(d.final_grad_norm),
+            "loss_evaluations": d.loss_evaluations,
+            "inner_stop": list(d.inner_stop),
             "weight_conditions": [_json_float(c) for c in d.weight_conditions],
             "weight_pseudo_inverse": d.weight_pseudo_inverse,
             "r_matrix_psd": d.r_matrix_psd,

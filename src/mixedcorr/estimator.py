@@ -51,6 +51,14 @@ TWO_STEP = "two-step"
 COV_PAPER = "paper"
 COV_CORRECTED = "corrected"
 
+# Why an inner minimization stopped: max |grad| reached inner_grad_tol, the
+# accepted step was below the floor, inner_max_iter ran out, or the search
+# direction was numerically not a descent direction.
+STOP_GRAD_TOL = "grad_tol"
+STOP_STEP_FLOOR = "step_floor"
+STOP_MAX_ITER = "max_iter"
+STOP_NON_DESCENT = "non_descent"
+
 
 @dataclass(frozen=True)
 class FitConfig:
@@ -78,12 +86,20 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class Diagnostics:
+    """How a fit ended.
+
+    loss_evaluations counts every evaluation of the GMM loss in the fit;
+    inner_stop holds one STOP_* reason per outer iteration.
+    """
+
     converged: bool
     outer_iterations: int
     final_diff: float
     final_loss: float
     final_grad_norm: float
     inner_iterations: int
+    loss_evaluations: int
+    inner_stop: tuple
     weight_conditions: tuple
     weight_pseudo_inverse: bool
     r_matrix_psd: bool | None
@@ -155,22 +171,31 @@ class _InnerInfo:
     loss: float
     grad_norm: float
     iterations: int
+    loss_evaluations: int
+    stop: str
 
 
 def _minimize(compiled, W, x0, free_idx, cfg, rows=None):
     """Quasi-Newton (BFGS inverse-Hessian updates, backtracking Armijo line
-    search) over the free parameter subspace under a fixed weight matrix."""
+    search) over the free parameter subspace under a fixed weight matrix.
+
+    The gradient is that of the loss itself: G differentiates the Legendre
+    approximation of order cfg.order that the moments are evaluated with.
+    """
     system = compiled.system
     lo, hi = _box(system)
+    evaluations = 0
 
     def loss_at(x):
+        nonlocal evaluations
+        evaluations += 1
         m = compiled.m(x, cfg.order)
         if rows is not None:
             m = m[rows]
         return 0.5 * float(m @ (W @ m)), m
 
     def full_grad(x, m):
-        G = assemble_gradient(x, system)
+        G = assemble_gradient(x, system, cfg.order)
         if rows is not None:
             G = G[rows]
         return G, G.T @ (W @ m)
@@ -198,8 +223,10 @@ def _minimize(compiled, W, x0, free_idx, cfg, rows=None):
 
     H = gauss_newton_inverse(G0)
     iterations = 0
+    stop = STOP_MAX_ITER
     for _ in range(cfg.inner_max_iter):
         if np.max(np.abs(g), initial=0.0) <= cfg.inner_grad_tol:
+            stop = STOP_GRAD_TOL
             break
         iterations += 1
         direction = -H @ g
@@ -209,7 +236,8 @@ def _minimize(compiled, W, x0, free_idx, cfg, rows=None):
             direction = -g
             gd = -float(g @ g)
         if gd >= -1e-18:
-            break  # numerically stationary
+            stop = STOP_NON_DESCENT
+            break
 
         step = 1.0
         for _halving in range(61):
@@ -243,9 +271,16 @@ def _minimize(compiled, W, x0, free_idx, cfg, rows=None):
             )
         x, f, g = xn, fn, gn
         if np.linalg.norm(s) < 1e-16:
+            stop = STOP_STEP_FLOOR
             break
 
-    return x, _InnerInfo(loss=f, grad_norm=float(np.max(np.abs(g), initial=0.0)), iterations=iterations)
+    return x, _InnerInfo(
+        loss=f,
+        grad_norm=float(np.max(np.abs(g), initial=0.0)),
+        iterations=iterations,
+        loss_evaluations=evaluations,
+        stop=stop,
+    )
 
 
 def minimize_loss(data, system, W, theta0, free, cfg=FitConfig()) -> ParamVector:
@@ -275,7 +310,7 @@ def compute_sigma(theta, system, order=LegendreOrder.THIRD) -> np.ndarray:
     """
     theta = _theta_array(theta, system)
     t = system._tables
-    pool, _ = _model_pool(theta, system, order)
+    pool = _model_pool(theta, system, order)
     p = _rect(pool, t.h_idx)
     cells = _rect(pool, t.sigma_idx).reshape(p.size, p.size)
     sigma = np.where(
@@ -332,14 +367,17 @@ def _igmm_loop(compiled, cfg, theta0, free_idx, rows, weight_of):
     conditions = []
     pseudo = False
     inner_total = 0
+    evaluations = 0
+    stops = []
     diff = np.inf
     converged = False
-    info = _InnerInfo(loss=np.nan, grad_norm=np.nan, iterations=0)
     wres = None
     outer = 0
     for outer in range(1, cfg.max_outer_iter + 1):
         theta_new, info = _minimize(compiled, W, theta, free_idx, cfg, rows=rows)
         inner_total += info.iterations
+        evaluations += info.loss_evaluations
+        stops.append(info.stop)
         wres = weight_of(theta_new)
         W = wres.matrix
         conditions.append(wres.condition)
@@ -356,6 +394,8 @@ def _igmm_loop(compiled, cfg, theta0, free_idx, rows, weight_of):
         "final_loss": info.loss,
         "final_grad_norm": info.grad_norm,
         "inner_iterations": inner_total,
+        "loss_evaluations": evaluations,
+        "inner_stop": tuple(stops),
         "weight_conditions": tuple(conditions),
         "weight_pseudo_inverse": pseudo,
     }
@@ -368,6 +408,11 @@ def fit_one_step(data, system, cfg=None) -> EstimationResult:
     Pearson correlations of the coded data, then alternates full-theta
     minimization with weight refresh W = (E_n[uu'])^-1. The asymptotic
     covariance is (G'WG)^-1 / n at the final iterate.
+
+    The minimizer follows the gradient of the Legendre-approximated loss,
+    but G in the covariance is the exact-CDF Jacobian
+    (``assemble_gradient(theta, system)``): the covariance targets the
+    exact model, and it then changes with the CDF order only through theta.
     """
     cfg = replace(cfg or FitConfig(), method=ONE_STEP)
     start = time.perf_counter()
@@ -404,6 +449,11 @@ def fit_two_step(data, system, cfg=None) -> EstimationResult:
     threshold-moment covariance Sigma = Var h under the "paper" variant or
     the delta-method threshold covariance (G11' Sigma^-1 G11)^-1 under the
     default "corrected" variant.
+
+    As in ``fit_one_step``, the minimizer follows the gradient of the
+    Legendre-approximated loss, while Lambda = (G22' W G22)^-1, Gamma and
+    G11 come from the exact-CDF Jacobian: the covariance targets the exact
+    model, so var_r changes with the CDF order only through theta.
     """
     cfg = replace(cfg or FitConfig(), method=TWO_STEP)
     start = time.perf_counter()

@@ -25,17 +25,36 @@ the bound pairs (b_lo[k], b_hi[l]) of every pair of included ordinals,
 with the pair's polychoric rho or 0 where the system has none. Per theta,
 each kernel runs once, vectorized over all bounds or corners, to fill
 
-    model pool:    0, 1, phi(bounds), Phi(bounds), corner CDF
-    gradient pool: 0, 1, phi(bounds), z*phi(bounds), corner density,
-                   P(Y <= y | X = x) and P(X <= x | Y = y) at the corners
+    model pool:    0, 1, phi(bounds), Phi(bounds), corner CDF F(x, y; rho)
+    gradient pool: 0, 1, phi(bounds), z*phi(bounds),
+                   dF/drho, dF/dx and dF/dy at the corners
 
 and every model term and every nonzero entry of G is
 scale * (v11 - v10 - v01 + v00) over four gathered pool values, with the
-scale gathered from (1, theta, phi(bounds)). A threshold term is a
+scale gathered from (1, theta). A threshold term is a
 difference of two Phi values, a Pearson term rho itself, a polyserial term
 rho times a difference of two phi values, a polychoric term the rectangle
 of four corner CDFs. The threshold-moment covariance gathers its joint
 cell probabilities from the same corner CDFs.
+
+The corner partials come in two kinds, filled into the same pool slots so
+that both are one scatter over the same tables:
+
+- exact (``assemble_gradient(theta, system)``): the derivatives of the
+  exact bivariate CDF, dF/drho = phi(x, y; rho) and
+  dF/dx = phi(x) P(Y <= y | X = x). Criteria 5 and 7 check them, and the
+  sandwich covariances of both fits use them: the asymptotic covariance
+  describes the estimator of the exact model, of which the Legendre sum
+  is only the evaluation rule, and with the exact G the reported
+  covariance moves only through theta when the CDF order changes.
+- Legendre (``assemble_gradient(theta, system, order)``): the derivatives
+  of the approximation Phi(x)Phi(y) + rho sum_t w_t phi(x, y; t rho) that
+  ``model_terms`` evaluates, so G is the Jacobian of the moments the loss
+  is built on. The minimizer uses this kind; with the exact kind its
+  search directions are not descent directions of its own loss near the
+  optimum. The per-node densities come from a one-entry memo that
+  ``model_terms`` fills at the same theta, so the minimizer's gradient at
+  an accepted step costs no second density evaluation.
 """
 
 from __future__ import annotations
@@ -59,6 +78,8 @@ from .normal import (
     binorm_cdf_legendre,
     binorm_cdf_oracle,
     binorm_pdf,
+    legendre_densities,
+    legendre_term_grad,
     norm_cdf,
     norm_pdf,
     zphi,
@@ -201,8 +222,7 @@ class _Tables:
     factors: np.ndarray  # (2, q_full) factor rows whose product is the data term
     b_scale: np.ndarray  # equation -> scale slot of its model term
     b_idx: np.ndarray  # (4, q_full) model-pool slots
-    g_row: np.ndarray  # nonzero gradient entry -> retained row
-    g_col: np.ndarray  # -> theta column
+    g_pos: np.ndarray  # nonzero gradient entry -> retained row * p + theta column
     g_sign: np.ndarray  # -> +-1
     g_scale: np.ndarray  # -> scale slot
     g_idx: np.ndarray  # (4, entries) gradient-pool slots
@@ -214,7 +234,7 @@ class _Tables:
 
 def _compile(system):
     """Build the gather tables of ``system``; the only dispatch on equation kind."""
-    c, s, p = system.c, system.s, system.p
+    c, s = system.c, system.s
 
     bound, bound_src = {}, []
     for v in system.included_ordinals:
@@ -247,9 +267,6 @@ def _compile(system):
         # the corners of one pair are stored row by row, s_hi + 1 per row
         v11, row = at_corner(segment, lo, hi, k, l), s[hi - 1] + 1
         return (v11, v11 - 1, v11 - row, v11 - row - 1)
-
-    def scale_phi(v, a):
-        return 1 + p + bound[v, a]
 
     def bound_cols(v, k):
         # (theta column, sign, bound) of the finite bounds of category k
@@ -306,14 +323,14 @@ def _compile(system):
             factors.append((ind[lo, k], ind[hi, l]))
             terms.append((UNIT, rect(0, lo, hi, k, l)))
             entries = [(col, -1.0, UNIT, rect(0, lo, hi, k, l))]
-            # a moved bound of one variable enters as phi there times the
-            # conditional probability of the other variable's category
+            # a moved bound of one variable enters through the corner CDF's
+            # partial in that variable, at both bounds of the other's category
             for tcol, sign, a in bound_cols(lo, k):
                 v1, v0 = at_corner(1, lo, hi, a, l), at_corner(1, lo, hi, a, l - 1)
-                entries.append((tcol, sign, scale_phi(lo, a), (v1, v0, Z, Z)))
+                entries.append((tcol, sign, UNIT, (v1, v0, Z, Z)))
             for tcol, sign, b in bound_cols(hi, l):
                 v1, v0 = at_corner(2, lo, hi, k, b), at_corner(2, lo, hi, k - 1, b)
-                entries.append((tcol, sign, scale_phi(hi, b), (v1, v0, Z, Z)))
+                entries.append((tcol, sign, UNIT, (v1, v0, Z, Z)))
         if kept:
             grad += [(row,) + e for e in entries]
             row += 1
@@ -346,8 +363,7 @@ def _compile(system):
         factors=ints(factors, (-1, 2)).T,
         b_scale=ints([sc for sc, _ in terms]),
         b_idx=ints([t for _, t in terms], (-1, 4)).T,
-        g_row=ints(grad_rows[0]),
-        g_col=ints(grad_rows[1]),
+        g_pos=ints(np.multiply(grad_rows[0], system.p) + grad_rows[1]),
         g_sign=np.array(grad_rows[2], dtype=float),
         g_scale=ints(grad_rows[3]),
         g_idx=ints(grad_rows[4], (-1, 4)).T,
@@ -472,7 +488,7 @@ class _BoundValues(NamedTuple):
     zphi: np.ndarray
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def _bound_values_cached(system, thr_bytes):
     thr = np.frombuffer(thr_bytes, dtype=float)
     b = np.concatenate(([-np.inf, np.inf], thr))[system._tables.bound_src]
@@ -481,18 +497,45 @@ def _bound_values_cached(system, thr_bytes):
 
 
 def _bound_values(theta, system):
-    """Bound values at the thresholds of theta (memoized; the two-step loop
-    re-evaluates at frozen thresholds constantly)."""
+    """Bound values at the thresholds of theta, memoized for the last
+    thresholds seen: the two-step loop keeps them frozen, and the one-step
+    loop re-evaluates at the thresholds of its last loss evaluation (the
+    gradient, the weight refresh), almost never at older ones."""
     return _bound_values_cached(system, theta[: system.n_thr].tobytes())
 
 
-def _corner_rho(theta, system):
+def _corner_args(theta, system, bounds):
+    """Corner coordinates x, y and the correlation of each corner's pair."""
+    t = system._tables
     # the appended 0 is the correlation of pairs without a coefficient
-    return np.append(theta, 0.0)[system._tables.corner_rho]
+    rho = np.append(theta, 0.0)[t.corner_rho]
+    return bounds.b[t.corner_x], bounds.b[t.corner_y], rho
 
 
-def _scales(theta, bounds):
-    return np.concatenate(([1.0], theta, bounds.pdf))
+class _LegendreCorners(NamedTuple):
+    """Corner correlations at one theta, the per-node densities there and the CDF."""
+
+    rho: np.ndarray
+    densities: np.ndarray
+    cdf: np.ndarray
+
+
+@lru_cache(maxsize=1)
+def _legendre_corners_cached(system, theta_bytes, order):
+    theta = np.frombuffer(theta_bytes, dtype=float)
+    x, y, rho = _corner_args(theta, system, _bound_values(theta, system))
+    densities = legendre_densities(x, y, rho, order)
+    return _LegendreCorners(rho, densities, binorm_cdf_legendre(x, y, rho, order, densities))
+
+
+def _legendre_corners(theta, system, order):
+    """Memoized for one theta: the minimizer takes the gradient at the point
+    of its last loss evaluation, and reuses that evaluation's densities."""
+    return _legendre_corners_cached(system, theta.tobytes(), order)
+
+
+def _scales(theta):
+    return np.concatenate(([1.0], theta))
 
 
 def _rect(pool, idx):
@@ -525,16 +568,13 @@ def data_products(data, system, include_removed=False) -> np.ndarray:
 
 
 def _model_pool(theta, system, order=LegendreOrder.THIRD, exact_cdf=False):
-    """The model pool at theta (see the module docstring), and the bound values."""
-    t = system._tables
+    """The model pool at theta (see the module docstring)."""
     bounds = _bound_values(theta, system)
-    x, y = bounds.b[t.corner_x], bounds.b[t.corner_y]
-    rho = _corner_rho(theta, system)
     if exact_cdf:
-        corners = [binorm_cdf_oracle(*xyr) for xyr in zip(x, y, rho)]
+        corners = [binorm_cdf_oracle(*xyr) for xyr in zip(*_corner_args(theta, system, bounds))]
     else:
-        corners = binorm_cdf_legendre(x, y, rho, order)
-    return np.concatenate(([0.0, 1.0], bounds.pdf, bounds.cdf, corners)), bounds
+        corners = _legendre_corners(theta, system, order).cdf
+    return np.concatenate(([0.0, 1.0], bounds.pdf, bounds.cdf, corners))
 
 
 def model_terms(
@@ -552,8 +592,8 @@ def model_terms(
     """
     theta = _theta_array(theta, system)
     t = system._tables
-    pool, bounds = _model_pool(theta, system, order, exact_cdf)
-    vals = _scales(theta, bounds)[t.b_scale] * _rect(pool, t.b_idx)
+    pool = _model_pool(theta, system, order, exact_cdf)
+    vals = _scales(theta)[t.b_scale] * _rect(pool, t.b_idx)
     return vals if include_removed else vals[system.retained]
 
 
@@ -568,8 +608,13 @@ def eval_u(row, theta, system, order=LegendreOrder.THIRD) -> np.ndarray:
     return a[0] - model_terms(theta, system, order)
 
 
-def assemble_gradient(theta, system) -> np.ndarray:
+def assemble_gradient(theta, system, order=None) -> np.ndarray:
     """Analytic gradient G = d m / d theta over retained rows, full theta columns.
+
+    With ``order=None`` G differentiates the exact bivariate CDF; with a
+    ``LegendreOrder`` it differentiates the approximation ``model_terms``
+    evaluates at that order, which is the Jacobian of the minimized loss's
+    moments (see the module docstring for which kind is used where).
 
     The moments are linear in the data products, so G carries no data
     dependence; rows of removed equations are absent by construction.
@@ -577,25 +622,27 @@ def assemble_gradient(theta, system) -> np.ndarray:
     theta = _theta_array(theta, system)
     t = system._tables
     bounds = _bound_values(theta, system)
-    x, y = bounds.b[t.corner_x], bounds.b[t.corner_y]
     xf, yf = bounds.finite[t.corner_x], bounds.finite[t.corner_y]
-    rho = _corner_rho(theta, system)
-    sq = np.sqrt(1.0 - rho * rho)
-    pool = np.concatenate(
-        (
-            [0.0, 1.0],
-            bounds.pdf,
-            bounds.zphi,
+    if order is None:
+        x, y, rho = _corner_args(theta, system, bounds)
+        sq = np.sqrt(1.0 - rho * rho)
+        partials = (
             binorm_pdf(x, y, rho),
-            norm_cdf((y - rho * xf) / sq),
-            norm_cdf((x - rho * yf) / sq),
+            bounds.pdf[t.corner_x] * norm_cdf((y - rho * xf) / sq),
+            bounds.pdf[t.corner_y] * norm_cdf((x - rho * yf) / sq),
         )
-    )
-    G = np.zeros((system.q, system.p))
-    G[t.g_row, t.g_col] = t.g_sign * (
-        _scales(theta, bounds)[t.g_scale] * _rect(pool, t.g_idx)
-    )
-    return G
+    else:
+        c = _legendre_corners(theta, system, order)
+        d_rho, d_x, d_y = legendre_term_grad(xf, yf, c.rho, c.densities, order)
+        partials = (
+            d_rho,
+            d_x + bounds.pdf[t.corner_x] * bounds.cdf[t.corner_y],
+            d_y + bounds.pdf[t.corner_y] * bounds.cdf[t.corner_x],
+        )
+    pool = np.concatenate(([0.0, 1.0], bounds.pdf, bounds.zphi) + tuple(partials))
+    G = np.zeros(system.q * system.p)
+    G[t.g_pos] = t.g_sign * (_scales(theta)[t.g_scale] * _rect(pool, t.g_idx))
+    return G.reshape(system.q, system.p)
 
 
 @dataclass(frozen=True)
@@ -641,7 +688,7 @@ class CompiledMoments:
 def eval_moments(
     data, theta, system, order=LegendreOrder.THIRD, exact_cdf=False
 ) -> MomentEvaluation:
-    """Sample mean of u, analytic gradient and sample covariance E_n[uu'].
+    """Sample mean of u, exact-CDF analytic gradient and sample covariance E_n[uu'].
 
     Summation order over rows is fixed, so repeated evaluation is
     bit-reproducible.

@@ -38,6 +38,8 @@ __all__ = [
     "binorm_pdf",
     "binorm_cdf_legendre",
     "binorm_cdf_oracle",
+    "legendre_densities",
+    "legendre_term_grad",
     "zphi",
 ]
 
@@ -138,22 +140,66 @@ def _bpdf_raw(xf, yf, rho):
     )
 
 
-def binorm_cdf_legendre(x, y, rho, order=LegendreOrder.THIRD):
+def _node_axis(x, y, rho):
+    # shape that puts the Legendre nodes along a new leading axis
+    return (-1,) + (1,) * max(np.ndim(x), np.ndim(y), np.ndim(rho))
+
+
+def legendre_densities(x, y, rho, order=LegendreOrder.THIRD):
+    """phi(x, y; t rho) at each Legendre node t of ``order``, stacked along a
+    new leading axis; 0 where x or y is infinite. Requires |rho| <= RHO_MAX.
+
+    The CDF approximation and its derivatives are node sums over these
+    densities, so a caller holding them can evaluate both without a second
+    density call.
+    """
+    rho = _check_rho(rho, RHO_MAX)
+    inf, xf, yf = _finite_parts(x, y)
+    nodes = _NODES[order][0].reshape(_node_axis(x, y, rho))
+    return np.where(inf, 0.0, _bpdf_raw(xf, yf, nodes * rho))
+
+
+def binorm_cdf_legendre(x, y, rho, order=LegendreOrder.THIRD, densities=None):
     """P(X <= x, Y <= y) for standard bivariate normals, Legendre-approximated.
 
     Arguments broadcast elementwise. x and y may be +-inf: the quadrature
     term is zeroed there, so Phi(x)Phi(y) gives the exact marginal (0,
-    Phi(y), Phi(x) or 1). Requires |rho| <= RHO_MAX.
+    Phi(y), Phi(x) or 1). Requires |rho| <= RHO_MAX. ``densities``, when
+    given, are ``legendre_densities(x, y, rho, order)``.
     """
-    rho = _check_rho(rho, RHO_MAX)
-    inf, xf, yf = _finite_parts(x, y)
-    nodes, weights = _NODES[order]
-    # all nodes in one density call, along a new leading axis
-    axis = (-1,) + (1,) * max(inf.ndim, rho.ndim)
-    terms = weights.reshape(axis) * _bpdf_raw(xf, yf, nodes.reshape(axis) * rho)
+    if densities is None:
+        densities = legendre_densities(x, y, rho, order)
+    terms = _NODES[order][1].reshape(_node_axis(x, y, rho)) * densities
     quad = sum(terms[1:], terms[0])
-    out = rho * np.where(inf, 0.0, quad) + ndtr(x) * ndtr(y)
+    out = np.asarray(rho, dtype=float) * quad + ndtr(x) * ndtr(y)
     return out if out.ndim else float(out)
+
+
+def legendre_term_grad(xf, yf, rho, densities, order=LegendreOrder.THIRD):
+    """Partial derivatives (d/drho, d/dx, d/dy) of the Legendre term
+    rho sum_t w_t phi(x, y; t rho) of ``binorm_cdf_legendre``.
+
+    ``xf``, ``yf`` are the coordinates with +-inf replaced by 0 and
+    ``densities`` is ``legendre_densities(x, y, rho, order)``, which is 0
+    where a coordinate is infinite, so the term's partials are 0 there.
+    The partials of the approximated CDF add (0, phi(x)Phi(y),
+    phi(y)Phi(x)). With r = t rho, D = 1 - r^2 and the log-density slopes
+    gx = (r y - x) / D, gy = (r x - y) / D, the identity
+    d phi / dr = d^2 phi / dx dy = phi (gx gy + r / D) gives
+
+        d/drho [rho phi(x, y; r)] = phi (1 + r gx gy + r^2 / D)
+        d/dx   [rho phi(x, y; r)] = rho phi gx
+    """
+    nodes, weights = _NODES[order]
+    axis = _node_axis(xf, yf, rho)
+    r = nodes.reshape(axis) * rho
+    rr = r * r
+    dinv = 1.0 / (1.0 - rr)
+    gx = (r * yf - xf) * dinv
+    gy = (r * xf - yf) * dinv
+    factors = np.stack((1.0 + r * gx * gy + rr * dinv, rho * gx, rho * gy))
+    # one reduction over the node axis, in a fixed order
+    return tuple((weights.reshape(axis) * densities * factors).sum(axis=1))
 
 
 def binorm_cdf_oracle(x, y, rho):

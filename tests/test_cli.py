@@ -195,6 +195,18 @@ class TestFitCommand:
         assert _run(argv + ["--out", out2]) == 0
         assert out1.read_text() == out2.read_text()
 
+    def test_report_explains_inner_solves(self, data_csv, tmp_path):
+        out = tmp_path / "report.json"
+        argv = ["fit", "--data", data_csv, "--continuous", "Y1,Y2",
+                "--ordinal", "X1:2,X2:2", "--method", "one-step", "--out", out]
+        assert _run(argv) == 0
+        diag = json.loads(out.read_text())["diagnostics"]
+        assert len(diag["inner_stop"]) == diag["outer_iterations"]
+        assert set(diag["inner_stop"]) <= {"grad_tol", "step_floor", "max_iter", "non_descent"}
+        assert isinstance(diag["loss_evaluations"], int)
+        assert diag["loss_evaluations"] >= diag["outer_iterations"]
+        assert "wall_time" not in diag
+
     def test_nonconvergence_exit_code(self, data_csv, tmp_path, monkeypatch):
         real_fit = cli.fit
 

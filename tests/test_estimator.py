@@ -323,6 +323,32 @@ class TestDiagnostics:
         res = mc.fit_two_step(design1_data, four_var_system)
         assert res.diagnostics.r_matrix_psd in (True, False)
 
+    @pytest.mark.parametrize("method", [mc.TWO_STEP, mc.ONE_STEP])
+    def test_design2_reaches_stationarity(self, c2d3_system, method):
+        # a design-2 dataset on which a search along the exact-CDF gradient
+        # stalled at |grad| ~ 1e-7: following the gradient of the
+        # Legendre loss itself gets within 1e-8
+        data = mc.generate(design2(), 3)
+        d = mc.fit(data, c2d3_system, mc.FitConfig(method=method)).diagnostics
+        assert d.converged
+        assert d.final_grad_norm <= 1e-8
+
+    def test_inner_stop_and_loss_evaluations(self, design1_data, four_var_system):
+        for method in (mc.TWO_STEP, mc.ONE_STEP):
+            d = mc.fit(design1_data, four_var_system, mc.FitConfig(method=method)).diagnostics
+            assert len(d.inner_stop) == d.outer_iterations
+            assert set(d.inner_stop) <= {"grad_tol", "step_floor", "max_iter", "non_descent"}
+            # each inner solve evaluates its start, and every iteration that
+            # does not stop on a non-descent direction at least one trial point
+            searched = d.inner_iterations - d.inner_stop.count("non_descent")
+            assert d.loss_evaluations >= searched + d.outer_iterations
+
+    def test_inner_stop_max_iter(self, design1_data, four_var_system):
+        cfg = mc.FitConfig(max_outer_iter=1, inner_max_iter=1)
+        d = mc.fit_two_step(design1_data, four_var_system, cfg).diagnostics
+        assert d.inner_stop == ("max_iter",)
+        assert d.inner_iterations == 1
+
 
 class TestFitConfigValidation:
     def test_bad_method(self):

@@ -269,6 +269,32 @@ class TestGradient:
         assert np.max(np.abs(G - fd) / scale) < 5e-3
 
 
+    @pytest.mark.parametrize(
+        "order", [LegendreOrder.SECOND, LegendreOrder.THIRD], ids=["o2", "o3"]
+    )
+    @pytest.mark.parametrize("mode", [mc.MAX_SET, mc.MIN_SET, mc.CUSTOM])
+    @pytest.mark.parametrize("design", [design1, design2, design243], ids=["d1", "d2", "d243"])
+    def test_legendre_gradient_matches_finite_differences(self, design, mode, order):
+        # the minimizer's gradient is the Jacobian of the approximated
+        # moments themselves, to finite-difference accuracy
+        pairs = [("polychoric", 2, 1), ("polyserial", 1, 2)] if mode == mc.CUSTOM else None
+        system = mc.build_system(design().specs, mode, pairs=pairs)
+        rng = np.random.default_rng(3)
+        theta = np.concatenate(
+            [np.sort(rng.uniform(-0.8, 0.8, s - 1)) for s in system.s]
+            + [rng.uniform(-0.85, 0.85, len(system.all_coefficients))]
+        )
+        G = mc.assemble_gradient(theta, system, order)
+        h = 1e-6
+        fd = np.empty_like(G)
+        for j in range(system.p):
+            up, dn = theta.copy(), theta.copy()
+            up[j] += h
+            dn[j] -= h
+            fd[:, j] = (model_terms(dn, system, order) - model_terms(up, system, order)) / (2 * h)
+        assert np.max(np.abs(G - fd)) < 1e-8
+
+
 class TestWeightMatrix:
     def test_identity(self):
         w = mc.weight_matrix(np.eye(3))
