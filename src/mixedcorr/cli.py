@@ -11,14 +11,14 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .errors import EmptyCategory, MixedCorrError
 from .estimator import FitConfig, fit
 from .model import KIND_PEARSON, KIND_POLYCHORIC, KIND_POLYSERIAL, VariableSpec, ingest
-from .moments import CUSTOM, MAX_SET, MIN_SET, build_system
+from .moments import CUSTOM, build_system
 from .normal import LegendreOrder
 from .simulation import SimDesign, run_study
 
@@ -29,45 +29,6 @@ _MISSING = {"", "na", "nan", "null", "none", "."}
 
 class _InputError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class FitRequest:
-    """Resolved fit request: column typing, fit options and output target."""
-
-    data: str
-    continuous: tuple  # column names
-    ordinal: tuple  # (name, categories-or-None-to-infer) pairs
-    method: str = "two-step"
-    system: str = "max"
-    pairs: str | None = None
-    legendre: int = 3
-    covariance: str = "corrected"
-    out: str | None = None
-    format: str = "json"
-
-    def __post_init__(self):
-        names = list(self.continuous) + [nm for nm, _ in self.ordinal]
-        if not names:
-            raise _InputError("at least one of --continuous / --ordinal is required")
-        if len(set(names)) != len(names):
-            raise _InputError("column sets must be disjoint")
-
-    @staticmethod
-    def from_args(args) -> "FitRequest":
-        continuous = tuple(s.strip() for s in args.continuous.split(",") if s.strip())
-        return FitRequest(
-            data=args.data,
-            continuous=continuous,
-            ordinal=tuple(_parse_ordinal_arg(args.ordinal)),
-            method=args.method,
-            system=args.system,
-            pairs=args.pairs,
-            legendre=args.legendre,
-            covariance=args.cov,
-            out=args.out,
-            format=args.format,
-        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,7 +66,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_csv(path):
+def _read_csv(path, names):
+    """The named columns of a CSV file with a header row, in the order given.
+
+    Only the cells of those columns are parsed; every row must still have
+    as many cells as the header.
+    """
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -117,6 +83,11 @@ def _read_csv(path):
         except StopIteration:
             raise _InputError(f"{path}: empty file (header row required)") from None
         header = [h.strip() for h in header]
+        col_index = {nm: i for i, nm in enumerate(header)}
+        for nm in names:
+            if nm not in col_index:
+                raise _InputError(f"{path}: no column named {nm!r} in header")
+        wanted = [(nm, col_index[nm]) for nm in names]
         rows = []
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
@@ -126,8 +97,8 @@ def _read_csv(path):
                     f"{path} line {lineno}: expected {len(header)} cells, got {len(row)}"
                 )
             parsed = []
-            for name, cell in zip(header, row):
-                cell = cell.strip()
+            for name, i in wanted:
+                cell = row[i].strip()
                 if cell.lower() in _MISSING:
                     parsed.append(np.nan)
                     continue
@@ -140,7 +111,7 @@ def _read_csv(path):
             rows.append(parsed)
     if not rows:
         raise _InputError(f"{path}: no data rows")
-    return header, np.asarray(rows, dtype=float)
+    return np.asarray(rows, dtype=float)
 
 
 def _parse_ordinal_arg(arg):
@@ -169,8 +140,10 @@ def _recode_ordinal(name, col, declared):
     With a declared category count the distinct integer labels are recoded
     in sorted order and their number must equal the declaration. Inferred
     columns are taken literally as codes 1..max with no gaps allowed.
+    Either way the k-th smallest label becomes code k.
     """
-    observed = col[~np.isnan(col)]
+    mask = ~np.isnan(col)
+    observed = col[mask]
     if observed.size == 0:
         raise _InputError(f"ordinal column {name!r} has no observed values")
     if np.any(observed != np.round(observed)):
@@ -188,7 +161,6 @@ def _recode_ordinal(name, col, declared):
                 f"EmptyCategory: ordinal column {name!r} has {labels.size} distinct "
                 f"labels but s={declared} categories were declared",
             )
-        mapping = {int(lab): k for k, lab in enumerate(labels, start=1)}
         s = declared
     else:
         if labels[0] < 1:
@@ -196,20 +168,18 @@ def _recode_ordinal(name, col, declared):
                 f"ordinal column {name!r}: inferred coding requires integer labels >= 1"
             )
         s = int(labels[-1])
-        expected = np.arange(1, s + 1)
-        missing = sorted(set(expected) - set(labels))
-        if missing:
+        if labels.size < s:
+            # sorted distinct labels >= 1: the first k with labels[k-1] != k is empty
+            k = int(np.argmax(labels != np.arange(1, labels.size + 1))) + 1
             raise EmptyCategory(
                 name,
-                int(missing[0]),
+                k,
                 f"EmptyCategory: ordinal column {name!r} has no observations in "
-                f"category {missing[0]} (codes run 1..{s})",
+                f"category {k} (codes run 1..{s})",
             )
-        mapping = {k: k for k in range(1, s + 1)}
     recoded = col.copy()
-    mask = ~np.isnan(col)
-    recoded[mask] = [mapping[int(v)] for v in col[mask]]
-    return recoded, s, mapping
+    recoded[mask] = np.searchsorted(labels, observed) + 1
+    return recoded, s, {int(lab): k for k, lab in enumerate(labels, start=1)}
 
 
 def _parse_pairs(arg, names):
@@ -243,7 +213,7 @@ def _json_float(v):
     return v if np.isfinite(v) else None
 
 
-def _fit_report(request, data, system, cfg, res, recode_maps):
+def _fit_report(args, data, system, cfg, res, recode_maps):
     variables = []
     for sp in data.specs:
         entry = {"name": sp.name, "kind": "ordinal" if sp.is_ordinal else "continuous"}
@@ -275,17 +245,17 @@ def _fit_report(request, data, system, cfg, res, recode_maps):
     return {
         "schema_version": SCHEMA_VERSION,
         "config": {
-            "data": request.data,
+            "data": args.data,
             "continuous": [sp.name for sp in data.specs if not sp.is_ordinal],
             "ordinal": {
                 sp.name: sp.categories for sp in data.specs if sp.is_ordinal
             },
             "method": cfg.method,
             "system": system.mode,
-            "pairs": request.pairs,
+            "pairs": args.pairs,
             "legendre": cfg.order.value,
             "covariance": cfg.covariance,
-            "format": request.format,
+            "format": args.format,
         },
         "n_rows_used": data.n,
         "n_rows_dropped": data.dropped_rows,
@@ -310,7 +280,7 @@ def _fit_report(request, data, system, cfg, res, recode_maps):
     }
 
 
-def _write_fit_report(report, res, fmt, out):
+def _write_fit_report(report, fmt, out):
     if fmt == "json":
         text = json.dumps(report, indent=2, sort_keys=True)
     else:
@@ -331,45 +301,40 @@ def _write_fit_report(report, res, fmt, out):
         sys.stdout.write(text + "\n")
 
 
-def cmd_fit(request: FitRequest) -> int:
-    names = list(request.continuous) + [nm for nm, _ in request.ordinal]
+def cmd_fit(args) -> int:
+    continuous = [s.strip() for s in args.continuous.split(",") if s.strip()]
+    ordinal = _parse_ordinal_arg(args.ordinal)
+    names = continuous + [nm for nm, _ in ordinal]
+    if not names:
+        raise _InputError("at least one of --continuous / --ordinal is required")
+    if len(set(names)) != len(names):
+        raise _InputError("column sets must be disjoint")
 
-    header, table = _read_csv(request.data)
-    col_index = {nm: i for i, nm in enumerate(header)}
-    for nm in names:
-        if nm not in col_index:
-            raise _InputError(f"{request.data}: no column named {nm!r} in header")
-
-    cols = []
-    specs = []
+    table = _read_csv(args.data, names)
+    specs = [VariableSpec(nm) for nm in continuous]
     recode_maps = {}
-    for nm in request.continuous:
-        cols.append(table[:, col_index[nm]])
-        specs.append(VariableSpec(nm))
-    for nm, declared in request.ordinal:
-        recoded, s, mapping = _recode_ordinal(nm, table[:, col_index[nm]], declared)
-        cols.append(recoded)
+    for k, (nm, declared) in enumerate(ordinal, start=len(continuous)):
+        table[:, k], s, recode_maps[nm] = _recode_ordinal(nm, table[:, k], declared)
         specs.append(VariableSpec(nm, categories=s))
-        recode_maps[nm] = mapping
 
-    data = ingest(np.column_stack(cols), specs)
+    data = ingest(table, specs)
 
-    if request.pairs:
-        pair_idx = _parse_pairs(request.pairs, names)
-        labels = [_pair_label(len(request.continuous), a, b) for a, b in pair_idx]
+    if args.pairs:
+        pair_idx = _parse_pairs(args.pairs, names)
+        labels = [_pair_label(len(continuous), a, b) for a, b in pair_idx]
         system = build_system(specs, CUSTOM, pairs=labels)
     else:
-        system = build_system(specs, MAX_SET if request.system == "max" else MIN_SET)
+        system = build_system(specs, args.system)
 
     cfg = FitConfig(
-        method=request.method,
-        order=LegendreOrder(request.legendre),
-        covariance=request.covariance,
+        method=args.method,
+        order=LegendreOrder(args.legendre),
+        covariance=args.cov,
         system_mode=system.mode,
     )
     res = fit(data, system, cfg)
-    report = _fit_report(request, data, system, cfg, res, recode_maps)
-    _write_fit_report(report, res, request.format, request.out)
+    report = _fit_report(args, data, system, cfg, res, recode_maps)
+    _write_fit_report(report, args.format, args.out)
     return 0 if res.diagnostics.converged else 2
 
 
@@ -413,12 +378,7 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         design = replace(design, seed=args.seed)
 
-    workers = args.threads
-    if workers is None:
-        env = os.environ.get("MIXEDCORR_THREADS")
-        workers = int(env) if env else None
-
-    report = run_study(design, workers=workers)
+    report = run_study(design, workers=args.threads)
 
     os.makedirs(args.out, exist_ok=True)
     doc_out = {
@@ -440,7 +400,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "fit":
-            return cmd_fit(FitRequest.from_args(args))
+            return cmd_fit(args)
         return cmd_simulate(args)
     except (_InputError, MixedCorrError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -22,10 +22,9 @@ from .model import CorrelationParams, ParamVector, ThresholdSet
 from .moments import (
     CompiledMoments,
     MAX_SET,
-    _model_pool,
-    _rect,
     _theta_array,
     assemble_gradient,
+    compute_sigma,
     weight_matrix,
 )
 from .normal import RHO_MAX, LegendreOrder, norm_quantile
@@ -43,7 +42,6 @@ __all__ = [
     "fit_one_step",
     "fit_two_step",
     "fit",
-    "compute_sigma",
 ]
 
 ONE_STEP = "one-step"
@@ -175,9 +173,10 @@ class _InnerInfo:
     stop: str
 
 
-def _minimize(compiled, W, x0, free_idx, cfg, rows=None):
+def _minimize(compiled, W, x0, free_idx, cfg, rows=slice(None)):
     """Quasi-Newton (BFGS inverse-Hessian updates, backtracking Armijo line
-    search) over the free parameter subspace under a fixed weight matrix.
+    search) over the free parameter subspace under a fixed weight matrix
+    on the moment rows ``rows``.
 
     The gradient is that of the loss itself: G differentiates the Legendre
     approximation of order cfg.order that the moments are evaluated with.
@@ -189,15 +188,11 @@ def _minimize(compiled, W, x0, free_idx, cfg, rows=None):
     def loss_at(x):
         nonlocal evaluations
         evaluations += 1
-        m = compiled.m(x, cfg.order)
-        if rows is not None:
-            m = m[rows]
+        m = compiled.m(x, cfg.order)[rows]
         return 0.5 * float(m @ (W @ m)), m
 
     def full_grad(x, m):
-        G = assemble_gradient(x, system, cfg.order)
-        if rows is not None:
-            G = G[rows]
+        G = assemble_gradient(x, system, cfg.order)[rows]
         return G, G.T @ (W @ m)
 
     x = np.clip(x0, lo, hi)
@@ -300,25 +295,6 @@ def minimize_loss(data, system, W, theta0, free, cfg=FitConfig()) -> ParamVector
     )
 
 
-def compute_sigma(theta, system, order=LegendreOrder.THIRD) -> np.ndarray:
-    """Analytic Var h at theta over the retained threshold equations.
-
-    Within a variable the blocks are multinomial (p_k delta_kl - p_k p_l);
-    across variables the cell probability under the pair's polychoric
-    correlation replaces the product term. Pairs without an estimated
-    polychoric coefficient contribute independent blocks.
-    """
-    theta = _theta_array(theta, system)
-    t = system._tables
-    pool = _model_pool(theta, system, order)
-    p = _rect(pool, t.h_idx)
-    cells = _rect(pool, t.sigma_idx).reshape(p.size, p.size)
-    sigma = np.where(
-        t.sigma_same, p[:, None] * (np.eye(p.size) - p), cells - p[:, None] * p
-    )
-    return (sigma + sigma.T) / 2.0
-
-
 def _expand_var(var_active, positions, size):
     out = np.full((size, size), np.nan)
     out[np.ix_(positions, positions)] = var_active
@@ -358,12 +334,11 @@ def _result_from_theta(data, system, cfg, theta, var_r_active, var_theta_active,
     )
 
 
-def _igmm_loop(compiled, cfg, theta0, free_idx, rows, weight_of):
-    """Shared outer loop: minimize under W, refresh W, repeat until stable."""
+def _igmm_loop(compiled, cfg, theta0, free_idx, rows):
+    """Shared outer loop: minimize under W, refresh W as the inverse moment
+    covariance on ``rows``, repeat until stable."""
     theta = theta0.copy()
-    system = compiled.system
-    nrows = system.q - system.q_h if rows is not None else system.q
-    W = np.eye(nrows)
+    W = np.eye(compiled.a_mean[rows].size)
     conditions = []
     pseudo = False
     inner_total = 0
@@ -371,14 +346,13 @@ def _igmm_loop(compiled, cfg, theta0, free_idx, rows, weight_of):
     stops = []
     diff = np.inf
     converged = False
-    wres = None
     outer = 0
     for outer in range(1, cfg.max_outer_iter + 1):
         theta_new, info = _minimize(compiled, W, theta, free_idx, cfg, rows=rows)
         inner_total += info.iterations
         evaluations += info.loss_evaluations
         stops.append(info.stop)
-        wres = weight_of(theta_new)
+        wres = weight_matrix(compiled.omega(theta_new, cfg.order)[rows, rows])
         W = wres.matrix
         conditions.append(wres.condition)
         pseudo = pseudo or wres.pseudo_inverse
@@ -387,7 +361,7 @@ def _igmm_loop(compiled, cfg, theta0, free_idx, rows, weight_of):
         if diff < cfg.outer_tol:
             converged = True
             break
-    return theta, W, wres, {
+    return theta, W, {
         "converged": converged,
         "outer_iterations": outer,
         "final_diff": diff,
@@ -420,14 +394,7 @@ def fit_one_step(data, system, cfg=None) -> EstimationResult:
     theta0 = _initial_theta(data, system)
     free_idx = np.flatnonzero(system.active)
 
-    theta, W, _, diag_kw = _igmm_loop(
-        compiled,
-        cfg,
-        theta0,
-        free_idx,
-        rows=None,
-        weight_of=lambda th: weight_matrix(compiled.omega(th, cfg.order)),
-    )
+    theta, W, diag_kw = _igmm_loop(compiled, cfg, theta0, free_idx, slice(None))
 
     G = assemble_gradient(theta, system)[:, free_idx]
     var_theta = np.linalg.inv(G.T @ W @ G) / compiled.n
@@ -462,16 +429,7 @@ def fit_two_step(data, system, cfg=None) -> EstimationResult:
     free_idx = system.coef_cols
     g_rows = system.g_rows
 
-    theta, W, _, diag_kw = _igmm_loop(
-        compiled,
-        cfg,
-        theta0,
-        free_idx,
-        rows=g_rows,
-        weight_of=lambda th: weight_matrix(
-            compiled.omega(th, cfg.order)[g_rows, :][:, g_rows]
-        ),
-    )
+    theta, W, diag_kw = _igmm_loop(compiled, cfg, theta0, free_idx, g_rows)
 
     G = assemble_gradient(theta, system)
     G22 = G[g_rows, :][:, system.coef_cols]

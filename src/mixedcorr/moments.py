@@ -99,6 +99,7 @@ __all__ = [
     "eval_u",
     "eval_moments",
     "assemble_gradient",
+    "compute_sigma",
     "weight_matrix",
     "CompiledMoments",
 ]
@@ -107,8 +108,8 @@ MAX_SET = "max"
 MIN_SET = "min"
 CUSTOM = "custom"
 
-# Weight-matrix conditioning guards.
-COND_LIMIT = 1e12
+# Eigenvalues of the moment covariance at or below EIG_FLOOR times the
+# largest one are treated as zero by the weight matrix.
 EIG_FLOOR = 1e-10
 
 
@@ -645,6 +646,25 @@ def assemble_gradient(theta, system, order=None) -> np.ndarray:
     return G.reshape(system.q, system.p)
 
 
+def compute_sigma(theta, system, order=LegendreOrder.THIRD) -> np.ndarray:
+    """Analytic Var h at theta over the retained threshold equations.
+
+    Within a variable the blocks are multinomial (p_k delta_kl - p_k p_l);
+    across variables the cell probability under the pair's polychoric
+    correlation replaces the product term. Pairs without an estimated
+    polychoric coefficient contribute independent blocks.
+    """
+    theta = _theta_array(theta, system)
+    t = system._tables
+    pool = _model_pool(theta, system, order)
+    p = _rect(pool, t.h_idx)
+    cells = _rect(pool, t.sigma_idx).reshape(p.size, p.size)
+    sigma = np.where(
+        t.sigma_same, p[:, None] * (np.eye(p.size) - p), cells - p[:, None] * p
+    )
+    return (sigma + sigma.T) / 2.0
+
+
 @dataclass(frozen=True)
 class MomentEvaluation:
     """Sample moments m, gradient G and moment covariance Omega_hat at one theta."""
@@ -669,14 +689,11 @@ class CompiledMoments:
         self.a_mean = A.mean(axis=0)
         self.scatter = A.T @ A / self.n
 
-    def terms(self, theta, order=LegendreOrder.THIRD, exact_cdf=False):
-        return model_terms(theta, self.system, order, exact_cdf=exact_cdf)
-
-    def m(self, theta, order=LegendreOrder.THIRD, exact_cdf=False):
-        return self.a_mean - self.terms(theta, order, exact_cdf)
+    def m(self, theta, order=LegendreOrder.THIRD):
+        return self.a_mean - model_terms(theta, self.system, order)
 
     def omega(self, theta, order=LegendreOrder.THIRD):
-        b = self.terms(theta, order)
+        b = model_terms(theta, self.system, order)
         return (
             self.scatter
             - np.outer(self.a_mean, b)
@@ -695,7 +712,7 @@ def eval_moments(
     """
     compiled = CompiledMoments(data, system)
     return MomentEvaluation(
-        m=compiled.m(theta, order, exact_cdf),
+        m=compiled.a_mean - model_terms(theta, system, order, exact_cdf=exact_cdf),
         G=assemble_gradient(theta, system),
         omega_hat=compiled.omega(theta, order),
     )
@@ -712,8 +729,12 @@ class WeightMatrix:
 
 
 def weight_matrix(omega_hat) -> WeightMatrix:
-    """Invert the moment covariance, falling back to an eigenvalue-thresholded
-    pseudo-inverse when the condition number exceeds COND_LIMIT."""
+    """Invert the moment covariance through its eigendecomposition.
+
+    Eigenvalues at or below EIG_FLOOR times the largest one count as zero:
+    they set ``rank``, and their directions get weight 0 in W, which is then
+    a pseudo-inverse.
+    """
     omega = np.asarray(omega_hat, dtype=float)
     omega = (omega + omega.T) / 2.0
     q = omega.shape[0]
@@ -728,11 +749,7 @@ def weight_matrix(omega_hat) -> WeightMatrix:
             f"moment covariance rank {rank} below half of q={q}; system mis-specified?"
         )
     cond = np.inf if evals[0] <= 0.0 else lmax / evals[0]
-    pseudo = cond > COND_LIMIT
-    if pseudo:
-        inv_evals = np.where(evals > cutoff, 1.0 / np.maximum(evals, cutoff), 0.0)
-    else:
-        inv_evals = 1.0 / evals
+    inv_evals = np.where(evals > cutoff, 1.0 / np.maximum(evals, cutoff), 0.0)
     W = (vecs * inv_evals) @ vecs.T
     W = (W + W.T) / 2.0
-    return WeightMatrix(matrix=W, condition=float(cond), pseudo_inverse=bool(pseudo), rank=rank)
+    return WeightMatrix(matrix=W, condition=float(cond), pseudo_inverse=rank < q, rank=rank)

@@ -20,12 +20,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import AllReplicationsFailed, MixedCorrError, NotPositiveDefinite, UnknownPair
 from .estimator import FitConfig, estimate_thresholds, fit
 from .model import (
-    CorrelationParams,
     KIND_POLYCHORIC,
     KIND_POLYSERIAL,
     MixedDataset,
@@ -78,10 +76,6 @@ class SimDesign:
         out = [VariableSpec(nm) for nm in self.continuous]
         out += [VariableSpec(nm, categories=len(cuts) + 1) for nm, cuts in self.ordinal]
         return tuple(out)
-
-    def true_r_vector(self) -> np.ndarray:
-        c, d = len(self.continuous), len(self.ordinal)
-        return CorrelationParams.from_matrix(self.r_true, c, d).values
 
     def to_dict(self) -> dict:
         return {
@@ -314,6 +308,8 @@ def ml_pair_oracle(data, pair) -> float:
             sq = np.sqrt(1.0 - rho * rho)
             p = norm_cdf((upper - rho * y) / sq) - norm_cdf((lower - rho * y) / sq)
             return -np.sum(np.log(np.maximum(p, 1e-300)))
+
+    from scipy.optimize import minimize_scalar  # test oracle only; kept off the import path
 
     res = minimize_scalar(nll, bounds=(-RHO_MAX, RHO_MAX), method="bounded")
     return float(res.x)

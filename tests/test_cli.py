@@ -144,6 +144,19 @@ class TestFitCommand:
         assert code == 1
         assert "line 3" in capsys.readouterr().err
 
+    def test_unrequested_text_column_ignored(self, tmp_path):
+        rng = np.random.default_rng(5)
+        codes = rng.choice([1, 2], size=80)
+        y = rng.normal(size=80) + 0.5 * (codes == 2)
+        path = tmp_path / "with_id.csv"
+        _write_csv(
+            path,
+            ["id", "Y", "X"],
+            [[f"abc{i}", v, float(c)] for i, (v, c) in enumerate(zip(y, codes))],
+        )
+        code = _run(["fit", "--data", path, "--continuous", "Y", "--ordinal", "X:2"])
+        assert code == 0
+
     def test_unknown_column(self, data_csv, capsys):
         code = _run(
             ["fit", "--data", data_csv, "--continuous", "Y1,Zz", "--ordinal", "X1:2,X2:2"]
@@ -151,8 +164,13 @@ class TestFitCommand:
         assert code == 1
         assert "Zz" in capsys.readouterr().err
 
-    def test_no_columns_given(self, data_csv):
-        assert _run(["fit", "--data", data_csv]) == 1
+    @pytest.mark.parametrize(
+        "columns",
+        [[], ["--continuous", "Y1", "--ordinal", "Y1:2"]],
+        ids=["none", "overlapping"],
+    )
+    def test_no_columns_given(self, data_csv, columns):
+        assert _run(["fit", "--data", data_csv] + columns) == 1
 
     def test_min_system(self, data_csv, tmp_path):
         out = tmp_path / "report.json"

@@ -318,6 +318,15 @@ class TestWeightMatrix:
         assert w.pseudo_inverse
         assert w.rank == system.q - 2
 
+    def test_floor_sets_rank_and_inverse(self):
+        # 1e-11 is below the eigenvalue floor (1e-10 of the largest) while
+        # the condition number 1e11 is moderate: the direction counts as
+        # zero for the rank and gets no weight
+        w = mc.weight_matrix(np.diag([1.0, 1e-11]))
+        assert w.pseudo_inverse
+        assert w.rank == 1
+        assert np.array_equal(w.matrix, np.diag([1.0, 0.0]))
+
     def test_degenerate_weight(self):
         v = np.array([1.0, 2.0, 3.0, 4.0])
         with pytest.raises(DegenerateWeight):

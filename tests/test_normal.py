@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import mixedcorr
 from mixedcorr.errors import OutOfRange, SingularCorrelation
 from mixedcorr.normal import (
     LegendreOrder,
@@ -191,3 +197,17 @@ def test_rectangle_partition_sums_to_one(use_oracle):
                 + cdf(cuts_x[i], cuts_y[j], rho)
             )
     assert total == pytest.approx(1.0, abs=1e-8)
+
+
+def test_import_leaves_oracle_modules_unloaded():
+    # scipy.integrate and scipy.optimize serve only the test oracles
+    src = str(Path(mixedcorr.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, mixedcorr; "
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
