@@ -17,7 +17,14 @@ import numpy as np
 
 from .errors import EmptyCategory, MixedCorrError
 from .estimator import FitConfig, fit
-from .model import KIND_PEARSON, KIND_POLYCHORIC, KIND_POLYSERIAL, VariableSpec, ingest
+from .model import (
+    KIND_PEARSON,
+    KIND_POLYSERIAL,
+    VariableSpec,
+    coefficient_order,
+    coefficient_variables,
+    ingest,
+)
 from .moments import CUSTOM, build_system
 from .normal import LegendreOrder
 from .simulation import SimDesign, run_study
@@ -177,14 +184,21 @@ def _recode_ordinal(name, col, declared):
                 f"EmptyCategory: ordinal column {name!r} has no observations in "
                 f"category {k} (codes run 1..{s})",
             )
+    if s < 2:
+        raise _InputError(f"ordinal column {name!r} needs at least 2 categories, has {s}")
     recoded = col.copy()
     recoded[mask] = np.searchsorted(labels, observed) + 1
     return recoded, s, {int(lab): k for k, lab in enumerate(labels, start=1)}
 
 
-def _parse_pairs(arg, names):
+def _parse_pairs(arg, names, c):
+    """Coefficient labels of the '--pairs' entries; c continuous columns lead ``names``."""
     pos = {nm: i for i, nm in enumerate(names)}
-    pairs = []
+    label_of = {
+        frozenset(coefficient_variables(c, *lab)): lab
+        for lab in coefficient_order(c, len(names) - c)
+    }
+    labels = []
     for item in filter(None, (s.strip() for s in arg.split(","))):
         parts = [p.strip() for p in item.split(":")]
         if len(parts) != 2 or not all(parts):
@@ -194,17 +208,8 @@ def _parse_pairs(arg, names):
                 raise _InputError(f"--pairs entry {item!r}: unknown column {p!r}")
         if parts[0] == parts[1]:
             raise _InputError(f"--pairs entry {item!r}: a pair needs two distinct columns")
-        pairs.append((pos[parts[0]], pos[parts[1]]))
-    return pairs
-
-
-def _pair_label(c, idx_a, idx_b):
-    a, b = sorted((idx_a, idx_b))
-    if b < c:
-        return (KIND_PEARSON, b + 1, a + 1)
-    if a < c:
-        return (KIND_POLYSERIAL, a + 1, b - c + 1)
-    return (KIND_POLYCHORIC, b - c + 1, a - c + 1)
+        labels.append(label_of[frozenset((pos[parts[0]], pos[parts[1]]))])
+    return labels
 
 
 def _json_float(v):
@@ -222,7 +227,7 @@ def _fit_report(args, data, system, cfg, res, recode_maps):
             entry["recode_map"] = {str(k): v for k, v in recode_maps[sp.name].items()}
         variables.append(entry)
 
-    included = [system.all_coefficients.index(lab) for lab in res.coefficients]
+    included = system.coef_cols - system.n_thr
     se = res.se()
     coefficients = [
         {
@@ -232,9 +237,7 @@ def _fit_report(args, data, system, cfg, res, recode_maps):
             "estimate": float(res.r_hat.values[pos]),
             "se": float(se[pos]),
         }
-        for (kind, ni, nj), (_, i, j), pos in zip(
-            res.coefficient_names, res.coefficients, included
-        )
+        for (kind, ni, nj), pos in zip(res.coefficient_names, included)
     ]
     var_r = res.var_r[np.ix_(included, included)]
     thresholds = {
@@ -305,8 +308,8 @@ def cmd_fit(args) -> int:
     continuous = [s.strip() for s in args.continuous.split(",") if s.strip()]
     ordinal = _parse_ordinal_arg(args.ordinal)
     names = continuous + [nm for nm, _ in ordinal]
-    if not names:
-        raise _InputError("at least one of --continuous / --ordinal is required")
+    if len(names) < 2:
+        raise _InputError("--continuous and --ordinal must name at least two columns")
     if len(set(names)) != len(names):
         raise _InputError("column sets must be disjoint")
 
@@ -320,9 +323,7 @@ def cmd_fit(args) -> int:
     data = ingest(table, specs)
 
     if args.pairs:
-        pair_idx = _parse_pairs(args.pairs, names)
-        labels = [_pair_label(len(continuous), a, b) for a, b in pair_idx]
-        system = build_system(specs, CUSTOM, pairs=labels)
+        system = build_system(specs, CUSTOM, pairs=_parse_pairs(args.pairs, names, len(continuous)))
     else:
         system = build_system(specs, args.system)
 

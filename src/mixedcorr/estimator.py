@@ -1,28 +1,30 @@
 """One-step and two-step iterative GMM estimators for the mixed correlation matrix.
 
-Both algorithms alternate an inner quasi-Newton minimization of the GMM
-loss L(theta) = m'Wm/2 with a refresh of the weight matrix W as the inverse
+Both methods are one GMM estimator over the same blocked moment system:
+they alternate an inner quasi-Newton minimization of the GMM loss
+L(theta) = m'Wm/2 with a refresh of the weight matrix W as the inverse
 sample covariance of the moment functions, until the parameter change drops
-below the outer tolerance. The one-step variant moves thresholds and
-correlations jointly; the two-step variant solves the thresholds in closed
+below the outer tolerance. The one-step method moves thresholds and
+correlations jointly; the two-step method solves the thresholds in closed
 form from the marginal frequencies, freezes them, and iterates on the
 correlation vector only, with a threshold-variability correction added to
-its asymptotic covariance.
+its asymptotic covariance. ``fit`` takes the method from its FitConfig.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyCategory, LineSearchFailure, NonFiniteLoss
-from .model import CorrelationParams, ParamVector, ThresholdSet
+from .model import CorrelationParams, ThresholdSet, coefficient_variables
 from .moments import (
-    CompiledMoments,
+    CUSTOM,
     MAX_SET,
-    _theta_array,
+    MIN_SET,
+    CompiledMoments,
     assemble_gradient,
     compute_sigma,
     weight_matrix,
@@ -38,9 +40,6 @@ __all__ = [
     "Diagnostics",
     "EstimationResult",
     "estimate_thresholds",
-    "minimize_loss",
-    "fit_one_step",
-    "fit_two_step",
     "fit",
 ]
 
@@ -76,6 +75,8 @@ class FitConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.covariance not in (COV_PAPER, COV_CORRECTED):
             raise ValueError(f"unknown covariance variant {self.covariance!r}")
+        if self.system_mode not in (MAX_SET, MIN_SET, CUSTOM):
+            raise ValueError(f"unknown system mode {self.system_mode!r}")
         if min(self.outer_tol, self.inner_grad_tol) <= 0:
             raise ValueError("tolerances must be positive")
         if min(self.max_outer_iter, self.inner_max_iter) < 1:
@@ -144,10 +145,9 @@ def _pearson_init(data, system) -> np.ndarray:
     """Pearson correlations of the coded data for every coefficient, clamped."""
     cols = np.column_stack([data.y, data.x.astype(float)])
     corr = np.corrcoef(cols, rowvar=False)
-    dummy = CorrelationParams(
-        system.c, system.d, np.zeros(len(system.all_coefficients))
-    )
-    vals = np.array([corr[dummy.matrix_position(*lab)] for lab in dummy.labels])
+    # corrcoef is symmetric only up to rounding: read the lower triangle
+    pos = [coefficient_variables(system.c, *lab) for lab in system.all_coefficients]
+    vals = np.array([corr[max(a, b), min(a, b)] for a, b in pos])
     return np.clip(vals, -RHO_MAX, RHO_MAX)
 
 
@@ -278,32 +278,15 @@ def _minimize(compiled, W, x0, free_idx, cfg, rows=slice(None)):
     )
 
 
-def minimize_loss(data, system, W, theta0, free, cfg=FitConfig()) -> ParamVector:
-    """Minimize the GMM loss under a fixed weight matrix.
-
-    Only parameters flagged in the boolean mask ``free`` (full theta
-    layout) move; correlation entries are kept inside (-RHO_MAX, RHO_MAX).
-    """
-    compiled = CompiledMoments(data, system)
-    x0 = _theta_array(theta0, system)
-    free = np.asarray(free, dtype=bool)
-    if free.shape != (system.p,):
-        raise ValueError("free mask must cover the full parameter vector")
-    x, _ = _minimize(compiled, np.asarray(W, dtype=float), x0, np.flatnonzero(free), cfg)
-    return ParamVector.from_array(
-        x, system.c, system.d, [si - 1 for si in system.s]
-    )
-
-
 def _expand_var(var_active, positions, size):
     out = np.full((size, size), np.nan)
     out[np.ix_(positions, positions)] = var_active
     return out
 
 
-def _result_from_theta(data, system, cfg, theta, var_r_active, var_theta_active, diag_kw):
+def _result_from_theta(system, cfg, theta, var_r_active, var_theta_active, diag_kw):
     k_full = len(system.all_coefficients)
-    included_pos = [system.all_coefficients.index(lab) for lab in system.included_coefficients]
+    included_pos = system.coef_cols - system.n_thr
 
     r_values = np.full(k_full, np.nan)
     r_values[included_pos] = theta[system.coef_cols]
@@ -335,8 +318,8 @@ def _result_from_theta(data, system, cfg, theta, var_r_active, var_theta_active,
 
 
 def _igmm_loop(compiled, cfg, theta0, free_idx, rows):
-    """Shared outer loop: minimize under W, refresh W as the inverse moment
-    covariance on ``rows``, repeat until stable."""
+    """Outer loop: minimize over ``free_idx`` under W, refresh W as the
+    inverse moment covariance on ``rows``, repeat until stable."""
     theta = theta0.copy()
     W = np.eye(compiled.a_mean[rows].size)
     conditions = []
@@ -375,87 +358,61 @@ def _igmm_loop(compiled, cfg, theta0, free_idx, rows):
     }
 
 
-def fit_one_step(data, system, cfg=None) -> EstimationResult:
-    """Simultaneous iterative GMM over thresholds and correlations.
+def fit(data, system, cfg=None) -> EstimationResult:
+    """Iterative GMM fit of ``system`` to ``data`` by the method cfg.method.
 
-    Initializes thresholds from marginal frequencies and correlations from
-    Pearson correlations of the coded data, then alternates full-theta
-    minimization with weight refresh W = (E_n[uu'])^-1. The asymptotic
-    covariance is (G'WG)^-1 / n at the final iterate.
+    Thresholds start at the closed-form quantiles of the marginal
+    frequencies and correlations at the Pearson correlations of the coded
+    data. The method fixes which parameters move, which moment rows W
+    weights, and the covariance:
+
+    - one-step: thresholds and correlations move jointly, W = (E_n[uu'])^-1
+      weights every row, and Var(theta) = (G'WG)^-1 / n at the final iterate.
+    - two-step: the thresholds stay frozen, the correlations move under the
+      gradient block G22 and W = (E_n[gg'])^-1 over the correlation rows.
+      Var(R_hat) = (Lambda + Lambda Gamma V_a Gamma' Lambda) / n with
+      Lambda = (G22' W G22)^-1 and Gamma = G22' W G21; V_a, the threshold
+      covariance, is the raw threshold-moment covariance Sigma = Var h under
+      the "paper" variant or the delta-method (G11' Sigma^-1 G11)^-1 under
+      the default "corrected" one.
 
     The minimizer follows the gradient of the Legendre-approximated loss,
-    but G in the covariance is the exact-CDF Jacobian
-    (``assemble_gradient(theta, system)``): the covariance targets the
-    exact model, and it then changes with the CDF order only through theta.
+    but G, G11, G21 and G22 in the covariances come from the exact-CDF
+    Jacobian (``assemble_gradient(theta, system)``): the covariance targets
+    the exact model, so it changes with the CDF order only through theta.
     """
-    cfg = replace(cfg or FitConfig(), method=ONE_STEP)
-    start = time.perf_counter()
-    compiled = CompiledMoments(data, system)
-    theta0 = _initial_theta(data, system)
-    free_idx = np.flatnonzero(system.active)
-
-    theta, W, diag_kw = _igmm_loop(compiled, cfg, theta0, free_idx, slice(None))
-
-    G = assemble_gradient(theta, system)[:, free_idx]
-    var_theta = np.linalg.inv(G.T @ W @ G) / compiled.n
-    var_theta = (var_theta + var_theta.T) / 2.0
-    coef_in_active = np.searchsorted(free_idx, system.coef_cols)
-    var_r = var_theta[np.ix_(coef_in_active, coef_in_active)]
-
-    diag_kw["wall_time"] = time.perf_counter() - start
-    return _result_from_theta(data, system, cfg, theta, var_r, var_theta, diag_kw)
-
-
-def fit_two_step(data, system, cfg=None) -> EstimationResult:
-    """Two-step iterative GMM: closed-form thresholds, then GMM on correlations.
-
-    Thresholds from the marginal frequencies stay frozen; the loop
-    minimizes over the correlation vector with gradient block G22 and
-    weight W = (E_n[gg'])^-1. Var(R_hat) adds the threshold-variability
-    correction Lambda Gamma V_a Gamma' Lambda, where V_a is the raw
-    threshold-moment covariance Sigma = Var h under the "paper" variant or
-    the delta-method threshold covariance (G11' Sigma^-1 G11)^-1 under the
-    default "corrected" variant.
-
-    As in ``fit_one_step``, the minimizer follows the gradient of the
-    Legendre-approximated loss, while Lambda = (G22' W G22)^-1, Gamma and
-    G11 come from the exact-CDF Jacobian: the covariance targets the exact
-    model, so var_r changes with the CDF order only through theta.
-    """
-    cfg = replace(cfg or FitConfig(), method=TWO_STEP)
-    start = time.perf_counter()
-    compiled = CompiledMoments(data, system)
-    theta0 = _initial_theta(data, system)
-    free_idx = system.coef_cols
-    g_rows = system.g_rows
-
-    theta, W, diag_kw = _igmm_loop(compiled, cfg, theta0, free_idx, g_rows)
-
-    G = assemble_gradient(theta, system)
-    G22 = G[g_rows, :][:, system.coef_cols]
-    lam = np.linalg.inv(G22.T @ W @ G22)
-    if system.n_thr and system.thr_cols.size:
-        G21 = G[g_rows, :][:, system.thr_cols]
-        G11 = G[: system.q_h, :][:, system.thr_cols]
-        sigma = compute_sigma(theta, system, cfg.order)
-        gamma = G22.T @ W @ G21
-        if cfg.covariance == COV_PAPER:
-            v_a = sigma
-        else:
-            g11si = G11.T @ np.linalg.inv(sigma) @ G11
-            v_a = np.linalg.inv(g11si)
-        var_r = lam + lam @ gamma @ v_a @ gamma.T @ lam
-    else:
-        var_r = lam
-    var_r = (var_r + var_r.T) / (2.0 * compiled.n)
-
-    diag_kw["wall_time"] = time.perf_counter() - start
-    return _result_from_theta(data, system, cfg, theta, var_r, None, diag_kw)
-
-
-def fit(data, system, cfg=None) -> EstimationResult:
-    """Dispatch on cfg.method."""
     cfg = cfg or FitConfig()
-    if cfg.method == ONE_STEP:
-        return fit_one_step(data, system, cfg)
-    return fit_two_step(data, system, cfg)
+    start = time.perf_counter()
+    compiled = CompiledMoments(data, system)
+    one_step = cfg.method == ONE_STEP
+    free_idx = np.flatnonzero(system.active) if one_step else system.coef_cols
+    rows = slice(None) if one_step else system.g_rows
+
+    theta, W, diag_kw = _igmm_loop(compiled, cfg, _initial_theta(data, system), free_idx, rows)
+
+    G_full = assemble_gradient(theta, system)
+    G = G_full[rows]
+    G_free = G[:, free_idx]
+    # (G'WG)^-1 on the free columns and weighted rows; Lambda under two-step
+    lam = np.linalg.inv(G_free.T @ W @ G_free)
+    if one_step:
+        var_theta = lam / compiled.n
+        var_theta = (var_theta + var_theta.T) / 2.0
+        coef_in_free = np.searchsorted(free_idx, system.coef_cols)
+        var_r = var_theta[np.ix_(coef_in_free, coef_in_free)]
+    else:
+        var_theta, var_r = None, lam
+        if system.thr_cols.size:
+            G21 = G[:, system.thr_cols]
+            G11 = G_full[: system.q_h][:, system.thr_cols]
+            sigma = compute_sigma(theta, system, cfg.order)
+            gamma = G_free.T @ W @ G21
+            if cfg.covariance == COV_PAPER:
+                v_a = sigma
+            else:
+                v_a = np.linalg.inv(G11.T @ np.linalg.inv(sigma) @ G11)
+            var_r = lam + lam @ gamma @ v_a @ gamma.T @ lam
+        var_r = (var_r + var_r.T) / (2.0 * compiled.n)
+
+    diag_kw["wall_time"] = time.perf_counter() - start
+    return _result_from_theta(system, cfg, theta, var_r, var_theta, diag_kw)

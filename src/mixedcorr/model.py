@@ -30,7 +30,6 @@ __all__ = [
     "MixedDataset",
     "ThresholdSet",
     "CorrelationParams",
-    "ParamVector",
     "ingest",
     "param_count",
 ]
@@ -241,6 +240,16 @@ def coefficient_order(c: int, d: int):
     return out
 
 
+def coefficient_variables(c: int, kind, i, j):
+    """0-based positions in Y_1..Y_c, X_1..X_d of the two variables of
+    coefficient (kind, i, j), in the order the label names them (a
+    polyserial's Y first)."""
+    return (
+        c + i - 1 if kind == KIND_POLYCHORIC else i - 1,
+        j - 1 if kind == KIND_PEARSON else c + j - 1,
+    )
+
+
 @dataclass(frozen=True)
 class CorrelationParams:
     """Flattened mixed correlation vector with its index map.
@@ -269,12 +278,10 @@ class CorrelationParams:
         return coefficient_order(self.c, self.d)
 
     def matrix_position(self, kind, i, j):
-        """0-based (row, col) of coefficient (kind, i, j) in the (c+d) square matrix."""
-        if kind == KIND_PEARSON:
-            return i - 1, j - 1
-        if kind == KIND_POLYSERIAL:
-            return self.c + j - 1, i - 1
-        return self.c + i - 1, self.c + j - 1
+        """0-based (row, col) of coefficient (kind, i, j) in the lower triangle
+        of the (c+d) square matrix."""
+        a, b = coefficient_variables(self.c, kind, i, j)
+        return max(a, b), min(a, b)
 
     def to_matrix(self) -> np.ndarray:
         """Full symmetric (c+d) x (c+d) matrix with unit diagonal."""
@@ -293,30 +300,3 @@ class CorrelationParams:
         dummy = CorrelationParams(c, d, np.zeros((c + d) * (c + d - 1) // 2))
         vals = [mat[dummy.matrix_position(*lab)] for lab in dummy.labels]
         return CorrelationParams(c, d, np.array(vals))
-
-
-@dataclass(frozen=True)
-class ParamVector:
-    """Full parameter vector theta = (all thresholds, then R)."""
-
-    thresholds: ThresholdSet
-    correlations: CorrelationParams
-
-    def to_array(self) -> np.ndarray:
-        return np.concatenate([self.thresholds.to_array(), self.correlations.values])
-
-    @property
-    def n_thresholds(self) -> int:
-        return int(sum(self.thresholds.sizes))
-
-    def __len__(self):
-        return self.n_thresholds + self.correlations.values.size
-
-    @staticmethod
-    def from_array(values, c, d, sizes) -> "ParamVector":
-        values = np.asarray(values, dtype=float)
-        m = int(sum(sizes))
-        return ParamVector(
-            thresholds=ThresholdSet.from_array(values[:m], sizes),
-            correlations=CorrelationParams(c, d, values[m:]),
-        )

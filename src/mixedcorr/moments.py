@@ -70,8 +70,8 @@ from .model import (
     KIND_PEARSON,
     KIND_POLYCHORIC,
     KIND_POLYSERIAL,
-    ParamVector,
     coefficient_order,
+    coefficient_variables,
 )
 from .normal import (
     LegendreOrder,
@@ -200,10 +200,11 @@ class EquationSystem:
 
     def coefficient_names(self):
         """(kind, name_i, name_j) for each included coefficient."""
-        return [
-            (lab[0], self.names[a], self.names[b])
-            for lab, (a, b) in zip(self.included_coefficients, self._tables.coef_vars)
-        ]
+        out = []
+        for lab in self.included_coefficients:
+            a, b = coefficient_variables(self.c, *lab)
+            out.append((lab[0], self.names[a], self.names[b]))
+        return out
 
 
 def _block_label(block):
@@ -230,7 +231,6 @@ class _Tables:
     h_idx: np.ndarray  # (4, q_h) model-pool slots of P(X = k), retained thresholds
     sigma_same: np.ndarray  # (q_h, q_h) both threshold equations on one variable
     sigma_idx: np.ndarray  # (4, q_h**2) model-pool slots of the joint cell probability
-    coef_vars: tuple  # included coefficient -> positions of its variables in names
 
 
 def _compile(system):
@@ -285,7 +285,7 @@ def _compile(system):
 
     Z, ONE = 0, 1  # value-pool slots of the constants 0 and 1
     UNIT = 0  # scale slot and factor row of the constant 1
-    factors, terms, grad, h_idx, coef_vars = [], [], [], [], {}
+    factors, terms, grad, h_idx = [], [], [], []
     row = 0
     for eq, kept in zip(system.equations, system.retained.tolist()):
         kind = eq[0]
@@ -302,14 +302,12 @@ def _compile(system):
         elif kind == "yy":
             _, i, j = eq
             col = system.coef_pos[(KIND_PEARSON, i, j)]
-            coef_vars[KIND_PEARSON, i, j] = (i - 1, j - 1)
             factors.append((i, j))
             terms.append((1 + col, (ONE, Z, Z, Z)))
             entries = [(col, -1.0, UNIT, (ONE, Z, Z, Z))]
         elif kind == "yx":
             _, i, v, k = eq
             col = system.coef_pos[(KIND_POLYSERIAL, i, v)]
-            coef_vars[KIND_POLYSERIAL, i, v] = (i - 1, c + v - 1)
             factors.append((i, ind[v, k]))
             xi = (at_bound(0, v, k - 1), at_bound(0, v, k), Z, Z)
             terms.append((1 + col, xi))
@@ -320,7 +318,6 @@ def _compile(system):
         else:
             _, lo, hi, k, l = eq
             col = system.coef_pos[(KIND_POLYCHORIC, hi, lo)]
-            coef_vars[KIND_POLYCHORIC, hi, lo] = (c + hi - 1, c + lo - 1)
             factors.append((ind[lo, k], ind[hi, l]))
             terms.append((UNIT, rect(0, lo, hi, k, l)))
             entries = [(col, -1.0, UNIT, rect(0, lo, hi, k, l))]
@@ -371,7 +368,6 @@ def _compile(system):
         h_idx=ints(h_idx, (-1, 4)).T,
         sigma_same=np.array(sigma_same, dtype=bool).reshape(nh, nh),
         sigma_idx=ints(sigma_idx, (-1, 4)).T,
-        coef_vars=tuple(coef_vars[lab] for lab in system.included_coefficients),
     )
 
 
@@ -401,6 +397,8 @@ def build_system(specs, mode=MAX_SET, pairs=None) -> EquationSystem:
     appearing in them).
     """
     specs = tuple(specs)
+    if len(specs) < 2:
+        raise ValueError("need at least two variables")
     c = sum(1 for sp in specs if not sp.is_ordinal)
     d = len(specs) - c
     s = tuple(sp.categories for sp in specs if sp.is_ordinal)
@@ -470,10 +468,7 @@ def build_system(specs, mode=MAX_SET, pairs=None) -> EquationSystem:
 
 
 def _theta_array(theta, system):
-    if isinstance(theta, ParamVector):
-        arr = theta.to_array()
-    else:
-        arr = np.asarray(theta, dtype=float)
+    arr = np.asarray(theta, dtype=float)
     if arr.size != system.p:
         raise ValueError(f"theta has length {arr.size}, expected {system.p}")
     return arr

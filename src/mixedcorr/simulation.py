@@ -31,7 +31,7 @@ from .model import (
     coefficient_order,
     ingest,
 )
-from .moments import build_system
+from .moments import CUSTOM, build_system
 from .normal import LegendreOrder, RHO_MAX, binorm_cdf_oracle, norm_cdf
 
 __all__ = ["SimDesign", "SimReport", "generate", "run_study", "ml_pair_oracle"]
@@ -70,6 +70,8 @@ class SimDesign:
         object.__setattr__(self, "ordinal", tuple(ords))
         if self.replications < 1 or self.n < 2:
             raise ValueError("need n >= 2 and at least one replication")
+        if self.fit.system_mode == CUSTOM:
+            raise ValueError("a study has no pair list: use the max or min system")
 
     @property
     def specs(self):

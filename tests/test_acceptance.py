@@ -243,7 +243,7 @@ class TestCriterion8OracleCrossCheck:
             )
             data = mc.generate(design, 0)
             system = mc.build_system(design.specs, mc.MAX_SET)
-            res = mc.fit_two_step(data, system)
+            res = mc.fit(data, system, mc.FitConfig(method=mc.TWO_STEP))
             if not res.diagnostics.converged:
                 continue
             count += 1

@@ -166,11 +166,19 @@ class TestFitCommand:
 
     @pytest.mark.parametrize(
         "columns",
-        [[], ["--continuous", "Y1", "--ordinal", "Y1:2"]],
-        ids=["none", "overlapping"],
+        [[], ["--continuous", "Y1", "--ordinal", "Y1:2"], ["--continuous", "Y1"]],
+        ids=["none", "overlapping", "one_column"],
     )
-    def test_no_columns_given(self, data_csv, columns):
+    def test_no_columns_given(self, data_csv, columns, capsys):
         assert _run(["fit", "--data", data_csv] + columns) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("ordinal", ["C:1", "C"], ids=["declared", "inferred"])
+    def test_single_category_ordinal(self, tmp_path, capsys, ordinal):
+        path = tmp_path / "one.csv"
+        _write_csv(path, ["Y", "C"], [[0.1 * k, 1] for k in range(20)])
+        assert _run(["fit", "--data", path, "--continuous", "Y", "--ordinal", ordinal]) == 1
+        assert "error: ordinal column 'C'" in capsys.readouterr().err
 
     def test_min_system(self, data_csv, tmp_path):
         out = tmp_path / "report.json"
@@ -296,10 +304,18 @@ class TestSimulateCommand:
         assert a["report"]["mean"] != b["report"]["mean"]
         assert b["design"]["seed"] == 99
 
-    def test_invalid_design(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "fit_doc", [None, {"system": "bogus"}, {"system": "custom"}],
+        ids=["missing_keys", "bogus_system", "custom_system"],
+    )
+    def test_invalid_design(self, tmp_path, capsys, fit_doc):
+        doc = {"name": "broken"}
+        if fit_doc is not None:
+            doc = design1(n=50, replications=2).to_dict() | {"fit": fit_doc}
         dpath = tmp_path / "design.json"
-        dpath.write_text(json.dumps({"name": "broken"}))
+        dpath.write_text(json.dumps(doc))
         assert _run(["simulate", "--design", dpath, "--out", tmp_path / "x"]) == 1
+        assert "invalid design" in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path):
         assert _run(["simulate", "--design", tmp_path / "no.json",

@@ -2,10 +2,19 @@ import numpy as np
 import pytest
 
 import mixedcorr as mc
-from mixedcorr.estimator import _initial_theta
+from mixedcorr.estimator import _initial_theta, _minimize
 from mixedcorr.moments import CompiledMoments
 
 from conftest import TRUE1, design1, design2
+
+ONE_STEP = mc.FitConfig(method=mc.ONE_STEP)
+TWO_STEP = mc.FitConfig(method=mc.TWO_STEP)
+
+
+def _solve(data, system, W, theta0, free):
+    """Minimize the loss under a fixed W over the parameters flagged in ``free``."""
+    x, _ = _minimize(CompiledMoments(data, system), W, theta0, np.flatnonzero(free), mc.FitConfig())
+    return x
 
 
 def _binary_dataset(counts, names=("X1", "X2")):
@@ -53,25 +62,21 @@ class TestMinimizeLoss:
     def test_just_identified_solves_moments(self, design1_data):
         data = design1_data
         system = mc.build_system(data.specs, mc.MIN_SET)
-        theta0 = mc.ParamVector.from_array(
-            _initial_theta(data, system), system.c, system.d, (1, 1)
-        )
+        theta0 = _initial_theta(data, system)
         free = np.ones(system.p, dtype=bool)
-        sol = mc.minimize_loss(data, system, np.eye(system.q), theta0, free)
+        sol = _solve(data, system, np.eye(system.q), theta0, free)
         ev = mc.eval_moments(data, sol, system)
         assert np.max(np.abs(ev.m)) < 1e-8
         # the Pearson equation is linear: rho = E_n[Y1 Y2]
-        assert sol.correlations.values[0] == pytest.approx(
+        assert sol[system.n_thr] == pytest.approx(
             float(np.mean(data.y[:, 0] * data.y[:, 1])), abs=1e-9
         )
 
     def test_start_at_optimum_stops_immediately(self, design1_data, four_var_system):
-        from mixedcorr.estimator import FitConfig, _minimize
-
         data = design1_data
         system = four_var_system
         compiled = CompiledMoments(data, system)
-        cfg = FitConfig()
+        cfg = mc.FitConfig()
         W = np.eye(system.q)
         free = np.flatnonzero(system.active)
         x1, info1 = _minimize(compiled, W, _initial_theta(data, system), free, cfg)
@@ -84,15 +89,13 @@ class TestMinimizeLoss:
         # threshold and full minimizations both zero the moments
         data = design1_data
         system = mc.build_system(data.specs, mc.MIN_SET)
-        theta0 = mc.ParamVector.from_array(
-            _initial_theta(data, system), system.c, system.d, (1, 1)
-        )
+        theta0 = _initial_theta(data, system)
         free_all = np.ones(system.p, dtype=bool)
         free_r = system.active.copy()
         free_r[: system.n_thr] = False
         W = np.eye(system.q)
-        sol_full = mc.minimize_loss(data, system, W, theta0, free_all)
-        sol_frozen = mc.minimize_loss(data, system, W, theta0, free_r)
+        sol_full = _solve(data, system, W, theta0, free_all)
+        sol_frozen = _solve(data, system, W, theta0, free_r)
         m_full = mc.eval_moments(data, sol_full, system).m
         m_frozen = mc.eval_moments(data, sol_frozen, system).m
         assert np.max(np.abs(m_full)) < 1e-8
@@ -110,10 +113,8 @@ class TestMinimizeLoss:
             return 0.5 * m @ W @ m
 
         free = np.ones(system.p, dtype=bool)
-        sol = mc.minimize_loss(data, system, W, mc.ParamVector.from_array(
-            theta0, system.c, system.d, (1, 1)
-        ), free)
-        assert loss(sol.to_array()) <= loss(theta0) + 1e-15
+        sol = _solve(data, system, W, theta0, free)
+        assert loss(sol) <= loss(theta0) + 1e-15
 
 
 class TestComputeSigma:
@@ -149,7 +150,7 @@ class TestComputeSigma:
 
 class TestFitTwoStep:
     def test_design1_recovers_truth(self, design1_data, four_var_system):
-        res = mc.fit_two_step(design1_data, four_var_system)
+        res = mc.fit(design1_data, four_var_system, TWO_STEP)
         assert res.diagnostics.converged
         assert np.max(np.abs(res.r_hat.values - TRUE1)) < 0.12  # ~3.5 SE
         se = res.se()
@@ -159,11 +160,15 @@ class TestFitTwoStep:
         assert np.allclose(res.a_hat.to_array(), [0.0, 0.0], atol=0.1)
 
     def test_covariance_variants_both_psd(self, design1_data, four_var_system):
-        res_c = mc.fit_two_step(
-            design1_data, four_var_system, mc.FitConfig(covariance=mc.COV_CORRECTED)
+        res_c = mc.fit(
+            design1_data,
+            four_var_system,
+            mc.FitConfig(method=mc.TWO_STEP, covariance=mc.COV_CORRECTED),
         )
-        res_p = mc.fit_two_step(
-            design1_data, four_var_system, mc.FitConfig(covariance=mc.COV_PAPER)
+        res_p = mc.fit(
+            design1_data,
+            four_var_system,
+            mc.FitConfig(method=mc.TWO_STEP, covariance=mc.COV_PAPER),
         )
         assert np.allclose(res_c.r_hat.values, res_p.r_hat.values, atol=1e-12)
         for res in (res_c, res_p):
@@ -179,8 +184,8 @@ class TestFitTwoStep:
             x=data.x,
             standardized=data.standardized,
         )
-        res = mc.fit_two_step(data, mc.build_system(data.specs, mc.MAX_SET))
-        res_sw = mc.fit_two_step(swapped, mc.build_system(swapped.specs, mc.MAX_SET))
+        res = mc.fit(data, mc.build_system(data.specs, mc.MAX_SET), TWO_STEP)
+        res_sw = mc.fit(swapped, mc.build_system(swapped.specs, mc.MAX_SET), TWO_STEP)
         # yy pair, Y1<->Y2 polyserials swapped, xx pair unchanged
         perm = [0, 3, 4, 1, 2, 5]
         assert np.allclose(res_sw.r_hat.values[perm], res.r_hat.values, atol=1e-6)
@@ -188,7 +193,7 @@ class TestFitTwoStep:
     def test_pure_ordinal(self):
         data = _binary_dataset([[40, 10], [10, 40]])
         system = mc.build_system(data.specs, mc.MAX_SET)
-        res = mc.fit_two_step(data, system)
+        res = mc.fit(data, system, TWO_STEP)
         assert res.diagnostics.converged
         assert 0.5 < res.r_hat.values[0] < 0.95
 
@@ -196,7 +201,7 @@ class TestFitTwoStep:
         system = mc.build_system(
             design1_data.specs, mc.CUSTOM, pairs=[("polyserial", 1, 2), ("polychoric", 2, 1)]
         )
-        res = mc.fit_two_step(design1_data, system)
+        res = mc.fit(design1_data, system, TWO_STEP)
         vals = res.r_hat.values
         assert np.isnan(vals[0]) and np.isnan(vals[1]) and np.isnan(vals[3]) and np.isnan(vals[4])
         assert abs(vals[2] - 0.5) < 0.15 and abs(vals[5] - 0.8) < 0.15
@@ -207,7 +212,7 @@ class TestFitTwoStep:
 
 class TestFitOneStep:
     def test_design1_recovers_truth(self, design1_data, four_var_system):
-        res = mc.fit_one_step(design1_data, four_var_system)
+        res = mc.fit(design1_data, four_var_system, ONE_STEP)
         assert res.diagnostics.converged
         assert np.max(np.abs(res.r_hat.values - TRUE1)) < 0.12
         assert res.var_theta is not None
@@ -218,8 +223,8 @@ class TestFitOneStep:
         worst = 0.0
         for rep in range(3):
             data = mc.generate(design1(n=2000, replications=4, seed=314), rep)
-            r1 = mc.fit_one_step(data, four_var_system)
-            r2 = mc.fit_two_step(data, four_var_system)
+            r1 = mc.fit(data, four_var_system, ONE_STEP)
+            r2 = mc.fit(data, four_var_system, TWO_STEP)
             worst = max(worst, float(np.max(np.abs(r1.r_hat.values - r2.r_hat.values))))
         assert worst < 1e-3
 
@@ -230,17 +235,17 @@ class TestFitOneStep:
         specs = [mc.VariableSpec("Y1"), mc.VariableSpec("Y2")]
         data = mc.ingest(table, specs)
         system = mc.build_system(specs, mc.MAX_SET)
-        res = mc.fit_one_step(data, system)
+        res = mc.fit(data, system, ONE_STEP)
         rho = float(np.mean(data.y[:, 0] * data.y[:, 1]))
         assert res.r_hat.values[0] == pytest.approx(rho, abs=1e-8)
         # classical asymptotics of the sample product moment
         omega = float(np.mean((data.y[:, 0] * data.y[:, 1] - rho) ** 2))
         assert res.var_r[0, 0] == pytest.approx(omega / data.n, rel=1e-6)
-        res2 = mc.fit_two_step(data, system)
+        res2 = mc.fit(data, system, TWO_STEP)
         assert res2.r_hat.values[0] == pytest.approx(rho, abs=1e-8)
 
     def test_one_step_reports_pseudo_inverse_weight(self, design1_data, four_var_system):
-        res = mc.fit_one_step(design1_data, four_var_system)
+        res = mc.fit(design1_data, four_var_system, ONE_STEP)
         assert res.diagnostics.weight_pseudo_inverse
 
 
@@ -249,8 +254,8 @@ class TestWiderSystems:
         # the g-block weight is rank-deficient here (pairs sharing an
         # ordinal variable), so both methods run on pseudo-inverse weights
         data = mc.generate(design2(n=1000, replications=2, seed=88), 0)
-        r1 = mc.fit_one_step(data, c2d3_system)
-        r2 = mc.fit_two_step(data, c2d3_system)
+        r1 = mc.fit(data, c2d3_system, ONE_STEP)
+        r2 = mc.fit(data, c2d3_system, TWO_STEP)
         assert r1.diagnostics.converged and r2.diagnostics.converged
         assert np.max(np.abs(r1.r_hat.values - r2.r_hat.values)) < 0.01
 
@@ -263,17 +268,21 @@ class TestWiderSystems:
         data = mc.ingest(np.column_stack([z[:, 0], codes.astype(float)]), specs)
         system = mc.build_system(specs, mc.MAX_SET)
         assert system.q == 4 + 5  # h block plus the complete polyserial set
-        res = mc.fit_two_step(data, system)
+        res = mc.fit(data, system, TWO_STEP)
         assert res.diagnostics.converged
         assert abs(res.r_hat.values[0] - 0.6) < 0.1
         assert np.all(np.diff(res.a_hat[0]) > 0)
 
     def test_second_order_fit_close_to_third(self, design1_data, four_var_system):
-        ra = mc.fit_two_step(
-            design1_data, four_var_system, mc.FitConfig(order=mc.LegendreOrder.SECOND)
+        ra = mc.fit(
+            design1_data,
+            four_var_system,
+            mc.FitConfig(method=mc.TWO_STEP, order=mc.LegendreOrder.SECOND),
         )
-        rb = mc.fit_two_step(
-            design1_data, four_var_system, mc.FitConfig(order=mc.LegendreOrder.THIRD)
+        rb = mc.fit(
+            design1_data,
+            four_var_system,
+            mc.FitConfig(method=mc.TWO_STEP, order=mc.LegendreOrder.THIRD),
         )
         diff = np.max(np.abs(ra.r_hat.values - rb.r_hat.values))
         assert 0 < diff < 0.01
@@ -284,20 +293,9 @@ class TestErrorPaths:
         from mixedcorr.errors import NonFiniteLoss
 
         system = four_var_system
-        theta0 = mc.ParamVector.from_array(
-            np.concatenate([[0.0, 0.0], [np.nan, 0.3, 0.3, 0.3, 0.3, 0.3]]),
-            system.c,
-            system.d,
-            (1, 1),
-        )
+        theta0 = np.concatenate([[0.0, 0.0], [np.nan, 0.3, 0.3, 0.3, 0.3, 0.3]])
         with pytest.raises(NonFiniteLoss):
-            mc.minimize_loss(
-                design1_data,
-                system,
-                np.eye(system.q),
-                theta0,
-                np.ones(system.p, dtype=bool),
-            )
+            _solve(design1_data, system, np.eye(system.q), theta0, np.ones(system.p, dtype=bool))
 
     def test_estimate_thresholds_empty_category(self):
         specs = (mc.VariableSpec("X", categories=3),)
@@ -309,18 +307,18 @@ class TestErrorPaths:
 
 class TestDiagnostics:
     def test_no_convergence_flagged_not_raised(self, design1_data, four_var_system):
-        cfg = mc.FitConfig(max_outer_iter=1, outer_tol=1e-16)
-        res = mc.fit_two_step(design1_data, four_var_system, cfg)
+        cfg = mc.FitConfig(method=mc.TWO_STEP, max_outer_iter=1, outer_tol=1e-16)
+        res = mc.fit(design1_data, four_var_system, cfg)
         assert not res.diagnostics.converged
         assert res.diagnostics.outer_iterations == 1
         assert np.all(np.isfinite(res.r_hat.values))
 
     def test_converged_diff_below_tol(self, design1_data, four_var_system):
-        res = mc.fit_two_step(design1_data, four_var_system)
+        res = mc.fit(design1_data, four_var_system, TWO_STEP)
         assert res.diagnostics.final_diff <= mc.FitConfig().outer_tol
 
     def test_psd_flag_present(self, design1_data, four_var_system):
-        res = mc.fit_two_step(design1_data, four_var_system)
+        res = mc.fit(design1_data, four_var_system, TWO_STEP)
         assert res.diagnostics.r_matrix_psd in (True, False)
 
     @pytest.mark.parametrize("method", [mc.TWO_STEP, mc.ONE_STEP])
@@ -344,8 +342,8 @@ class TestDiagnostics:
             assert d.loss_evaluations >= searched + d.outer_iterations
 
     def test_inner_stop_max_iter(self, design1_data, four_var_system):
-        cfg = mc.FitConfig(max_outer_iter=1, inner_max_iter=1)
-        d = mc.fit_two_step(design1_data, four_var_system, cfg).diagnostics
+        cfg = mc.FitConfig(method=mc.TWO_STEP, max_outer_iter=1, inner_max_iter=1)
+        d = mc.fit(design1_data, four_var_system, cfg).diagnostics
         assert d.inner_stop == ("max_iter",)
         assert d.inner_iterations == 1
 

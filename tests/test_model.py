@@ -179,15 +179,3 @@ class TestThresholdSet:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             mc.ThresholdSet([[0.0, np.inf]])
-
-
-class TestParamVector:
-    def test_length_and_roundtrip(self):
-        theta = mc.ParamVector(
-            thresholds=mc.ThresholdSet([[0.0], [-0.3, 0.3]]),
-            correlations=mc.CorrelationParams(1, 2, np.array([0.2, 0.4, 0.6])),
-        )
-        assert len(theta) == 3 + 3
-        arr = theta.to_array()
-        back = mc.ParamVector.from_array(arr, 1, 2, (1, 2))
-        assert np.allclose(back.to_array(), arr)

@@ -155,7 +155,9 @@ class TestMlPairOracle:
     def test_balanced_diagonal_table(self):
         data = _binary_dataset([[40, 10], [10, 40]])
         rho_ml = mc.ml_pair_oracle(data, ("polychoric", 2, 1))
-        res = mc.fit_two_step(data, mc.build_system(data.specs, mc.MAX_SET))
+        res = mc.fit(
+            data, mc.build_system(data.specs, mc.MAX_SET), mc.FitConfig(method=mc.TWO_STEP)
+        )
         assert abs(rho_ml - res.r_hat.values[0]) < 0.02
 
     def test_independence_table(self):
@@ -165,7 +167,9 @@ class TestMlPairOracle:
     def test_near_perfect_agreement(self):
         data = _binary_dataset([[49, 1], [1, 49]])
         rho_ml = mc.ml_pair_oracle(data, ("polychoric", 2, 1))
-        res = mc.fit_two_step(data, mc.build_system(data.specs, mc.MAX_SET))
+        res = mc.fit(
+            data, mc.build_system(data.specs, mc.MAX_SET), mc.FitConfig(method=mc.TWO_STEP)
+        )
         assert rho_ml > 0.9
         assert abs(rho_ml - res.r_hat.values[0]) < 0.05
 
