@@ -3,12 +3,17 @@
 Both methods are one GMM estimator over the same blocked moment system:
 they alternate an inner quasi-Newton minimization of the GMM loss
 L(theta) = m'Wm/2 with a refresh of the weight matrix W as the inverse
-sample covariance of the moment functions, until the parameter change drops
-below the outer tolerance. The one-step method moves thresholds and
-correlations jointly; the two-step method solves the thresholds in closed
-form from the marginal frequencies, freezes them, and iterates on the
-correlation vector only, with a threshold-variability correction added to
-its asymptotic covariance. ``fit`` takes the method from its FitConfig.
+sample covariance Omega_hat(theta) of the moment functions, until the
+parameter change drops below the outer tolerance. After the
+identity-weight solve, one solve under the inverse centred covariance S of
+the data products reaches that loop's fixed point, because
+Omega_hat = S + m m' (Sherman-Morrison), and the paper's refresh then
+confirms it. Every inner solve counts as one outer iteration. The one-step
+method moves thresholds and correlations jointly; the two-step method
+solves the thresholds in closed form from the marginal frequencies, freezes
+them, and iterates on the correlation vector only, with a
+threshold-variability correction added to its asymptotic covariance.
+``fit`` takes the method from its FitConfig.
 """
 
 from __future__ import annotations
@@ -87,8 +92,11 @@ class FitConfig:
 class Diagnostics:
     """How a fit ended.
 
-    loss_evaluations counts every evaluation of the GMM loss in the fit;
-    inner_stop holds one STOP_* reason per outer iteration.
+    outer_iterations counts every inner solve: the identity-weight solve,
+    the centred-weight solve and each solve under a refreshed W.
+    inner_stop holds one STOP_* reason per solve, and weight_conditions the
+    condition number of the weight computed after each solve.
+    loss_evaluations counts every evaluation of the GMM loss in the fit.
     """
 
     converged: bool
@@ -317,11 +325,22 @@ def _result_from_theta(system, cfg, theta, var_r_active, var_theta_active, diag_
     )
 
 
-def _igmm_loop(compiled, cfg, theta0, free_idx, rows):
-    """Outer loop: minimize over ``free_idx`` under W, refresh W as the
-    inverse moment covariance on ``rows``, repeat until stable."""
+def _igmm_loop(compiled, cfg, theta0, free_idx, rows, W, centred):
+    """Inner solves over ``free_idx`` from theta0, each one outer iteration.
+
+    The first solve runs under ``W``. With ``centred`` the second runs under
+    W_c = S^+, the inverse centred covariance S = ``compiled.cov`` of the
+    products on ``rows``. Every later solve runs under the paper's refresh,
+    W = Omega_hat(theta)^-1 on ``rows`` at the previous solution, and the
+    loop stops once such a solve moves theta by less than outer_tol, or
+    after cfg.max_outer_iter solves. Since Omega_hat = S + m m', the
+    Sherman-Morrison formula makes the fixed point's condition G'Wm = 0 the
+    same as G'S^+m = 0, so the centred solve lands on the fixed point and
+    one refresh confirms it. A solve under a weight that is not a refresh
+    never counts as converged. The returned W is the refresh at the
+    returned theta.
+    """
     theta = theta0.copy()
-    W = np.eye(compiled.a_mean[rows].size)
     conditions = []
     pseudo = False
     inner_total = 0
@@ -329,20 +348,27 @@ def _igmm_loop(compiled, cfg, theta0, free_idx, rows):
     stops = []
     diff = np.inf
     converged = False
+    refreshed = False  # whether W is the refresh at theta
     outer = 0
     for outer in range(1, cfg.max_outer_iter + 1):
         theta_new, info = _minimize(compiled, W, theta, free_idx, cfg, rows=rows)
         inner_total += info.iterations
         evaluations += info.loss_evaluations
         stops.append(info.stop)
-        wres = weight_matrix(compiled.omega(theta_new, cfg.order)[rows, rows])
+        diff = float(np.linalg.norm(theta_new[free_idx] - theta[free_idx]))
+        theta = theta_new
+        converged = refreshed and diff < cfg.outer_tol
+        # the centred weight goes to the second solve; with no solve left,
+        # W is the refresh, which the covariances read
+        refreshed = not (centred and outer == 1 and outer < cfg.max_outer_iter)
+        if refreshed:
+            wres = weight_matrix(compiled.omega(theta, cfg.order)[rows, rows])
+        else:
+            wres = weight_matrix(compiled.cov[rows, rows])
         W = wres.matrix
         conditions.append(wres.condition)
         pseudo = pseudo or wres.pseudo_inverse
-        diff = float(np.linalg.norm(theta_new[free_idx] - theta[free_idx]))
-        theta = theta_new
-        if diff < cfg.outer_tol:
-            converged = True
+        if converged:
             break
     return theta, W, {
         "converged": converged,
@@ -376,6 +402,14 @@ def fit(data, system, cfg=None) -> EstimationResult:
       the "paper" variant or the delta-method (G11' Sigma^-1 G11)^-1 under
       the default "corrected" one.
 
+    The loop runs at most cfg.max_outer_iter inner solves: one under the
+    identity, one under the inverse centred covariance S^+ of the products,
+    which reaches the IGMM fixed point, then the paper's refreshes until one
+    moves theta by less than cfg.outer_tol (normally the first). Only a
+    refresh can confirm convergence; with max_outer_iter=1 only the
+    identity solve runs. W in the covariances is the refresh at the final
+    theta.
+
     The minimizer follows the gradient of the Legendre-approximated loss,
     but G, G11, G21 and G22 in the covariances come from the exact-CDF
     Jacobian (``assemble_gradient(theta, system)``): the covariance targets
@@ -388,7 +422,12 @@ def fit(data, system, cfg=None) -> EstimationResult:
     free_idx = np.flatnonzero(system.active) if one_step else system.coef_cols
     rows = slice(None) if one_step else system.g_rows
 
-    theta, W, diag_kw = _igmm_loop(compiled, cfg, _initial_theta(data, system), free_idx, rows)
+    theta0 = _initial_theta(data, system)
+    # the identity weight is not bound to a name here, so the loop frees it
+    # once the next weight replaces it
+    theta, W, diag_kw = _igmm_loop(
+        compiled, cfg, theta0, free_idx, rows, np.eye(compiled.a_mean[rows].size), centred=True
+    )
 
     G_full = assemble_gradient(theta, system)
     G = G_full[rows]

@@ -672,9 +672,11 @@ class MomentEvaluation:
 class CompiledMoments:
     """Dataset-dependent pieces of the moment system, precomputed once.
 
-    m(theta) = a_mean - b(theta) and Omega_hat(theta) follow from the mean
-    and uncentered scatter of the data products, so repeated evaluation
-    during optimization costs only the model terms.
+    With m(theta) = a_mean - b(theta), the moment covariance is
+    Omega_hat(theta) = E_n[(a - b)(a - b)'] = cov + m m', where cov is the
+    centred covariance of the data products. Both a_mean and cov are data
+    only, so repeated evaluation during optimization costs only the model
+    terms.
     """
 
     def __init__(self, data, system):
@@ -682,19 +684,19 @@ class CompiledMoments:
         self.system = system
         self.n = A.shape[0]
         self.a_mean = A.mean(axis=0)
-        self.scatter = A.T @ A / self.n
+        self.cov = A.T @ A
+        self.cov /= self.n
+        self.cov -= np.outer(self.a_mean, self.a_mean)
 
     def m(self, theta, order=LegendreOrder.THIRD):
         return self.a_mean - model_terms(theta, self.system, order)
 
     def omega(self, theta, order=LegendreOrder.THIRD):
-        b = model_terms(theta, self.system, order)
-        return (
-            self.scatter
-            - np.outer(self.a_mean, b)
-            - np.outer(b, self.a_mean)
-            + np.outer(b, b)
-        )
+        # not self.m: its calls are the loss evaluations a trace counts
+        m = self.a_mean - model_terms(theta, self.system, order)
+        out = np.outer(m, m)
+        out += self.cov
+        return out
 
 
 def eval_moments(

@@ -68,8 +68,8 @@ class SimDesign:
             cuts.setflags(write=False)
             ords.append((name, cuts))
         object.__setattr__(self, "ordinal", tuple(ords))
-        if self.replications < 1 or self.n < 2:
-            raise ValueError("need n >= 2 and at least one replication")
+        if self.replications < 2 or self.n < 2:
+            raise ValueError("need n >= 2 and at least 2 replications to aggregate")
         if self.fit.system_mode == CUSTOM:
             raise ValueError("a study has no pair list: use the max or min system")
 
@@ -203,8 +203,6 @@ def run_study(design: SimDesign, workers=None, keep_estimates=False) -> SimRepor
     counted and excluded. Results are reduced in replication order, so any
     worker count yields identical output.
     """
-    if design.replications < 2:
-        raise ValueError("aggregation needs at least 2 replications")
     start_time = time.perf_counter()
     N = design.replications
     if workers is None:

@@ -305,13 +305,14 @@ class TestSimulateCommand:
         assert b["design"]["seed"] == 99
 
     @pytest.mark.parametrize(
-        "fit_doc", [None, {"system": "bogus"}, {"system": "custom"}],
-        ids=["missing_keys", "bogus_system", "custom_system"],
+        "override",
+        [None, {"fit": {"system": "bogus"}}, {"fit": {"system": "custom"}}, {"replications": 1}],
+        ids=["missing_keys", "bogus_system", "custom_system", "one_replication"],
     )
-    def test_invalid_design(self, tmp_path, capsys, fit_doc):
+    def test_invalid_design(self, tmp_path, capsys, override):
         doc = {"name": "broken"}
-        if fit_doc is not None:
-            doc = design1(n=50, replications=2).to_dict() | {"fit": fit_doc}
+        if override is not None:
+            doc = design1(n=50, replications=2).to_dict() | override
         dpath = tmp_path / "design.json"
         dpath.write_text(json.dumps(doc))
         assert _run(["simulate", "--design", dpath, "--out", tmp_path / "x"]) == 1

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import mixedcorr as mc
-from mixedcorr.estimator import _initial_theta, _minimize
+from mixedcorr.estimator import _igmm_loop, _initial_theta, _minimize
 from mixedcorr.moments import CompiledMoments
 
 from conftest import TRUE1, design1, design2
@@ -346,6 +346,32 @@ class TestDiagnostics:
         d = mc.fit(design1_data, four_var_system, cfg).diagnostics
         assert d.inner_stop == ("max_iter",)
         assert d.inner_iterations == 1
+
+
+class TestCentredStart:
+    @pytest.mark.parametrize("method", [mc.TWO_STEP, mc.ONE_STEP])
+    @pytest.mark.parametrize("design", [design1, design2], ids=["design1", "design2"])
+    def test_fit_reaches_the_paper_fixed_point(self, design, method):
+        # the paper's loop from the identity, with no centred solve, ends
+        # where the fit's centred solve and confirming refresh end
+        cfg = mc.FitConfig(method=method)
+        for rep in range(2):
+            data = mc.generate(design(), rep)
+            system = mc.build_system(data.specs, mc.MAX_SET)
+            res = mc.fit(data, system, cfg)
+            assert res.diagnostics.converged
+            assert res.diagnostics.outer_iterations <= 3
+            compiled = CompiledMoments(data, system)
+            one_step = method == mc.ONE_STEP
+            free_idx = np.flatnonzero(system.active) if one_step else system.coef_cols
+            rows = slice(None) if one_step else system.g_rows
+            W0 = np.eye(compiled.a_mean[rows].size)
+            theta0 = _initial_theta(data, system)
+            theta, _, diag = _igmm_loop(
+                compiled, cfg, theta0, free_idx, rows, W0, centred=False
+            )
+            assert diag["converged"]
+            assert np.max(np.abs(theta[system.coef_cols] - res.r_hat.values)) <= 1e-8
 
 
 class TestFitConfigValidation:

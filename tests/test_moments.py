@@ -3,7 +3,7 @@ import pytest
 
 import mixedcorr as mc
 from mixedcorr.errors import DegenerateWeight, UnknownPair
-from mixedcorr.moments import data_products, model_terms
+from mixedcorr.moments import CompiledMoments, data_products, model_terms
 from mixedcorr.normal import LegendreOrder, binorm_cdf_legendre
 
 from conftest import design1, design2, design243
@@ -189,6 +189,29 @@ class TestRedundancyIdentities:
         rank = int(np.sum(evals > 1e-10 * evals[-1]))
         removed = system.q_full - system.q
         assert system.q_full - rank >= removed
+
+
+class TestCompiledMoments:
+    @pytest.mark.parametrize("rows", ["all", "g_rows"])
+    def test_omega_is_centred_covariance_plus_mm(self, c2d3_system, rows):
+        # Omega_hat(theta) = E_n[(a - b)(a - b)'] = S + m m' with S the
+        # centred covariance of the products: the identity the centred
+        # weight of the fit rests on, at a theta off the optimum
+        system = c2d3_system
+        rows = slice(None) if rows == "all" else system.g_rows
+        data = mc.generate(design2(n=500, replications=2, seed=11), 0)
+        theta = _theta(system, [-0.3, 0.5] * 3, np.linspace(-0.2, 0.4, 10))
+        compiled = CompiledMoments(data, system)
+        A = data_products(data, system)
+        U = A - model_terms(theta, system)
+        direct = U.T @ U / U.shape[0]
+        m = compiled.m(theta)[rows]
+        assert np.max(np.abs(m)) > 0.01
+        omega = compiled.omega(theta)[rows, rows]
+        assert np.max(np.abs(omega - direct[rows, rows])) <= 1e-12
+        S = np.cov(A[:, rows], rowvar=False, bias=True)
+        assert np.max(np.abs(compiled.cov[rows, rows] - S)) <= 1e-12
+        assert np.max(np.abs(omega - (S + np.outer(m, m)))) <= 1e-12
 
 
 class TestGradient:
