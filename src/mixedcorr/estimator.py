@@ -4,11 +4,12 @@ Both methods are one GMM estimator over the same blocked moment system:
 they alternate an inner quasi-Newton minimization of the GMM loss
 L(theta) = m'Wm/2 with a refresh of the weight matrix W as the inverse
 sample covariance Omega_hat(theta) of the moment functions, until the
-parameter change drops below the outer tolerance. After the
-identity-weight solve, one solve under the inverse centred covariance S of
-the data products reaches that loop's fixed point, because
-Omega_hat = S + m m' (Sherman-Morrison), and the paper's refresh then
-confirms it. Every inner solve counts as one outer iteration. The one-step
+parameter change drops below the outer tolerance. Omega_hat = S + m m',
+with S the centred covariance of the data products, so by Sherman-Morrison
+the fixed point's condition G'Wm = 0 is G'S^-1 m = 0 when S has full rank:
+the first solve, under W_c = S^-1 (a pseudo-inverse if S is
+rank-deficient), reaches the fixed point, and the paper's refresh confirms
+it. Every inner solve counts as one outer iteration. The one-step
 method moves thresholds and correlations jointly; the two-step method
 solves the thresholds in closed form from the marginal frequencies, freezes
 them, and iterates on the correlation vector only, with a
@@ -92,10 +93,10 @@ class FitConfig:
 class Diagnostics:
     """How a fit ended.
 
-    outer_iterations counts every inner solve: the identity-weight solve,
-    the centred-weight solve and each solve under a refreshed W.
-    inner_stop holds one STOP_* reason per solve, and weight_conditions the
-    condition number of the weight computed after each solve.
+    outer_iterations counts every inner solve: the centred-weight solve and
+    each solve under a refreshed W. inner_stop holds one STOP_* reason per
+    solve. weight_conditions holds the condition number of the centred
+    weight, then of the weight refreshed after each solve.
     loss_evaluations counts every evaluation of the GMM loss in the fit.
     """
 
@@ -325,52 +326,44 @@ def _result_from_theta(system, cfg, theta, var_r_active, var_theta_active, diag_
     )
 
 
-def _igmm_loop(compiled, cfg, theta0, free_idx, rows, W, centred):
+def _igmm_loop(compiled, cfg, theta0, free_idx, rows, wres):
     """Inner solves over ``free_idx`` from theta0, each one outer iteration.
 
-    The first solve runs under ``W``. With ``centred`` the second runs under
-    W_c = S^+, the inverse centred covariance S = ``compiled.cov`` of the
-    products on ``rows``. Every later solve runs under the paper's refresh,
-    W = Omega_hat(theta)^-1 on ``rows`` at the previous solution, and the
-    loop stops once such a solve moves theta by less than outer_tol, or
-    after cfg.max_outer_iter solves. Since Omega_hat = S + m m', the
-    Sherman-Morrison formula makes the fixed point's condition G'Wm = 0 the
-    same as G'S^+m = 0, so the centred solve lands on the fixed point and
-    one refresh confirms it. A solve under a weight that is not a refresh
-    never counts as converged. The returned W is the refresh at the
-    returned theta.
+    The first solve runs under the WeightMatrix ``wres``; every later one
+    under the paper's refresh, W = Omega_hat(theta)^-1 on ``rows`` at the
+    previous solution. The loop stops once a solve under a refresh moves
+    theta by less than outer_tol, or after cfg.max_outer_iter solves, and
+    returns W refreshed at the returned theta. ``fit`` starts from the
+    centred weight W_c = S^-1 of ``compiled.cov``; the first solve then
+    reaches the fixed point when S has full rank, since Omega_hat = S + m m'.
+    Where S is rank-deficient W_c is a pseudo-inverse and the refresh solves
+    are what settle the fixed point. Started from the identity, this is the
+    paper's loop.
     """
     theta = theta0.copy()
-    conditions = []
-    pseudo = False
+    conditions = [wres.condition]
+    pseudo = wres.pseudo_inverse
     inner_total = 0
     evaluations = 0
     stops = []
     diff = np.inf
     converged = False
-    refreshed = False  # whether W is the refresh at theta
     outer = 0
     for outer in range(1, cfg.max_outer_iter + 1):
-        theta_new, info = _minimize(compiled, W, theta, free_idx, cfg, rows=rows)
+        theta_new, info = _minimize(compiled, wres.matrix, theta, free_idx, cfg, rows=rows)
         inner_total += info.iterations
         evaluations += info.loss_evaluations
         stops.append(info.stop)
-        diff = float(np.linalg.norm(theta_new[free_idx] - theta[free_idx]))
-        theta = theta_new
-        converged = refreshed and diff < cfg.outer_tol
-        # the centred weight goes to the second solve; with no solve left,
-        # W is the refresh, which the covariances read
-        refreshed = not (centred and outer == 1 and outer < cfg.max_outer_iter)
-        if refreshed:
-            wres = weight_matrix(compiled.omega(theta, cfg.order)[rows, rows])
-        else:
-            wres = weight_matrix(compiled.cov[rows, rows])
-        W = wres.matrix
+        wres = weight_matrix(compiled.omega(theta_new, cfg.order)[rows, rows])
         conditions.append(wres.condition)
         pseudo = pseudo or wres.pseudo_inverse
-        if converged:
+        diff = float(np.linalg.norm(theta_new[free_idx] - theta[free_idx]))
+        theta = theta_new
+        # only a solve under a refresh can confirm the fixed point
+        if outer > 1 and diff < cfg.outer_tol:
+            converged = True
             break
-    return theta, W, {
+    return theta, wres.matrix, {
         "converged": converged,
         "outer_iterations": outer,
         "final_diff": diff,
@@ -403,12 +396,12 @@ def fit(data, system, cfg=None) -> EstimationResult:
       the default "corrected" one.
 
     The loop runs at most cfg.max_outer_iter inner solves: one under the
-    identity, one under the inverse centred covariance S^+ of the products,
-    which reaches the IGMM fixed point, then the paper's refreshes until one
+    inverse centred covariance S^-1 of the products, which reaches the IGMM
+    fixed point when S has full rank, then the paper's refreshes until one
     moves theta by less than cfg.outer_tol (normally the first). Only a
-    refresh can confirm convergence; with max_outer_iter=1 only the
-    identity solve runs. W in the covariances is the refresh at the final
-    theta.
+    refresh can confirm convergence, so with max_outer_iter=1 the fit
+    reports converged=False. W in the covariances is the refresh at the
+    final theta.
 
     The minimizer follows the gradient of the Legendre-approximated loss,
     but G, G11, G21 and G22 in the covariances come from the exact-CDF
@@ -422,11 +415,13 @@ def fit(data, system, cfg=None) -> EstimationResult:
     free_idx = np.flatnonzero(system.active) if one_step else system.coef_cols
     rows = slice(None) if one_step else system.g_rows
 
-    theta0 = _initial_theta(data, system)
-    # the identity weight is not bound to a name here, so the loop frees it
-    # once the next weight replaces it
     theta, W, diag_kw = _igmm_loop(
-        compiled, cfg, theta0, free_idx, rows, np.eye(compiled.a_mean[rows].size), centred=True
+        compiled,
+        cfg,
+        _initial_theta(data, system),
+        free_idx,
+        rows,
+        weight_matrix(compiled.cov[rows, rows]),
     )
 
     G_full = assemble_gradient(theta, system)

@@ -3,7 +3,7 @@ import pytest
 
 import mixedcorr as mc
 from mixedcorr.estimator import _igmm_loop, _initial_theta, _minimize
-from mixedcorr.moments import CompiledMoments
+from mixedcorr.moments import CompiledMoments, weight_matrix
 
 from conftest import TRUE1, design1, design2
 
@@ -352,8 +352,8 @@ class TestCentredStart:
     @pytest.mark.parametrize("method", [mc.TWO_STEP, mc.ONE_STEP])
     @pytest.mark.parametrize("design", [design1, design2], ids=["design1", "design2"])
     def test_fit_reaches_the_paper_fixed_point(self, design, method):
-        # the paper's loop from the identity, with no centred solve, ends
-        # where the fit's centred solve and confirming refresh end
+        # the paper's loop from the identity ends where the fit's centred
+        # solve and confirming refresh end
         cfg = mc.FitConfig(method=method)
         for rep in range(2):
             data = mc.generate(design(), rep)
@@ -365,11 +365,9 @@ class TestCentredStart:
             one_step = method == mc.ONE_STEP
             free_idx = np.flatnonzero(system.active) if one_step else system.coef_cols
             rows = slice(None) if one_step else system.g_rows
-            W0 = np.eye(compiled.a_mean[rows].size)
+            identity = weight_matrix(np.eye(compiled.a_mean[rows].size))
             theta0 = _initial_theta(data, system)
-            theta, _, diag = _igmm_loop(
-                compiled, cfg, theta0, free_idx, rows, W0, centred=False
-            )
+            theta, _, diag = _igmm_loop(compiled, cfg, theta0, free_idx, rows, identity)
             assert diag["converged"]
             assert np.max(np.abs(theta[system.coef_cols] - res.r_hat.values)) <= 1e-8
 
