@@ -4,12 +4,14 @@ Both methods are one GMM estimator over the same blocked moment system:
 they alternate an inner quasi-Newton minimization of the GMM loss
 L(theta) = m'Wm/2 with a refresh of the weight matrix W as the inverse
 sample covariance Omega_hat(theta) of the moment functions, until the
-parameter change drops below the outer tolerance. Omega_hat = S + m m',
-with S the centred covariance of the data products, so by Sherman-Morrison
-the fixed point's condition G'Wm = 0 is G'S^-1 m = 0 when S has full rank:
-the first solve, under W_c = S^-1 (a pseudo-inverse if S is
-rank-deficient), reaches the fixed point, and the paper's refresh confirms
-it. Every inner solve counts as one outer iteration. The one-step
+parameter change drops below the outer tolerance. W covers the method's
+weighted rows (``EquationSystem.weighted_rows``), which have no exact
+linear dependence. Omega_hat = S + m m', with S the centred covariance of
+the data products on those rows, so by Sherman-Morrison the fixed point's
+condition G'Wm = 0 is G'S^-1 m = 0 when S has full rank: the first solve,
+under W_c = S^-1 (a pseudo-inverse if S is rank-deficient in the data),
+reaches the fixed point, and the paper's refresh confirms it. Every inner
+solve counts as one outer iteration. The one-step
 method moves thresholds and correlations jointly; the two-step method
 solves the thresholds in closed form from the marginal frequencies, freezes
 them, and iterates on the correlation vector only, with a
@@ -55,12 +57,15 @@ COV_PAPER = "paper"
 COV_CORRECTED = "corrected"
 
 # Why an inner minimization stopped: max |grad| reached inner_grad_tol, the
-# accepted step was below the floor, inner_max_iter ran out, or the search
+# accepted step was below the floor or the Armijo margin of every shorter
+# step fell below the loss's rounding, inner_max_iter ran out, or the search
 # direction was numerically not a descent direction.
 STOP_GRAD_TOL = "grad_tol"
 STOP_STEP_FLOOR = "step_floor"
 STOP_MAX_ITER = "max_iter"
 STOP_NON_DESCENT = "non_descent"
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -96,7 +101,11 @@ class Diagnostics:
     outer_iterations counts every inner solve: the centred-weight solve and
     each solve under a refreshed W. inner_stop holds one STOP_* reason per
     solve. weight_conditions holds the condition number of the centred
-    weight, then of the weight refreshed after each solve.
+    weight, then of the weight refreshed after each solve: the 1-norm
+    condition of a direct inverse, the ratio of the extreme eigenvalues
+    where ``weight_matrix`` fell back to its eigendecomposition.
+    weight_pseudo_inverse is set when one of those weights dropped a
+    direction under the eigenvalue floor.
     loss_evaluations counts every evaluation of the GMM loss in the fit.
     """
 
@@ -182,10 +191,10 @@ class _InnerInfo:
     stop: str
 
 
-def _minimize(compiled, W, x0, free_idx, cfg, rows=slice(None)):
+def _minimize(compiled, W, x0, free_idx, cfg):
     """Quasi-Newton (BFGS inverse-Hessian updates, backtracking Armijo line
     search) over the free parameter subspace under a fixed weight matrix
-    on the moment rows ``rows``.
+    on the moment rows ``compiled`` covers.
 
     The gradient is that of the loss itself: G differentiates the Legendre
     approximation of order cfg.order that the moments are evaluated with.
@@ -197,11 +206,11 @@ def _minimize(compiled, W, x0, free_idx, cfg, rows=slice(None)):
     def loss_at(x):
         nonlocal evaluations
         evaluations += 1
-        m = compiled.m(x, cfg.order)[rows]
+        m = compiled.m(x, cfg.order)
         return 0.5 * float(m @ (W @ m)), m
 
     def full_grad(x, m):
-        G = assemble_gradient(x, system, cfg.order)[rows]
+        G = assemble_gradient(x, system, cfg.order)[compiled.rows]
         return G, G.T @ (W @ m)
 
     x = np.clip(x0, lo, hi)
@@ -252,11 +261,18 @@ def _minimize(compiled, W, x0, free_idx, cfg, rows=slice(None)):
             if np.isfinite(fn) and fn <= f + 1e-4 * step * gd:
                 break
             step *= 0.5
+            # below the loss's rounding no shorter step can show the decrease
+            if -1e-4 * step * gd < _EPS * abs(f):
+                step = 0.0
+                break
         else:
             raise LineSearchFailure(
                 f"no decreasing step after 60 halvings (loss {f:.3e}, |grad| "
                 f"{np.max(np.abs(g)):.3e})"
             )
+        if step == 0.0:
+            stop = STOP_STEP_FLOOR
+            break
 
         Gn, gn_full = full_grad(xn, mn)
         gn = gn_full[free_idx]
@@ -326,19 +342,19 @@ def _result_from_theta(system, cfg, theta, var_r_active, var_theta_active, diag_
     )
 
 
-def _igmm_loop(compiled, cfg, theta0, free_idx, rows, wres):
+def _igmm_loop(compiled, cfg, theta0, free_idx, wres):
     """Inner solves over ``free_idx`` from theta0, each one outer iteration.
 
     The first solve runs under the WeightMatrix ``wres``; every later one
-    under the paper's refresh, W = Omega_hat(theta)^-1 on ``rows`` at the
-    previous solution. The loop stops once a solve under a refresh moves
-    theta by less than outer_tol, or after cfg.max_outer_iter solves, and
-    returns W refreshed at the returned theta. ``fit`` starts from the
-    centred weight W_c = S^-1 of ``compiled.cov``; the first solve then
-    reaches the fixed point when S has full rank, since Omega_hat = S + m m'.
-    Where S is rank-deficient W_c is a pseudo-inverse and the refresh solves
-    are what settle the fixed point. Started from the identity, this is the
-    paper's loop.
+    under the paper's refresh, W = Omega_hat(theta)^-1 on the rows
+    ``compiled`` covers at the previous solution. The loop stops once a
+    solve under a refresh moves theta by less than outer_tol, or after
+    cfg.max_outer_iter solves, and returns W refreshed at the returned
+    theta. ``fit`` starts from the centred weight W_c = S^-1 of
+    ``compiled.cov``; the first solve then reaches the fixed point when S
+    has full rank, since Omega_hat = S + m m'. Where S is rank-deficient W_c
+    is a pseudo-inverse and the refresh solves are what settle the fixed
+    point. Started from the identity, this is the paper's loop.
     """
     theta = theta0.copy()
     conditions = [wres.condition]
@@ -350,11 +366,11 @@ def _igmm_loop(compiled, cfg, theta0, free_idx, rows, wres):
     converged = False
     outer = 0
     for outer in range(1, cfg.max_outer_iter + 1):
-        theta_new, info = _minimize(compiled, wres.matrix, theta, free_idx, cfg, rows=rows)
+        theta_new, info = _minimize(compiled, wres.matrix, theta, free_idx, cfg)
         inner_total += info.iterations
         evaluations += info.loss_evaluations
         stops.append(info.stop)
-        wres = weight_matrix(compiled.omega(theta_new, cfg.order)[rows, rows])
+        wres = weight_matrix(compiled.omega(theta_new, cfg.order))
         conditions.append(wres.condition)
         pseudo = pseudo or wres.pseudo_inverse
         diff = float(np.linalg.norm(theta_new[free_idx] - theta[free_idx]))
@@ -386,9 +402,11 @@ def fit(data, system, cfg=None) -> EstimationResult:
     weights, and the covariance:
 
     - one-step: thresholds and correlations move jointly, W = (E_n[uu'])^-1
-      weights every row, and Var(theta) = (G'WG)^-1 / n at the final iterate.
+      weights every row but the polychoric cells the threshold rows imply,
+      and Var(theta) = (G'WG)^-1 / n at the final iterate.
     - two-step: the thresholds stay frozen, the correlations move under the
-      gradient block G22 and W = (E_n[gg'])^-1 over the correlation rows.
+      gradient block G22 and W = (E_n[gg'])^-1 over the correlation rows
+      but the polychoric cells that repeat an ordinal's margin.
       Var(R_hat) = (Lambda + Lambda Gamma V_a Gamma' Lambda) / n with
       Lambda = (G22' W G22)^-1 and Gamma = G22' W G21; V_a, the threshold
       covariance, is the raw threshold-moment covariance Sigma = Var h under
@@ -410,18 +428,17 @@ def fit(data, system, cfg=None) -> EstimationResult:
     """
     cfg = cfg or FitConfig()
     start = time.perf_counter()
-    compiled = CompiledMoments(data, system)
     one_step = cfg.method == ONE_STEP
     free_idx = np.flatnonzero(system.active) if one_step else system.coef_cols
-    rows = slice(None) if one_step else system.g_rows
+    rows = system.weighted_rows(one_step)
+    compiled = CompiledMoments(data, system, rows)
 
     theta, W, diag_kw = _igmm_loop(
         compiled,
         cfg,
         _initial_theta(data, system),
         free_idx,
-        rows,
-        weight_matrix(compiled.cov[rows, rows]),
+        weight_matrix(compiled.cov),
     )
 
     G_full = assemble_gradient(theta, system)

@@ -13,6 +13,27 @@ its lowest-indexed ordinal partner, which keeps the complete set. In the
 minimum equation set every coefficient block keeps only its first
 equation.
 
+Weighted rows: the retained rows still hold exact linear dependences
+(the indicator products of a polychoric row or column sum to a margin),
+so the weight matrix of each method covers only ``weighted_rows``, fixed
+from the structure at build time (Hansen 1982 on GMM with a singular
+moment covariance):
+
+- one-step weights every retained row except the polychoric cells on the
+  last category of either variable, keeping (k, l) with k < s_lo and
+  l < s_hi; the threshold rows imply the dropped cells.
+- two-step weights the coefficient rows (``g_rows``) except the cells that
+  repeat a margin already implied. Walking the polychoric blocks in layout
+  order, a block drops (k, s_hi), k < s_lo, when ``lo`` appeared in an
+  earlier polychoric block, and (s_lo, l), l < s_hi, when ``hi`` did.
+
+On a table in which every pair of codes occurs, the rows each method
+keeps are independent and span all the rows it could weight. The weight
+matrix is then a direct inverse certified by a Cholesky factor and a
+1-norm condition number below 1/EIG_FLOOR; the eigendecomposition with its
+pseudo-inverse remains for covariances that are singular in the data, such
+as those of a table with an empty cell.
+
 The moment vector is linear in per-row data products, so sample moments
 factor as m(theta) = mean(A) - b(theta) with A data-only and b(theta)
 model-implied; the gradient G = -db/dtheta is deterministic.
@@ -197,6 +218,12 @@ class EquationSystem:
                 lab = _block_label(b)
                 raise UncoveredParameter(f"coefficient {lab} has no retained equation")
         self._tables = _compile(self)
+        self._weighted = _weighted_rows(self)
+
+    def weighted_rows(self, one_step):
+        """Retained-row indices the weight matrix of a method covers: the
+        rows with no exact linear dependence among them (module docstring)."""
+        return self._weighted[bool(one_step)]
 
     def coefficient_names(self):
         """(kind, name_i, name_j) for each included coefficient."""
@@ -371,6 +398,37 @@ def _compile(system):
     )
 
 
+def _weighted_rows(system):
+    """(two-step rows, one-step rows) of the retained equations, by the rule
+    of the module docstring."""
+    s = system.s
+    one, two = [], []
+    seen = set()  # ordinals of the polychoric blocks walked so far
+    row = 0
+    for block in system.blocks:
+        for eq, kept in zip(block.equations, block.retained):
+            if not kept:
+                continue
+            if block.kind != KIND_POLYCHORIC:
+                one.append(row)
+                if block.kind != "threshold":
+                    two.append(row)
+            else:
+                _, lo, hi, k, l = eq
+                last_k, last_l = k == s[lo - 1], l == s[hi - 1]
+                if not (last_k or last_l):
+                    one.append(row)
+                if not (last_l and lo in seen or last_k and hi in seen):
+                    two.append(row)
+            row += 1
+        if block.kind == KIND_POLYCHORIC:
+            seen.update(block.index)
+    out = tuple(np.array(r, dtype=np.intp) for r in (two, one))
+    for r in out:
+        r.setflags(write=False)
+    return out
+
+
 def _normalize_pairs(c, d, pairs):
     """Accept coefficient labels or flattening positions; return label set."""
     order = coefficient_order(c, d)
@@ -540,15 +598,15 @@ def _rect(pool, idx):
     return v11 - v10 - v01 + v00
 
 
-def _products(y, x, system, include_removed=False):
+def _products(y, x, system, columns):
+    """Data products of the equations ``columns`` selects out of all q_full."""
     t = system._tables
     n = y.shape[0] if system.c else x.shape[0]
     factors = np.empty((1 + system.c + t.ind_var.size, n))
     factors[0] = 1.0
     factors[1 : 1 + system.c] = y.T
     factors[1 + system.c :] = x.T[t.ind_var] == t.ind_code[:, None]
-    keep = slice(None) if include_removed else system.retained
-    left, right = t.factors[:, keep].tolist()
+    left, right = t.factors[:, columns].tolist()
     # column-major, filled one column at a time: an n x q temporary would
     # double the peak memory, and the layout fixes the summation order of
     # the means and the scatter matrix
@@ -560,7 +618,8 @@ def _products(y, x, system, include_removed=False):
 
 def data_products(data, system, include_removed=False) -> np.ndarray:
     """Per-row data products A such that u_i(theta) = A_i - b(theta)."""
-    return _products(data.y, data.x, system, include_removed)
+    columns = slice(None) if include_removed else system.retained
+    return _products(data.y, data.x, system, columns)
 
 
 def _model_pool(theta, system, order=LegendreOrder.THIRD, exact_cdf=False):
@@ -600,7 +659,7 @@ def eval_u(row, theta, system, order=LegendreOrder.THIRD) -> np.ndarray:
         raise ValueError("row length does not match the variable count")
     y = row[: system.c].reshape(1, -1)
     x = row[system.c :].astype(np.int64).reshape(1, -1)
-    a = _products(y, x, system)
+    a = _products(y, x, system, system.retained)
     return a[0] - model_terms(theta, system, order)
 
 
@@ -672,6 +731,8 @@ class MomentEvaluation:
 class CompiledMoments:
     """Dataset-dependent pieces of the moment system, precomputed once.
 
+    Covers the retained rows ``rows`` selects (all by default; a fit passes
+    ``system.weighted_rows``): ``m`` and ``omega`` return those rows only.
     With m(theta) = a_mean - b(theta), the moment covariance is
     Omega_hat(theta) = E_n[(a - b)(a - b)'] = cov + m m', where cov is the
     centred covariance of the data products. Both a_mean and cov are data
@@ -679,9 +740,13 @@ class CompiledMoments:
     terms.
     """
 
-    def __init__(self, data, system):
-        A = data_products(data, system)
+    def __init__(self, data, system, rows=slice(None)):
+        # only the covered columns are formed: slicing a full product array
+        # would hold both at once
+        columns = np.flatnonzero(system.retained)[rows]
+        A = _products(data.y, data.x, system, columns)
         self.system = system
+        self.rows = rows
         self.n = A.shape[0]
         self.a_mean = A.mean(axis=0)
         self.cov = A.T @ A
@@ -689,11 +754,11 @@ class CompiledMoments:
         self.cov -= np.outer(self.a_mean, self.a_mean)
 
     def m(self, theta, order=LegendreOrder.THIRD):
-        return self.a_mean - model_terms(theta, self.system, order)
+        return self.a_mean - model_terms(theta, self.system, order)[self.rows]
 
     def omega(self, theta, order=LegendreOrder.THIRD):
         # not self.m: its calls are the loss evaluations a trace counts
-        m = self.a_mean - model_terms(theta, self.system, order)
+        m = self.a_mean - model_terms(theta, self.system, order)[self.rows]
         out = np.outer(m, m)
         out += self.cov
         return out
@@ -726,15 +791,33 @@ class WeightMatrix:
 
 
 def weight_matrix(omega_hat) -> WeightMatrix:
-    """Invert the moment covariance through its eigendecomposition.
+    """Invert the moment covariance.
 
-    Eigenvalues at or below EIG_FLOOR times the largest one count as zero:
-    they set ``rank``, and their directions get weight 0 in W, which is then
-    a pseudo-inverse.
+    A positive definite covariance (its Cholesky factor exists) whose
+    1-norm condition number cond_1 = |Omega|_1 |W|_1 is below 1/EIG_FLOOR
+    is inverted directly, and ``condition`` is that cond_1. Since the
+    2-norm condition number of a symmetric matrix is at most cond_1, no
+    eigenvalue then sits at or below the floor, and W is the inverse the
+    eigendecomposition would give.
+
+    Otherwise W comes from the eigendecomposition, and ``condition`` is the
+    ratio of the extreme eigenvalues. Eigenvalues at or below EIG_FLOOR
+    times the largest one count as zero: they set ``rank``, and their
+    directions get weight 0 in W, which is then a pseudo-inverse.
     """
     omega = np.asarray(omega_hat, dtype=float)
     omega = (omega + omega.T) / 2.0
     q = omega.shape[0]
+    try:
+        np.linalg.cholesky(omega)
+        W = np.linalg.inv(omega)
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        cond = np.linalg.norm(omega, 1) * np.linalg.norm(W, 1)
+        if cond < 1.0 / EIG_FLOOR:
+            W = (W + W.T) / 2.0
+            return WeightMatrix(matrix=W, condition=float(cond), pseudo_inverse=False, rank=q)
     evals, vecs = np.linalg.eigh(omega)
     lmax = evals[-1]
     if lmax <= 0.0:

@@ -244,9 +244,9 @@ class TestFitOneStep:
         res2 = mc.fit(data, system, TWO_STEP)
         assert res2.r_hat.values[0] == pytest.approx(rho, abs=1e-8)
 
-    def test_one_step_reports_pseudo_inverse_weight(self, design1_data, four_var_system):
+    def test_one_step_weight_needs_no_pseudo_inverse(self, design1_data, four_var_system):
         res = mc.fit(design1_data, four_var_system, ONE_STEP)
-        assert res.diagnostics.weight_pseudo_inverse
+        assert not res.diagnostics.weight_pseudo_inverse
 
 
 class TestWiderSystems:
@@ -361,13 +361,12 @@ class TestCentredStart:
             res = mc.fit(data, system, cfg)
             assert res.diagnostics.converged
             assert res.diagnostics.outer_iterations <= 3
-            compiled = CompiledMoments(data, system)
             one_step = method == mc.ONE_STEP
             free_idx = np.flatnonzero(system.active) if one_step else system.coef_cols
-            rows = slice(None) if one_step else system.g_rows
-            identity = weight_matrix(np.eye(compiled.a_mean[rows].size))
+            compiled = CompiledMoments(data, system, system.weighted_rows(one_step))
+            identity = weight_matrix(np.eye(compiled.a_mean.size))
             theta0 = _initial_theta(data, system)
-            theta, _, diag = _igmm_loop(compiled, cfg, theta0, free_idx, rows, identity)
+            theta, _, diag = _igmm_loop(compiled, cfg, theta0, free_idx, identity)
             assert diag["converged"]
             assert np.max(np.abs(theta[system.coef_cols] - res.r_hat.values)) <= 1e-8
 

@@ -214,6 +214,84 @@ class TestCompiledMoments:
         assert np.max(np.abs(omega - (S + np.outer(m, m)))) <= 1e-12
 
 
+def _specs(c, s):
+    return [mc.VariableSpec(f"Y{i + 1}") for i in range(c)] + [
+        mc.VariableSpec(f"X{j + 1}", categories=sj) for j, sj in enumerate(s)
+    ]
+
+
+def _rank(cov):
+    evals = np.linalg.eigvalsh(cov)
+    return int(np.sum(evals > 1e-9 * evals[-1]))
+
+
+class TestWeightedRows:
+    # (c, s, mode, pairs): designs 1 and 2, wider ordinal sets, the wide
+    # benchmark system, min sets and custom pair subsets whose polychoric
+    # blocks share ordinals
+    SYSTEMS = {
+        "design1": (2, (2, 2), mc.MAX_SET, None),
+        "design2": (2, (3, 3, 3), mc.MAX_SET, None),
+        "s3333": (2, (3, 3, 3, 3), mc.MAX_SET, None),
+        "s435": (2, (4, 3, 5), mc.MAX_SET, None),
+        "wide": (4, (5,) * 8, mc.MAX_SET, None),
+        "design2_min": (2, (3, 3, 3), mc.MIN_SET, None),
+        "s435_min": (2, (4, 3, 5), mc.MIN_SET, None),
+        "s435_custom": (
+            2,
+            (4, 3, 5),
+            mc.CUSTOM,
+            [("polychoric", 3, 1), ("polychoric", 3, 2), ("polyserial", 1, 2)],
+        ),
+        "s3333_custom": (
+            2,
+            (3, 3, 3, 3),
+            mc.CUSTOM,
+            [("polychoric", 2, 1), ("polychoric", 4, 3), ("polychoric", 4, 1), ("pearson", 2, 1)],
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(SYSTEMS))
+    def test_full_rank_and_complete(self, name):
+        # on a table in which every pair of codes occurs, the weighted rows
+        # of each method are independent and span every row the method
+        # could weight: what they drop is an exact linear combination
+        c, s, mode, pairs = self.SYSTEMS[name]
+        specs = _specs(c, s)
+        system = mc.build_system(specs, mode, pairs)
+        rng = np.random.default_rng(3)
+        n = 4000
+        x = np.column_stack([rng.integers(1, sj + 1, n) for sj in s])
+        data = mc.MixedDataset(specs=tuple(specs), y=rng.standard_normal((n, c)), x=x)
+        cov = CompiledMoments(data, system).cov
+        every = np.arange(system.q)
+        for one_step, candidates in ((True, every), (False, every[system.g_rows])):
+            rows = system.weighted_rows(one_step)
+            assert np.all(np.diff(rows) > 0)
+            assert set(rows) <= set(candidates)
+            assert _rank(cov[np.ix_(rows, rows)]) == rows.size
+            assert _rank(cov[np.ix_(candidates, candidates)]) == rows.size
+        if name == "wide":
+            assert system.weighted_rows(True).size == system.weighted_rows(False).size == 618
+
+    def test_design2_two_step_drops_the_repeated_margins(self, c2d3_system):
+        system = c2d3_system
+        kept = set(system.weighted_rows(False))
+        dropped = [
+            system.retained_equations[r]
+            for r in range(system.q_h, system.q)
+            if r not in kept
+        ]
+        assert dropped == [
+            ("xx", 1, 3, 1, 3),
+            ("xx", 1, 3, 2, 3),
+            ("xx", 2, 3, 1, 3),
+            ("xx", 2, 3, 2, 3),
+            ("xx", 2, 3, 3, 1),
+            ("xx", 2, 3, 3, 2),
+        ]
+
+
 class TestGradient:
     def test_g12_block_is_zero(self, four_var_system):
         system = four_var_system
@@ -349,6 +427,35 @@ class TestWeightMatrix:
         assert w.pseudo_inverse
         assert w.rank == 1
         assert np.array_equal(w.matrix, np.diag([1.0, 0.0]))
+
+    def test_positive_definite_takes_the_direct_inverse(self):
+        rng = np.random.default_rng(9)
+        a = rng.standard_normal((5, 5))
+        omega = a @ a.T + 0.5 * np.eye(5)
+        w = mc.weight_matrix(omega)
+        inv = np.linalg.inv(omega)
+        assert not w.pseudo_inverse
+        assert w.rank == 5
+        assert np.allclose(w.matrix, inv, rtol=1e-12, atol=0)
+        # the direct path reports the 1-norm condition number
+        cond_1 = np.linalg.norm(omega, 1) * np.linalg.norm(inv, 1)
+        assert w.condition == pytest.approx(cond_1, rel=1e-10)
+
+    def test_large_norm_condition_falls_back_to_eigh(self):
+        # eigenvalues 1 (along the diagonal direction) and lam three times:
+        # the 2-norm condition 1/lam is under 1/EIG_FLOOR, the 1-norm one
+        # 1.5/lam is over it, so W comes from the eigendecomposition, which
+        # keeps every direction
+        lam = 1.2e-10
+        v = np.full(4, 0.5)
+        omega = lam * np.eye(4) + (1 - lam) * np.outer(v, v)
+        assert np.linalg.norm(omega, 1) * np.linalg.norm(np.linalg.inv(omega), 1) > 1e10
+        w = mc.weight_matrix(omega)
+        assert not w.pseudo_inverse
+        assert w.rank == 4
+        assert w.condition == pytest.approx(1 / lam, rel=1e-4)
+        expected = (np.eye(4) - np.outer(v, v)) / lam + np.outer(v, v)
+        assert np.allclose(w.matrix, expected, rtol=1e-4, atol=0)
 
     def test_degenerate_weight(self):
         v = np.array([1.0, 2.0, 3.0, 4.0])
