@@ -77,10 +77,12 @@ def _read_csv(path, names):
     """The named columns of a CSV file with a header row, in the order given.
 
     Only the cells of those columns are parsed; every row must still have
-    as many cells as the header.
+    as many cells as the header. A leading byte-order mark, as Excel writes
+    in its "CSV UTF-8" format, is skipped. A named column must appear once
+    in the header; other repeated names are allowed.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise _InputError(f"cannot open {path}: {exc}") from exc
     with fh:
@@ -94,6 +96,8 @@ def _read_csv(path, names):
         for nm in names:
             if nm not in col_index:
                 raise _InputError(f"{path}: no column named {nm!r} in header")
+            if header.count(nm) > 1:
+                raise _InputError(f"{path}: column {nm!r} appears more than once in header")
         wanted = [(nm, col_index[nm]) for nm in names]
         rows = []
         for lineno, row in enumerate(reader, start=2):

@@ -45,10 +45,6 @@ class UnknownPair(MixedCorrError):
     """A requested coefficient pair does not exist for the given variables."""
 
 
-class UncoveredParameter(MixedCorrError):
-    """A built equation system leaves some parameter with no retained equation."""
-
-
 class DegenerateWeight(MixedCorrError):
     """Moment covariance rank below half the retained equation count."""
 

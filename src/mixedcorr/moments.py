@@ -38,8 +38,10 @@ The moment vector is linear in per-row data products, so sample moments
 factor as m(theta) = mean(A) - b(theta) with A data-only and b(theta)
 model-implied; the gradient G = -db/dtheta is deterministic.
 
-``build_system`` compiles the blocks once into flat index tables, so no
-evaluation dispatches on the equation kind. Each column of A is the
+``_compile`` is the one walk over the blocks, and the only code that
+branches on the equation kind: it lays out each block's equations and
+retained flags, its weighted rows and its entries in flat index tables, so
+no evaluation dispatches on the equation kind. Each column of A is the
 product of two factor columns out of (1, Y_i, I(X_i = k)). The bounds are
 the cut points of every ordinal with their -inf/+inf ends; the corners are
 the bound pairs (b_lo[k], b_hi[l]) of every pair of included ordinals,
@@ -80,13 +82,14 @@ that both are one scatter over the same tables:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateWeight, UncoveredParameter, UnknownPair
+from .errors import DegenerateWeight, UnknownPair
 from .model import (
     KIND_PEARSON,
     KIND_POLYCHORIC,
@@ -158,26 +161,14 @@ class EquationSystem:
     subsets share indexing with full systems.
     """
 
-    def __init__(self, c, d, s, names, mode, blocks):
+    def __init__(self, c, d, s, names, mode, ordinals, coefficients, full_partner):
         self.c = int(c)
         self.d = int(d)
         self.s = tuple(int(v) for v in s)
         self.names = tuple(names)
         self.mode = mode
-        self.blocks = tuple(blocks)
-
-        self.equations = tuple(eq for b in self.blocks for eq in b.equations)
-        self.retained = np.array(
-            [r for b in self.blocks for r in b.retained], dtype=bool
-        )
-        self.retained.setflags(write=False)
-        self.q_full = len(self.equations)
-        self.q = int(self.retained.sum())
-        self.retained_equations = tuple(
-            eq for eq, r in zip(self.equations, self.retained) if r
-        )
-        self.q_h = sum(1 for eq in self.retained_equations if eq[0] == "h")
-        self.g_rows = slice(self.q_h, self.q)
+        self.included_ordinals = tuple(ordinals)
+        self.included_coefficients = tuple(coefficients)
 
         # theta layout: thresholds variable by variable, then coefficients.
         self.thr_offsets = {}
@@ -192,12 +183,6 @@ class EquationSystem:
         }
         self.p = self.n_thr + len(self.all_coefficients)
 
-        self.included_ordinals = tuple(
-            b.index[0] for b in self.blocks if b.kind == "threshold"
-        )
-        self.included_coefficients = tuple(
-            _block_label(b) for b in self.blocks if b.kind != "threshold"
-        )
         active = np.zeros(self.p, dtype=bool)
         for i2 in self.included_ordinals:
             off = self.thr_offsets[i2]
@@ -211,14 +196,20 @@ class EquationSystem:
             [self.coef_pos[lab] for lab in self.included_coefficients], dtype=int
         )
 
-        for b in self.blocks:
-            if b.kind == "threshold" and sum(b.retained) != self.s[b.index[0] - 1] - 1:
-                raise UncoveredParameter(f"threshold block of variable {b.index[0]} incomplete")
-            if b.kind != "threshold" and not any(b.retained):
-                lab = _block_label(b)
-                raise UncoveredParameter(f"coefficient {lab} has no retained equation")
-        self._tables = _compile(self)
-        self._weighted = _weighted_rows(self)
+        self.blocks, self._tables, self._weighted = _compile(self, full_partner)
+        self.equations = tuple(eq for b in self.blocks for eq in b.equations)
+        self.retained = np.array(
+            [r for b in self.blocks for r in b.retained], dtype=bool
+        )
+        self.retained.setflags(write=False)
+        self.q_full = len(self.equations)
+        self.q = int(self.retained.sum())
+        self.retained_equations = tuple(
+            eq for eq, r in zip(self.equations, self.retained) if r
+        )
+        # the threshold rows lead, one per threshold
+        self.q_h = self.thr_cols.size
+        self.g_rows = slice(self.q_h, self.q)
 
     def weighted_rows(self, one_step):
         """Retained-row indices the weight matrix of a method covers: the
@@ -232,10 +223,6 @@ class EquationSystem:
             a, b = coefficient_variables(self.c, *lab)
             out.append((lab[0], self.names[a], self.names[b]))
         return out
-
-
-def _block_label(block):
-    return (block.kind,) + block.index
 
 
 @dataclass(frozen=True)
@@ -260,9 +247,16 @@ class _Tables:
     sigma_idx: np.ndarray  # (4, q_h**2) model-pool slots of the joint cell probability
 
 
-def _compile(system):
-    """Build the gather tables of ``system``; the only dispatch on equation kind."""
+def _compile(system, full_partner):
+    """Lay out the blocks of ``system`` and build their gather tables and
+    weighted rows in the same walk: the only dispatch on equation kind.
+
+    ``full_partner`` maps each continuous variable to the ordinal whose
+    polyserial block keeps the complete category set. Returns the blocks,
+    the tables and the (two-step, one-step) weighted rows.
+    """
     c, s = system.c, system.s
+    minimal = system.mode == MIN_SET
 
     bound, bound_src = {}, []
     for v in system.included_ordinals:
@@ -312,58 +306,88 @@ def _compile(system):
 
     Z, ONE = 0, 1  # value-pool slots of the constants 0 and 1
     UNIT = 0  # scale slot and factor row of the constant 1
-    factors, terms, grad, h_idx = [], [], [], []
+    blocks, factors, terms, grad, h_rows = [], [], [], [], []
+    weighted = ([], [])  # retained rows weighted by two-step, by one-step
     row = 0
-    for eq, kept in zip(system.equations, system.retained.tolist()):
-        kind = eq[0]
-        if kind == "h":
-            _, v, k = eq
-            factors.append((UNIT, ind[v, k]))
-            terms.append((UNIT, (at_bound(1, v, k), at_bound(1, v, k - 1), Z, Z)))
+
+    def add_block(kind, index, eqs):
+        # eqs: per equation (descriptor, retained, factor rows, model term,
+        # gradient entries, weighted by (two-step, one-step))
+        nonlocal row
+        columns = tuple(zip(*eqs))
+        blocks.append(EquationBlock(kind, index, columns[0], columns[1]))
+        for _, kept, factor, term, entries, weigh in eqs:
+            factors.append(factor)
+            terms.append(term)
             if kept:
-                h_idx.append(terms[-1][1])
+                grad.extend((row,) + e for e in entries)
+                for rows, member in zip(weighted, weigh):
+                    if member:
+                        rows.append(row)
+                row += 1
+
+    for v in system.included_ordinals:
+        eqs = []
+        for k in range(1, s[v - 1] + 1):
+            kept = k < s[v - 1]
+            term = (UNIT, (at_bound(1, v, k), at_bound(1, v, k - 1), Z, Z))
+            if kept:
+                h_rows.append((v, k, term[1]))
             entries = [
                 (col, sign, UNIT, (at_bound(0, v, a), Z, Z, Z))
                 for col, sign, a in bound_cols(v, k)
             ]
-        elif kind == "yy":
-            _, i, j = eq
-            col = system.coef_pos[(KIND_PEARSON, i, j)]
-            factors.append((i, j))
-            terms.append((1 + col, (ONE, Z, Z, Z)))
-            entries = [(col, -1.0, UNIT, (ONE, Z, Z, Z))]
-        elif kind == "yx":
-            _, i, v, k = eq
-            col = system.coef_pos[(KIND_POLYSERIAL, i, v)]
-            factors.append((i, ind[v, k]))
-            xi = (at_bound(0, v, k - 1), at_bound(0, v, k), Z, Z)
-            terms.append((1 + col, xi))
-            entries = [(col, -1.0, UNIT, xi)] + [
-                (tcol, sign, 1 + col, (at_bound(1, v, a), Z, Z, Z))
-                for tcol, sign, a in bound_cols(v, k)
-            ]
-        else:
-            _, lo, hi, k, l = eq
-            col = system.coef_pos[(KIND_POLYCHORIC, hi, lo)]
-            factors.append((ind[lo, k], ind[hi, l]))
-            terms.append((UNIT, rect(0, lo, hi, k, l)))
-            entries = [(col, -1.0, UNIT, rect(0, lo, hi, k, l))]
-            # a moved bound of one variable enters through the corner CDF's
-            # partial in that variable, at both bounds of the other's category
-            for tcol, sign, a in bound_cols(lo, k):
-                v1, v0 = at_corner(1, lo, hi, a, l), at_corner(1, lo, hi, a, l - 1)
-                entries.append((tcol, sign, UNIT, (v1, v0, Z, Z)))
-            for tcol, sign, b in bound_cols(hi, l):
-                v1, v0 = at_corner(2, lo, hi, k, b), at_corner(2, lo, hi, k - 1, b)
-                entries.append((tcol, sign, UNIT, (v1, v0, Z, Z)))
-        if kept:
-            grad += [(row,) + e for e in entries]
-            row += 1
+            eqs.append((("h", v, k), kept, (UNIT, ind[v, k]), term, entries, (False, True)))
+        add_block("threshold", (v,), eqs)
 
-    h_eqs = [eq for eq in system.retained_equations if eq[0] == "h"]
+    # retained and weighted rows follow the rules of the module docstring
+    seen = set()  # ordinals of the polychoric blocks walked so far
+    for lab in system.included_coefficients:
+        kind, i, j = lab
+        col = system.coef_pos[lab]
+        if kind == KIND_PEARSON:
+            entries = [(col, -1.0, UNIT, (ONE, Z, Z, Z))]
+            eqs = [(("yy", i, j), True, (i, j), (1 + col, (ONE, Z, Z, Z)), entries, (True, True))]
+        elif kind == KIND_POLYSERIAL:
+            eqs = []
+            for k in range(1, s[j - 1] + 1):
+                kept = k == 1 if minimal else full_partner[i] == j or k < s[j - 1]
+                xi = (at_bound(0, j, k - 1), at_bound(0, j, k), Z, Z)
+                entries = [(col, -1.0, UNIT, xi)] + [
+                    (tcol, sign, 1 + col, (at_bound(1, j, a), Z, Z, Z))
+                    for tcol, sign, a in bound_cols(j, k)
+                ]
+                eq = ("yx", i, j, k)
+                eqs.append((eq, kept, (i, ind[j, k]), (1 + col, xi), entries, (True, True)))
+        else:
+            lo, hi = j, i
+            eqs = []
+            for k in range(1, s[lo - 1] + 1):
+                for l in range(1, s[hi - 1] + 1):
+                    last_k, last_l = k == s[lo - 1], l == s[hi - 1]
+                    kept = k == l == 1 if minimal else not (last_k and last_l)
+                    cell = rect(0, lo, hi, k, l)
+                    entries = [(col, -1.0, UNIT, cell)]
+                    # a moved bound of one variable enters through the corner CDF's
+                    # partial in that variable, at both bounds of the other's category
+                    for tcol, sign, a in bound_cols(lo, k):
+                        v1, v0 = at_corner(1, lo, hi, a, l), at_corner(1, lo, hi, a, l - 1)
+                        entries.append((tcol, sign, UNIT, (v1, v0, Z, Z)))
+                    for tcol, sign, b in bound_cols(hi, l):
+                        v1, v0 = at_corner(2, lo, hi, k, b), at_corner(2, lo, hi, k - 1, b)
+                        entries.append((tcol, sign, UNIT, (v1, v0, Z, Z)))
+                    weigh = (
+                        not (last_l and lo in seen or last_k and hi in seen),
+                        not (last_k or last_l),
+                    )
+                    eq = ("xx", lo, hi, k, l)
+                    eqs.append((eq, kept, (ind[lo, k], ind[hi, l]), (UNIT, cell), entries, weigh))
+            seen.update((lo, hi))
+        add_block(kind, (i, j), eqs)
+
     sigma_same, sigma_idx = [], []
-    for _, v, k in h_eqs:
-        for _, w, l in h_eqs:
+    for v, k, _ in h_rows:
+        for w, l, _ in h_rows:
             sigma_same.append(v == w)
             if v == w:
                 sigma_idx.append((Z, Z, Z, Z))
@@ -376,9 +400,9 @@ def _compile(system):
         out.setflags(write=False)
         return out
 
-    nh = len(h_eqs)
+    nh = len(h_rows)
     grad_rows = list(zip(*grad))
-    return _Tables(
+    tables = _Tables(
         bound_src=ints(bound_src),
         corner_x=ints(corner_x),
         corner_y=ints(corner_y),
@@ -392,41 +416,11 @@ def _compile(system):
         g_sign=np.array(grad_rows[2], dtype=float),
         g_scale=ints(grad_rows[3]),
         g_idx=ints(grad_rows[4], (-1, 4)).T,
-        h_idx=ints(h_idx, (-1, 4)).T,
+        h_idx=ints([t for _, _, t in h_rows], (-1, 4)).T,
         sigma_same=np.array(sigma_same, dtype=bool).reshape(nh, nh),
         sigma_idx=ints(sigma_idx, (-1, 4)).T,
     )
-
-
-def _weighted_rows(system):
-    """(two-step rows, one-step rows) of the retained equations, by the rule
-    of the module docstring."""
-    s = system.s
-    one, two = [], []
-    seen = set()  # ordinals of the polychoric blocks walked so far
-    row = 0
-    for block in system.blocks:
-        for eq, kept in zip(block.equations, block.retained):
-            if not kept:
-                continue
-            if block.kind != KIND_POLYCHORIC:
-                one.append(row)
-                if block.kind != "threshold":
-                    two.append(row)
-            else:
-                _, lo, hi, k, l = eq
-                last_k, last_l = k == s[lo - 1], l == s[hi - 1]
-                if not (last_k or last_l):
-                    one.append(row)
-                if not (last_l and lo in seen or last_k and hi in seen):
-                    two.append(row)
-            row += 1
-        if block.kind == KIND_POLYCHORIC:
-            seen.update(block.index)
-    out = tuple(np.array(r, dtype=np.intp) for r in (two, one))
-    for r in out:
-        r.setflags(write=False)
-    return out
+    return tuple(blocks), tables, tuple(ints(rows) for rows in weighted)
 
 
 def _normalize_pairs(c, d, pairs):
@@ -434,7 +428,9 @@ def _normalize_pairs(c, d, pairs):
     order = coefficient_order(c, d)
     out = []
     for p in pairs:
-        if isinstance(p, int):
+        if isinstance(p, (bool, np.bool_)):
+            raise UnknownPair(f"coefficient position {p!r} is not an integer")
+        if isinstance(p, numbers.Integral):
             if not 0 <= p < len(order):
                 raise UnknownPair(f"coefficient position {p} out of range")
             out.append(order[p])
@@ -464,6 +460,8 @@ def build_system(specs, mode=MAX_SET, pairs=None) -> EquationSystem:
 
     if mode not in (MAX_SET, MIN_SET, CUSTOM):
         raise ValueError(f"unknown system mode {mode!r}")
+    # a list, so that emptiness is its length (an array has no truth value)
+    pairs = [] if pairs is None else list(pairs)
     if mode == CUSTOM:
         if not pairs:
             raise ValueError("custom mode requires a nonempty pair list")
@@ -486,43 +484,7 @@ def build_system(specs, mode=MAX_SET, pairs=None) -> EquationSystem:
         if kind == KIND_POLYSERIAL:
             full_partner[i1] = min(full_partner.get(i1, i2), i2)
 
-    blocks = []
-    for i2 in ordinals:
-        si = s[i2 - 1]
-        eqs = tuple(("h", i2, k) for k in range(1, si + 1))
-        blocks.append(
-            EquationBlock(
-                "threshold", (i2,), eqs, tuple(k < si for k in range(1, si + 1))
-            )
-        )
-    for kind, i, j in coefficients:
-        if kind == KIND_PEARSON:
-            blocks.append(EquationBlock(KIND_PEARSON, (i, j), (("yy", i, j),), (True,)))
-        elif kind == KIND_POLYSERIAL:
-            si = s[j - 1]
-            eqs = tuple(("yx", i, j, k) for k in range(1, si + 1))
-            if mode == MIN_SET:
-                kept = tuple(k == 1 for k in range(1, si + 1))
-            elif full_partner.get(i) == j:
-                kept = (True,) * si
-            else:
-                kept = tuple(k < si for k in range(1, si + 1))
-            blocks.append(EquationBlock(KIND_POLYSERIAL, (i, j), eqs, kept))
-        else:
-            lo, hi = j, i
-            s_lo, s_hi = s[lo - 1], s[hi - 1]
-            eqs = tuple(
-                ("xx", lo, hi, k, l)
-                for k in range(1, s_lo + 1)
-                for l in range(1, s_hi + 1)
-            )
-            if mode == MIN_SET:
-                kept = tuple(eq[3] == 1 and eq[4] == 1 for eq in eqs)
-            else:
-                kept = tuple(not (eq[3] == s_lo and eq[4] == s_hi) for eq in eqs)
-            blocks.append(EquationBlock(KIND_POLYCHORIC, (i, j), eqs, kept))
-
-    return EquationSystem(c, d, s, names, mode, blocks)
+    return EquationSystem(c, d, s, names, mode, ordinals, coefficients, full_partner)
 
 
 def _theta_array(theta, system):

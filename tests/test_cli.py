@@ -157,6 +157,38 @@ class TestFitCommand:
         code = _run(["fit", "--data", path, "--continuous", "Y", "--ordinal", "X:2"])
         assert code == 0
 
+    def test_byte_order_mark_skipped(self, data_csv, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with a UTF-8 byte-order mark
+        bom_csv = tmp_path / "excel.csv"
+        bom_csv.write_bytes(b"\xef\xbb\xbf" + data_csv.read_bytes())
+        reports = []
+        for path in (data_csv, bom_csv):
+            out = tmp_path / f"{path.stem}.json"
+            argv = ["fit", "--data", path, "--continuous", "Y1,Y2",
+                    "--ordinal", "X1:2,X2:2", "--out", out]
+            assert _run(argv) == 0
+            reports.append(json.loads(out.read_text()))
+        assert reports[0]["coefficients"] == reports[1]["coefficients"]
+
+    def test_repeated_requested_column_rejected(self, tmp_path, capsys):
+        rng = np.random.default_rng(6)
+        codes = rng.choice([1, 2, 3], size=60)
+        y = rng.normal(size=60) + 0.5 * codes
+        path = tmp_path / "repeated.csv"
+        _write_csv(
+            path,
+            ["Y", "X1", "X1", "note", "note"],
+            [[v, float(c), 1.0, "a", "b"] for v, c in zip(y, codes)],
+        )
+        code = _run(["fit", "--data", path, "--continuous", "Y", "--ordinal", "X1:3"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'X1'" in err and "more than once" in err
+        # a repeated column that is not requested is never parsed
+        path.write_text(path.read_text().replace("Y,X1,X1", "Y,X1,X2", 1))
+        code = _run(["fit", "--data", path, "--continuous", "Y", "--ordinal", "X1:3"])
+        assert code == 0
+
     def test_unknown_column(self, data_csv, capsys):
         code = _run(
             ["fit", "--data", data_csv, "--continuous", "Y1,Zz", "--ordinal", "X1:2,X2:2"]

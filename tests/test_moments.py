@@ -73,6 +73,26 @@ class TestBuildSystem:
         assert system.included_coefficients == (("pearson", 2, 1), ("polychoric", 2, 1))
         assert system.included_ordinals == (1, 2)
 
+    @pytest.mark.parametrize(
+        "pairs, expected",
+        [
+            ([np.int64(0)], (("pearson", 2, 1),)),
+            (np.array([0, 5]), (("pearson", 2, 1), ("polychoric", 2, 1))),
+            ([np.int32(5), ("pearson", 2, 1)], (("pearson", 2, 1), ("polychoric", 2, 1))),
+            ([True], None),
+            ([np.True_], None),
+        ],
+        ids=["int64", "array", "int32_and_label", "bool", "numpy_bool"],
+    )
+    def test_custom_integer_positions(self, pairs, expected):
+        # any integer type names a position; a bool is not a position
+        if expected is None:
+            with pytest.raises(UnknownPair):
+                mc.build_system(design1().specs, mc.CUSTOM, pairs=pairs)
+        else:
+            system = mc.build_system(design1().specs, mc.CUSTOM, pairs=pairs)
+            assert system.included_coefficients == expected
+
     def test_unknown_pair(self):
         with pytest.raises(UnknownPair):
             mc.build_system(design1().specs, mc.CUSTOM, pairs=[("polychoric", 3, 1)])
@@ -82,6 +102,10 @@ class TestBuildSystem:
             mc.build_system(design1().specs, mc.CUSTOM)
         with pytest.raises(ValueError):
             mc.build_system(design1().specs, mc.MAX_SET, pairs=[0])
+        with pytest.raises(ValueError):
+            mc.build_system(design1().specs, mc.CUSTOM, pairs=np.array([], dtype=int))
+        with pytest.raises(ValueError):
+            mc.build_system(design1().specs, mc.MAX_SET, pairs=np.array([0]))
 
 
 class TestEvalU:
@@ -227,14 +251,17 @@ def _rank(cov):
 
 class TestWeightedRows:
     # (c, s, mode, pairs): designs 1 and 2, wider ordinal sets, the wide
-    # benchmark system, min sets and custom pair subsets whose polychoric
-    # blocks share ordinals
+    # benchmark system, systems with no or one continuous column, min sets
+    # and custom pair subsets whose polychoric blocks share ordinals
     SYSTEMS = {
         "design1": (2, (2, 2), mc.MAX_SET, None),
         "design2": (2, (3, 3, 3), mc.MAX_SET, None),
         "s3333": (2, (3, 3, 3, 3), mc.MAX_SET, None),
         "s435": (2, (4, 3, 5), mc.MAX_SET, None),
         "wide": (4, (5,) * 8, mc.MAX_SET, None),
+        "c0_s342": (0, (3, 4, 2), mc.MAX_SET, None),
+        "c0_s342_min": (0, (3, 4, 2), mc.MIN_SET, None),
+        "c1_s43": (1, (4, 3), mc.MAX_SET, None),
         "design2_min": (2, (3, 3, 3), mc.MIN_SET, None),
         "s435_min": (2, (4, 3, 5), mc.MIN_SET, None),
         "s435_custom": (
