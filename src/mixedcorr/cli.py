@@ -1,7 +1,7 @@
 """Command line: batch estimation from CSV files and simulation studies.
 
-Exit codes: 0 success, 1 input error, 2 fit did not converge (the report is
-still written).
+Exit codes: 0 success, 1 input error or an output path that cannot be
+written, 2 fit did not converge (the report is still written).
 """
 
 from __future__ import annotations
@@ -53,15 +53,15 @@ def build_parser() -> argparse.ArgumentParser:
         default="",
         help="comma list of ordinal columns as name:categories or name (inferred)",
     )
-    p_fit.add_argument("--method", choices=["two-step", "one-step"], default="two-step")
-    p_fit.add_argument("--system", choices=["max", "min"], default="max")
+    p_fit.add_argument("--method", choices=["two-step", "one-step"], default=FitConfig.method)
+    p_fit.add_argument("--system", choices=["max", "min"], default=FitConfig.system_mode)
     p_fit.add_argument(
         "--pairs",
         default=None,
         help="restrict to coefficients, e.g. 'Y1:X2,X1:X2' (implies a custom system)",
     )
-    p_fit.add_argument("--legendre", type=int, choices=[2, 3], default=3)
-    p_fit.add_argument("--cov", choices=["paper", "corrected"], default="corrected")
+    p_fit.add_argument("--legendre", type=int, choices=[2, 3], default=FitConfig.order.value)
+    p_fit.add_argument("--cov", choices=["paper", "corrected"], default=FitConfig.covariance)
     p_fit.add_argument("--out", default=None, help="report path (stdout when omitted)")
     p_fit.add_argument("--format", choices=["json", "csv"], default="json")
 
@@ -216,6 +216,14 @@ def _parse_pairs(arg, names, c):
     return labels
 
 
+def _write_text(path, text):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _InputError(f"cannot write {path}: {exc}") from exc
+
+
 def _json_float(v):
     # strict JSON has no Infinity/NaN tokens
     v = float(v)
@@ -302,8 +310,7 @@ def _write_fit_report(report, fmt, out):
                 lines.append(f"threshold,{name},{k},{v!r},")
         text = "\n".join(lines)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write_text(out, text + "\n")
     else:
         sys.stdout.write(text + "\n")
 
@@ -383,20 +390,25 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         design = replace(design, seed=args.seed)
 
+    # before the study, so that an unusable output path costs no fits
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise _InputError(f"cannot create output directory {args.out}: {exc}") from exc
+
     report = run_study(design, workers=args.threads)
 
-    os.makedirs(args.out, exist_ok=True)
     doc_out = {
         "schema_version": SCHEMA_VERSION,
         "design": design.to_dict(),
         "report": report.to_dict(),
     }
-    with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as fh:
-        json.dump(doc_out, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_text(
+        os.path.join(args.out, "report.json"),
+        json.dumps(doc_out, indent=2, sort_keys=True) + "\n",
+    )
     table = _format_table(design, report)
-    with open(os.path.join(args.out, "table.txt"), "w", encoding="utf-8") as fh:
-        fh.write(table)
+    _write_text(os.path.join(args.out, "table.txt"), table)
     sys.stdout.write(table)
     return 0
 

@@ -396,10 +396,11 @@ def _igmm_loop(compiled, cfg, theta0, free_idx, wres):
 def fit(data, system, cfg=None) -> EstimationResult:
     """Iterative GMM fit of ``system`` to ``data`` by the method cfg.method.
 
-    Thresholds start at the closed-form quantiles of the marginal
-    frequencies and correlations at the Pearson correlations of the coded
-    data. The method fixes which parameters move, which moment rows W
-    weights, and the covariance:
+    The dataset must hold the system's variables: the same names, category
+    counts and continuous count, else ValueError. Thresholds start at the
+    closed-form quantiles of the marginal frequencies and correlations at
+    the Pearson correlations of the coded data. The method fixes which
+    parameters move, which moment rows W weights, and the covariance:
 
     - one-step: thresholds and correlations move jointly, W = (E_n[uu'])^-1
       weights every row but the polychoric cells the threshold rows imply,
@@ -427,6 +428,12 @@ def fit(data, system, cfg=None) -> EstimationResult:
     the exact model, so it changes with the CDF order only through theta.
     """
     cfg = cfg or FitConfig()
+    if (data.names, data.s, data.c) != (system.names, system.s, system.c):
+        raise ValueError(
+            f"dataset variables {data.names} (categories {data.s}, {data.c} continuous) "
+            f"do not match the system's {system.names} (categories {system.s}, "
+            f"{system.c} continuous)"
+        )
     start = time.perf_counter()
     one_step = cfg.method == ONE_STEP
     free_idx = np.flatnonzero(system.active) if one_step else system.coef_cols

@@ -45,8 +45,18 @@ no evaluation dispatches on the equation kind. Each column of A is the
 product of two factor columns out of (1, Y_i, I(X_i = k)). The bounds are
 the cut points of every ordinal with their -inf/+inf ends; the corners are
 the bound pairs (b_lo[k], b_hi[l]) of every pair of included ordinals,
-with the pair's polychoric rho or 0 where the system has none. Per theta,
-each kernel runs once, vectorized over all bounds or corners, to fill
+with the pair's polychoric rho or 0 where the system has none.
+
+Per theta and Legendre order the model is evaluated once, into a point
+memoized for the last theta seen: the bounds, their finite copy, Phi, phi
+and z*phi there, the corner coordinates x, y and rho, the Legendre node
+densities at the corners and the corner CDF, each kernel vectorized over
+all bounds or corners. Everything downstream reads that point. The
+minimizer's gradient at an accepted step reads the point its last loss
+evaluation left, and so does the weight refresh at the solution of an
+inner solve that did not end on a rejected step; the exact G and
+``compute_sigma`` of a fit read the point of the final refresh, which for
+the default order needs no second evaluation. From the point come
 
     model pool:    0, 1, phi(bounds), Phi(bounds), corner CDF F(x, y; rho)
     gradient pool: 0, 1, phi(bounds), z*phi(bounds),
@@ -75,9 +85,8 @@ that both are one scatter over the same tables:
   ``model_terms`` evaluates, so G is the Jacobian of the moments the loss
   is built on. The minimizer uses this kind; with the exact kind its
   search directions are not descent directions of its own loss near the
-  optimum. The per-node densities come from a one-entry memo that
-  ``model_terms`` fills at the same theta, so the minimizer's gradient at
-  an accepted step costs no second density evaluation.
+  optimum. It reuses the point's node densities, so the minimizer's
+  gradient at an accepted step costs no second density evaluation.
 """
 
 from __future__ import annotations
@@ -94,6 +103,7 @@ from .model import (
     KIND_PEARSON,
     KIND_POLYCHORIC,
     KIND_POLYSERIAL,
+    _split_specs,
     coefficient_order,
     coefficient_variables,
 )
@@ -242,7 +252,6 @@ class _Tables:
     g_sign: np.ndarray  # -> +-1
     g_scale: np.ndarray  # -> scale slot
     g_idx: np.ndarray  # (4, entries) gradient-pool slots
-    h_idx: np.ndarray  # (4, q_h) model-pool slots of P(X = k), retained thresholds
     sigma_same: np.ndarray  # (q_h, q_h) both threshold equations on one variable
     sigma_idx: np.ndarray  # (4, q_h**2) model-pool slots of the joint cell probability
 
@@ -332,7 +341,7 @@ def _compile(system, full_partner):
             kept = k < s[v - 1]
             term = (UNIT, (at_bound(1, v, k), at_bound(1, v, k - 1), Z, Z))
             if kept:
-                h_rows.append((v, k, term[1]))
+                h_rows.append((v, k))
             entries = [
                 (col, sign, UNIT, (at_bound(0, v, a), Z, Z, Z))
                 for col, sign, a in bound_cols(v, k)
@@ -386,8 +395,8 @@ def _compile(system, full_partner):
         add_block(kind, (i, j), eqs)
 
     sigma_same, sigma_idx = [], []
-    for v, k, _ in h_rows:
-        for w, l, _ in h_rows:
+    for v, k in h_rows:
+        for w, l in h_rows:
             sigma_same.append(v == w)
             if v == w:
                 sigma_idx.append((Z, Z, Z, Z))
@@ -416,7 +425,6 @@ def _compile(system, full_partner):
         g_sign=np.array(grad_rows[2], dtype=float),
         g_scale=ints(grad_rows[3]),
         g_idx=ints(grad_rows[4], (-1, 4)).T,
-        h_idx=ints([t for _, _, t in h_rows], (-1, 4)).T,
         sigma_same=np.array(sigma_same, dtype=bool).reshape(nh, nh),
         sigma_idx=ints(sigma_idx, (-1, 4)).T,
     )
@@ -453,8 +461,7 @@ def build_system(specs, mode=MAX_SET, pairs=None) -> EquationSystem:
     specs = tuple(specs)
     if len(specs) < 2:
         raise ValueError("need at least two variables")
-    c = sum(1 for sp in specs if not sp.is_ordinal)
-    d = len(specs) - c
+    c, d = _split_specs(specs)
     s = tuple(sp.categories for sp in specs if sp.is_ordinal)
     names = tuple(sp.name for sp in specs)
 
@@ -494,60 +501,42 @@ def _theta_array(theta, system):
     return arr
 
 
-class _BoundValues(NamedTuple):
-    """Bounds at one set of thresholds, and Phi, phi and z*phi there."""
+class _Point(NamedTuple):
+    """The model at one theta and Legendre order: everything the model pool,
+    both gradient kinds and ``compute_sigma`` read (module docstring)."""
 
-    b: np.ndarray
+    b: np.ndarray  # bounds
     finite: np.ndarray  # b with +-inf replaced by 0
-    cdf: np.ndarray
-    pdf: np.ndarray
-    zphi: np.ndarray
+    cdf: np.ndarray  # Phi(b)
+    pdf: np.ndarray  # phi(b)
+    zphi: np.ndarray  # b phi(b)
+    x: np.ndarray  # corner coordinate on the lower-indexed ordinal
+    y: np.ndarray  # corner coordinate on the higher-indexed ordinal
+    rho: np.ndarray  # correlation of the corner's pair, 0 if none
+    densities: np.ndarray  # legendre_densities at the corners
+    corners: np.ndarray  # Legendre corner CDF F(x, y; rho)
 
 
 @lru_cache(maxsize=1)
-def _bound_values_cached(system, thr_bytes):
-    thr = np.frombuffer(thr_bytes, dtype=float)
-    b = np.concatenate(([-np.inf, np.inf], thr))[system._tables.bound_src]
-    finite = np.where(np.isinf(b), 0.0, b)
-    return _BoundValues(b, finite, norm_cdf(b), norm_pdf(b), zphi(b))
+def _point(system, theta_bytes, order):
+    """The model at the theta whose bytes are ``theta_bytes``, for ``order``.
 
-
-def _bound_values(theta, system):
-    """Bound values at the thresholds of theta, memoized for the last
-    thresholds seen: the two-step loop keeps them frozen, and the one-step
-    loop re-evaluates at the thresholds of its last loss evaluation (the
-    gradient, the weight refresh), almost never at older ones."""
-    return _bound_values_cached(system, theta[: system.n_thr].tobytes())
-
-
-def _corner_args(theta, system, bounds):
-    """Corner coordinates x, y and the correlation of each corner's pair."""
+    One point is kept, that of the last theta seen. The minimizer's
+    Legendre gradient at an accepted step reuses the point of that step's
+    loss evaluation, the weight refresh the point of an inner solve's
+    solution, and a fit's exact G and ``compute_sigma`` the point of its
+    final refresh.
+    """
+    theta = np.frombuffer(theta_bytes, dtype=float)
     t = system._tables
+    b = np.concatenate(([-np.inf, np.inf], theta[: system.n_thr]))[t.bound_src]
+    x, y = b[t.corner_x], b[t.corner_y]
     # the appended 0 is the correlation of pairs without a coefficient
     rho = np.append(theta, 0.0)[t.corner_rho]
-    return bounds.b[t.corner_x], bounds.b[t.corner_y], rho
-
-
-class _LegendreCorners(NamedTuple):
-    """Corner correlations at one theta, the per-node densities there and the CDF."""
-
-    rho: np.ndarray
-    densities: np.ndarray
-    cdf: np.ndarray
-
-
-@lru_cache(maxsize=1)
-def _legendre_corners_cached(system, theta_bytes, order):
-    theta = np.frombuffer(theta_bytes, dtype=float)
-    x, y, rho = _corner_args(theta, system, _bound_values(theta, system))
     densities = legendre_densities(x, y, rho, order)
-    return _LegendreCorners(rho, densities, binorm_cdf_legendre(x, y, rho, order, densities))
-
-
-def _legendre_corners(theta, system, order):
-    """Memoized for one theta: the minimizer takes the gradient at the point
-    of its last loss evaluation, and reuses that evaluation's densities."""
-    return _legendre_corners_cached(system, theta.tobytes(), order)
+    finite = np.where(np.isinf(b), 0.0, b)
+    cdf = binorm_cdf_legendre(x, y, rho, order, densities)
+    return _Point(b, finite, norm_cdf(b), norm_pdf(b), zphi(b), x, y, rho, densities, cdf)
 
 
 def _scales(theta):
@@ -586,12 +575,12 @@ def data_products(data, system, include_removed=False) -> np.ndarray:
 
 def _model_pool(theta, system, order=LegendreOrder.THIRD, exact_cdf=False):
     """The model pool at theta (see the module docstring)."""
-    bounds = _bound_values(theta, system)
+    pt = _point(system, theta.tobytes(), order)
     if exact_cdf:
-        corners = [binorm_cdf_oracle(*xyr) for xyr in zip(*_corner_args(theta, system, bounds))]
+        corners = [binorm_cdf_oracle(*xyr) for xyr in zip(pt.x, pt.y, pt.rho)]
     else:
-        corners = _legendre_corners(theta, system, order).cdf
-    return np.concatenate(([0.0, 1.0], bounds.pdf, bounds.cdf, corners))
+        corners = pt.corners
+    return np.concatenate(([0.0, 1.0], pt.pdf, pt.cdf, corners))
 
 
 def model_terms(
@@ -638,25 +627,24 @@ def assemble_gradient(theta, system, order=None) -> np.ndarray:
     """
     theta = _theta_array(theta, system)
     t = system._tables
-    bounds = _bound_values(theta, system)
-    xf, yf = bounds.finite[t.corner_x], bounds.finite[t.corner_y]
+    # the exact kind reads the point of the default order, where fits leave it
+    pt = _point(system, theta.tobytes(), order or LegendreOrder.THIRD)
+    xf, yf = pt.finite[t.corner_x], pt.finite[t.corner_y]
     if order is None:
-        x, y, rho = _corner_args(theta, system, bounds)
-        sq = np.sqrt(1.0 - rho * rho)
+        sq = np.sqrt(1.0 - pt.rho * pt.rho)
         partials = (
-            binorm_pdf(x, y, rho),
-            bounds.pdf[t.corner_x] * norm_cdf((y - rho * xf) / sq),
-            bounds.pdf[t.corner_y] * norm_cdf((x - rho * yf) / sq),
+            binorm_pdf(pt.x, pt.y, pt.rho),
+            pt.pdf[t.corner_x] * norm_cdf((pt.y - pt.rho * xf) / sq),
+            pt.pdf[t.corner_y] * norm_cdf((pt.x - pt.rho * yf) / sq),
         )
     else:
-        c = _legendre_corners(theta, system, order)
-        d_rho, d_x, d_y = legendre_term_grad(xf, yf, c.rho, c.densities, order)
+        d_rho, d_x, d_y = legendre_term_grad(xf, yf, pt.rho, pt.densities, order)
         partials = (
             d_rho,
-            d_x + bounds.pdf[t.corner_x] * bounds.cdf[t.corner_y],
-            d_y + bounds.pdf[t.corner_y] * bounds.cdf[t.corner_x],
+            d_x + pt.pdf[t.corner_x] * pt.cdf[t.corner_y],
+            d_y + pt.pdf[t.corner_y] * pt.cdf[t.corner_x],
         )
-    pool = np.concatenate(([0.0, 1.0], bounds.pdf, bounds.zphi) + tuple(partials))
+    pool = np.concatenate(([0.0, 1.0], pt.pdf, pt.zphi) + tuple(partials))
     G = np.zeros(system.q * system.p)
     G[t.g_pos] = t.g_sign * (_scales(theta)[t.g_scale] * _rect(pool, t.g_idx))
     return G.reshape(system.q, system.p)
@@ -673,7 +661,8 @@ def compute_sigma(theta, system, order=LegendreOrder.THIRD) -> np.ndarray:
     theta = _theta_array(theta, system)
     t = system._tables
     pool = _model_pool(theta, system, order)
-    p = _rect(pool, t.h_idx)
+    # P(X = k) is the model term of each retained threshold row; those lead
+    p = _rect(pool, t.b_idx[:, np.flatnonzero(system.retained)[: system.q_h]])
     cells = _rect(pool, t.sigma_idx).reshape(p.size, p.size)
     sigma = np.where(
         t.sigma_same, p[:, None] * (np.eye(p.size) - p), cells - p[:, None] * p

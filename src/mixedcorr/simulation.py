@@ -103,10 +103,10 @@ class SimDesign:
     def from_dict(doc: dict) -> "SimDesign":
         fit_doc = doc.get("fit", {})
         cfg = FitConfig(
-            method=fit_doc.get("method", "two-step"),
-            system_mode=fit_doc.get("system", "max"),
-            order=LegendreOrder(int(fit_doc.get("legendre", 3))),
-            covariance=fit_doc.get("covariance", "corrected"),
+            method=fit_doc.get("method", FitConfig.method),
+            system_mode=fit_doc.get("system", FitConfig.system_mode),
+            order=LegendreOrder(int(fit_doc.get("legendre", FitConfig.order.value))),
+            covariance=fit_doc.get("covariance", FitConfig.covariance),
         )
         return SimDesign(
             continuous=tuple(doc.get("continuous", ())),

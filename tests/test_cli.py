@@ -189,6 +189,67 @@ class TestFitCommand:
         code = _run(["fit", "--data", path, "--continuous", "Y", "--ordinal", "X1:3"])
         assert code == 0
 
+    GOOD = "Y,X\n0.1,1\n0.5,2\n-0.3,1\n0.9,2\n"
+
+    @pytest.mark.parametrize(
+        "text, args, message",
+        [
+            (None, [], "cannot open"),
+            ("", [], "empty file"),
+            ("Y,X\n0.1,1\n0.5\n", [], "line 3: expected 2 cells, got 1"),
+            ("Y,X\n", [], "no data rows"),
+            (GOOD, ["--ordinal", "X:abc"], "categories must be an integer or 'infer'"),
+            ("Y,X\n0.1,1\n0.5,1.5\n-0.3,2\n", [], "non-integer labels"),
+            ("Y,X\n0.1,1\n0.5,2\n-0.3,3\n", [], "3 distinct labels exceed s=2"),
+            ("Y,X\n0.1,NA\n0.5,.\n", [], "no observed values"),
+            ("Y,X\n0.1,0\n0.5,1\n-0.3,2\n", ["--ordinal", "X"], "labels >= 1"),
+            (GOOD, ["--pairs", "Y"], "expected 'name:name'"),
+            (GOOD, ["--pairs", "Y:Z"], "unknown column 'Z'"),
+            (GOOD, ["--pairs", "Y:Y"], "two distinct columns"),
+        ],
+        ids=[
+            "unopenable", "empty", "ragged_row", "header_only", "ordinal_count_text",
+            "non_integer_labels", "too_many_labels", "no_observed_labels",
+            "inferred_label_below_one", "pair_without_colon", "pair_unknown_column",
+            "pair_same_column",
+        ],
+    )
+    def test_input_errors(self, tmp_path, capsys, text, args, message):
+        path = tmp_path / "input.csv"
+        if text is not None:
+            path.write_text(text)
+        argv = ["fit", "--data", path, "--continuous", "Y", "--ordinal", "X:2"] + args
+        assert _run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_blank_lines_and_missing_cells(self, tmp_path):
+        data = mc.generate(design1(n=300, replications=2, seed=17), 0)
+        rows = np.column_stack([data.y, data.x.astype(float)]).tolist()
+        lines = [",".join(map(repr, row)) for row in rows]
+        # a row with a missing cell is dropped; a blank line is not a row
+        for k, (col, cell) in enumerate([(0, "NA"), (2, "."), (1, "")]):
+            cells = lines[10 * k].split(",")
+            cells[col] = cell
+            lines[10 * k] = ",".join(cells)
+        lines[5:5] = ["", " , , , "]
+        path = tmp_path / "gaps.csv"
+        path.write_text("\n".join(["Y1,Y2,X1,X2"] + lines + [""]) + "\n")
+        out = tmp_path / "report.json"
+        argv = ["fit", "--data", path, "--continuous", "Y1,Y2",
+                "--ordinal", "X1:2,X2:2", "--out", out]
+        assert _run(argv) == 0
+        report = json.loads(out.read_text())
+        assert report["n_rows_dropped"] == 3
+        assert report["n_rows_used"] == 297
+
+    def test_unwritable_report_path(self, data_csv, tmp_path, capsys):
+        out = tmp_path / "missing_dir" / "r.json"
+        argv = ["fit", "--data", data_csv, "--continuous", "Y1,Y2",
+                "--ordinal", "X1:2,X2:2", "--out", out]
+        assert _run(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
+
     def test_unknown_column(self, data_csv, capsys):
         code = _run(
             ["fit", "--data", data_csv, "--continuous", "Y1,Zz", "--ordinal", "X1:2,X2:2"]
@@ -349,6 +410,23 @@ class TestSimulateCommand:
         dpath.write_text(json.dumps(doc))
         assert _run(["simulate", "--design", dpath, "--out", tmp_path / "x"]) == 1
         assert "invalid design" in capsys.readouterr().err
+
+    def test_invalid_json(self, tmp_path, capsys):
+        dpath = tmp_path / "design.json"
+        dpath.write_text("{not json")
+        assert _run(["simulate", "--design", dpath, "--out", tmp_path / "x"]) == 1
+        assert "invalid JSON" in capsys.readouterr().err
+
+    def test_output_path_taken_by_a_file(self, tmp_path, capsys, monkeypatch):
+        started = []
+        monkeypatch.setattr(cli, "run_study", lambda *args, **kwargs: started.append(1))
+        dpath = tmp_path / "design.json"
+        dpath.write_text(json.dumps(design1(n=50, replications=2).to_dict()))
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert _run(["simulate", "--design", dpath, "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot create output directory")
+        assert not started  # the study never started
 
     def test_missing_file(self, tmp_path):
         assert _run(["simulate", "--design", tmp_path / "no.json",

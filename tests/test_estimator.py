@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import mixedcorr as mc
+from mixedcorr import moments
 from mixedcorr.estimator import _igmm_loop, _initial_theta, _minimize
 from mixedcorr.moments import CompiledMoments, weight_matrix
 
@@ -297,6 +298,19 @@ class TestErrorPaths:
         with pytest.raises(NonFiniteLoss):
             _solve(design1_data, system, np.eye(system.q), theta0, np.ones(system.p, dtype=bool))
 
+    def test_dataset_must_match_system(self, design1_data):
+        renamed = [mc.VariableSpec(sp.name.lower(), sp.categories) for sp in design1_data.specs]
+        with pytest.raises(ValueError, match="do not match"):
+            mc.fit(design1_data, mc.build_system(renamed, mc.MAX_SET))
+        rng = np.random.default_rng(2)
+        table = np.column_stack(
+            [rng.normal(size=200), rng.integers(1, 4, 200), rng.integers(1, 5, 200)]
+        )
+        specs = [mc.VariableSpec("Y"), mc.VariableSpec("X1", 3), mc.VariableSpec("X2", 4)]
+        swapped = [mc.VariableSpec("Y"), mc.VariableSpec("X1", 4), mc.VariableSpec("X2", 3)]
+        with pytest.raises(ValueError, match="do not match"):
+            mc.fit(mc.ingest(table, specs), mc.build_system(swapped, mc.MAX_SET))
+
     def test_estimate_thresholds_empty_category(self):
         specs = (mc.VariableSpec("X", categories=3),)
         x = np.array([[1], [1], [3], [3]], dtype=np.int64)
@@ -346,6 +360,27 @@ class TestDiagnostics:
         d = mc.fit(design1_data, four_var_system, cfg).diagnostics
         assert d.inner_stop == ("max_iter",)
         assert d.inner_iterations == 1
+
+
+class TestModelEvaluations:
+    @pytest.mark.parametrize("method", [mc.TWO_STEP, mc.ONE_STEP])
+    def test_one_density_evaluation_per_theta(self, c2d3_system, method, monkeypatch):
+        # only a loss evaluation or a weight refresh at a new theta evaluates
+        # the model; the gradient at an accepted step, the exact G and
+        # compute_sigma reuse the evaluation at their theta (default order)
+        calls = []
+        densities = moments.legendre_densities
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return densities(*args, **kwargs)
+
+        monkeypatch.setattr(moments, "legendre_densities", counted)
+        for rep in range(3):
+            data = mc.generate(design2(), rep)
+            calls.clear()
+            d = mc.fit(data, c2d3_system, mc.FitConfig(method=method)).diagnostics
+            assert 0 < len(calls) <= d.loss_evaluations + d.outer_iterations
 
 
 class TestCentredStart:

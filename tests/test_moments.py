@@ -93,6 +93,21 @@ class TestBuildSystem:
             system = mc.build_system(design1().specs, mc.CUSTOM, pairs=pairs)
             assert system.included_coefficients == expected
 
+    @pytest.mark.parametrize(
+        "specs",
+        [
+            [mc.VariableSpec("X", categories=3), mc.VariableSpec("Y")],
+            [mc.VariableSpec("Y"), mc.VariableSpec("Y")],
+        ],
+        ids=["ordinal_first", "repeated_name"],
+    )
+    def test_rejects_the_specs_ingest_rejects(self, specs):
+        # coefficient labels assume unique names, continuous variables first
+        with pytest.raises(ValueError):
+            mc.ingest(np.ones((3, 2)), specs)
+        with pytest.raises(ValueError):
+            mc.build_system(specs, mc.MAX_SET)
+
     def test_unknown_pair(self):
         with pytest.raises(UnknownPair):
             mc.build_system(design1().specs, mc.CUSTOM, pairs=[("polychoric", 3, 1)])
