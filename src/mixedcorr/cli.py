@@ -323,6 +323,10 @@ def cmd_fit(args) -> int:
         raise _InputError("--continuous and --ordinal must name at least two columns")
     if len(set(names)) != len(names):
         raise _InputError("column sets must be disjoint")
+    # before the CSV is read, so that a report path in a missing directory
+    # costs no fit
+    if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+        raise _InputError(f"cannot write {args.out}: its directory does not exist")
 
     table = _read_csv(args.data, names)
     specs = [VariableSpec(nm) for nm in continuous]

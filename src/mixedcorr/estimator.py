@@ -10,8 +10,12 @@ linear dependence. Omega_hat = S + m m', with S the centred covariance of
 the data products on those rows, so by Sherman-Morrison the fixed point's
 condition G'Wm = 0 is G'S^-1 m = 0 when S has full rank: the first solve,
 under W_c = S^-1 (a pseudo-inverse if S is rank-deficient in the data),
-reaches the fixed point, and the paper's refresh confirms it. Every inner
-solve counts as one outer iteration. The one-step
+reaches the fixed point, and the paper's refresh confirms it. W_c is the
+fit's one factorization: when it is a direct inverse, every refresh is its
+rank-one update W_c - u u'/(1 + m'u), u = W_c m, in O(q^2) (Sherman &
+Morrison 1950); only a pseudo-inverse W_c, or an update whose 1-norm
+condition fails the direct-inverse test, has Omega_hat inverted anew.
+Every inner solve counts as one outer iteration. The one-step
 method moves thresholds and correlations jointly; the two-step method
 solves the thresholds in closed form from the marginal frequencies, freezes
 them, and iterates on the correlation vector only, with a
@@ -30,9 +34,11 @@ from .errors import EmptyCategory, LineSearchFailure, NonFiniteLoss
 from .model import CorrelationParams, ThresholdSet, coefficient_variables
 from .moments import (
     CUSTOM,
+    EIG_FLOOR,
     MAX_SET,
     MIN_SET,
     CompiledMoments,
+    WeightMatrix,
     assemble_gradient,
     compute_sigma,
     weight_matrix,
@@ -102,8 +108,11 @@ class Diagnostics:
     each solve under a refreshed W. inner_stop holds one STOP_* reason per
     solve. weight_conditions holds the condition number of the centred
     weight, then of the weight refreshed after each solve: the 1-norm
-    condition of a direct inverse, the ratio of the extreme eigenvalues
-    where ``weight_matrix`` fell back to its eigendecomposition.
+    condition |Omega|_1 |W|_1 of a direct inverse, the ratio of the extreme
+    eigenvalues where ``weight_matrix`` fell back to its eigendecomposition.
+    A refresh by the rank-one update of a direct centred weight reports
+    cond_1(S + m m') = |S + m m'|_1 |W|_1 with the updated W, the number a
+    direct inversion of Omega_hat would report up to rounding.
     weight_pseudo_inverse is set when one of those weights dropped a
     direction under the eigenvalue floor.
     loss_evaluations counts every evaluation of the GMM loss in the fit.
@@ -342,20 +351,50 @@ def _result_from_theta(system, cfg, theta, var_r_active, var_theta_active, diag_
     )
 
 
-def _igmm_loop(compiled, cfg, theta0, free_idx, wres):
+def _refresh(compiled, centred, theta, order):
+    """The paper's refresh W = Omega_hat(theta)^-1, Omega_hat = S + m m'.
+
+    When the centred weight ``centred`` is a direct inverse W_c = S^-1, W
+    is its Sherman-Morrison rank-one update W_c - u u'/(1 + m'u) with
+    u = W_c m: O(q^2), no factorization. It is kept when its 1-norm
+    condition |S + m m'|_1 |W|_1 passes the test ``weight_matrix`` puts to
+    a direct inverse, and ``condition`` is that cond_1. Otherwise, and
+    when W_c is a pseudo-inverse (S rank-deficient), ``weight_matrix``
+    inverts Omega_hat anew.
+    """
+    m = compiled.residual(theta, order)
+    omega = np.outer(m, m)
+    omega += compiled.cov
+    if not centred.pseudo_inverse:
+        u = centred.matrix @ m
+        W = np.outer(u, u)
+        W /= -(1.0 + float(m @ u))
+        W += centred.matrix
+        cond = float(np.linalg.norm(omega, 1) * np.linalg.norm(W, 1))
+        if cond < 1.0 / EIG_FLOOR:
+            return WeightMatrix(matrix=W, condition=cond, pseudo_inverse=False, rank=m.size)
+    return weight_matrix(omega)
+
+
+def _igmm_loop(compiled, cfg, theta0, free_idx, wres=None):
     """Inner solves over ``free_idx`` from theta0, each one outer iteration.
 
-    The first solve runs under the WeightMatrix ``wres``; every later one
-    under the paper's refresh, W = Omega_hat(theta)^-1 on the rows
-    ``compiled`` covers at the previous solution. The loop stops once a
-    solve under a refresh moves theta by less than outer_tol, or after
-    cfg.max_outer_iter solves, and returns W refreshed at the returned
-    theta. ``fit`` starts from the centred weight W_c = S^-1 of
-    ``compiled.cov``; the first solve then reaches the fixed point when S
-    has full rank, since Omega_hat = S + m m'. Where S is rank-deficient W_c
-    is a pseudo-inverse and the refresh solves are what settle the fixed
-    point. Started from the identity, this is the paper's loop.
+    The first solve runs under the WeightMatrix ``wres``, by default the
+    centred weight W_c = S^-1 of ``compiled.cov``; every later one under
+    the paper's refresh, W = Omega_hat(theta)^-1 on the rows ``compiled``
+    covers at the previous solution. The loop stops once a solve under a
+    refresh moves theta by less than outer_tol, or after cfg.max_outer_iter
+    solves, and returns W refreshed at the returned theta.
+
+    W_c is the one factorization of the loop: since Omega_hat = S + m m',
+    a refresh is a rank-one update of W_c when W_c is a direct inverse
+    (``_refresh``), and from W_c the first solve reaches the fixed point.
+    Where S is rank-deficient W_c is a pseudo-inverse, each refresh inverts
+    Omega_hat anew, and the refresh solves are what settle the fixed point.
+    Started from the identity, this is the paper's loop.
     """
+    centred = weight_matrix(compiled.cov)
+    wres = centred if wres is None else wres
     theta = theta0.copy()
     conditions = [wres.condition]
     pseudo = wres.pseudo_inverse
@@ -370,7 +409,7 @@ def _igmm_loop(compiled, cfg, theta0, free_idx, wres):
         inner_total += info.iterations
         evaluations += info.loss_evaluations
         stops.append(info.stop)
-        wres = weight_matrix(compiled.omega(theta_new, cfg.order))
+        wres = _refresh(compiled, centred, theta_new, cfg.order)
         conditions.append(wres.condition)
         pseudo = pseudo or wres.pseudo_inverse
         diff = float(np.linalg.norm(theta_new[free_idx] - theta[free_idx]))
@@ -419,13 +458,16 @@ def fit(data, system, cfg=None) -> EstimationResult:
     fixed point when S has full rank, then the paper's refreshes until one
     moves theta by less than cfg.outer_tol (normally the first). Only a
     refresh can confirm convergence, so with max_outer_iter=1 the fit
-    reports converged=False. W in the covariances is the refresh at the
-    final theta.
+    reports converged=False. S^-1 is the one q x q factorization of a fit
+    whose S^-1 is a direct inverse: each refresh is its rank-one update.
+    W in the covariances is the refresh at the final theta.
 
     The minimizer follows the gradient of the Legendre-approximated loss,
     but G, G11, G21 and G22 in the covariances come from the exact-CDF
     Jacobian (``assemble_gradient(theta, system)``): the covariance targets
     the exact model, so it changes with the CDF order only through theta.
+    That G, like ``compute_sigma``, reads the model point the final refresh
+    evaluated at cfg.order, so neither evaluates the model again.
     """
     cfg = cfg or FitConfig()
     if (data.names, data.s, data.c) != (system.names, system.s, system.c):
@@ -440,13 +482,7 @@ def fit(data, system, cfg=None) -> EstimationResult:
     rows = system.weighted_rows(one_step)
     compiled = CompiledMoments(data, system, rows)
 
-    theta, W, diag_kw = _igmm_loop(
-        compiled,
-        cfg,
-        _initial_theta(data, system),
-        free_idx,
-        weight_matrix(compiled.cov),
-    )
+    theta, W, diag_kw = _igmm_loop(compiled, cfg, _initial_theta(data, system), free_idx)
 
     G_full = assemble_gradient(theta, system)
     G = G_full[rows]

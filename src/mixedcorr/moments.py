@@ -55,8 +55,9 @@ all bounds or corners. Everything downstream reads that point. The
 minimizer's gradient at an accepted step reads the point its last loss
 evaluation left, and so does the weight refresh at the solution of an
 inner solve that did not end on a rejected step; the exact G and
-``compute_sigma`` of a fit read the point of the final refresh, which for
-the default order needs no second evaluation. From the point come
+``compute_sigma`` of a fit read the point of the final refresh, at the
+fit's order, with no second evaluation (the exact G uses no field that
+depends on the order). From the point come
 
     model pool:    0, 1, phi(bounds), Phi(bounds), corner CDF F(x, y; rho)
     gradient pool: 0, 1, phi(bounds), z*phi(bounds),
@@ -93,7 +94,6 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -517,7 +517,9 @@ class _Point(NamedTuple):
     corners: np.ndarray  # Legendre corner CDF F(x, y; rho)
 
 
-@lru_cache(maxsize=1)
+_last_point = None  # ((system, theta bytes, order), _Point) of the last theta seen
+
+
 def _point(system, theta_bytes, order):
     """The model at the theta whose bytes are ``theta_bytes``, for ``order``.
 
@@ -525,8 +527,16 @@ def _point(system, theta_bytes, order):
     Legendre gradient at an accepted step reuses the point of that step's
     loss evaluation, the weight refresh the point of an inner solve's
     solution, and a fit's exact G and ``compute_sigma`` the point of its
-    final refresh.
+    final refresh. ``order=None`` asks only for the fields that do not
+    depend on the order (those the exact G reads): the kept point serves
+    whatever its order, and a new theta is evaluated at the default order.
     """
+    global _last_point
+    if _last_point is not None:
+        (kept_system, kept_bytes, kept_order), pt = _last_point
+        if kept_system is system and kept_bytes == theta_bytes and order in (None, kept_order):
+            return pt
+    order = order or LegendreOrder.THIRD
     theta = np.frombuffer(theta_bytes, dtype=float)
     t = system._tables
     b = np.concatenate(([-np.inf, np.inf], theta[: system.n_thr]))[t.bound_src]
@@ -536,7 +546,9 @@ def _point(system, theta_bytes, order):
     densities = legendre_densities(x, y, rho, order)
     finite = np.where(np.isinf(b), 0.0, b)
     cdf = binorm_cdf_legendre(x, y, rho, order, densities)
-    return _Point(b, finite, norm_cdf(b), norm_pdf(b), zphi(b), x, y, rho, densities, cdf)
+    pt = _Point(b, finite, norm_cdf(b), norm_pdf(b), zphi(b), x, y, rho, densities, cdf)
+    _last_point = ((system, theta_bytes, order), pt)
+    return pt
 
 
 def _scales(theta):
@@ -627,8 +639,9 @@ def assemble_gradient(theta, system, order=None) -> np.ndarray:
     """
     theta = _theta_array(theta, system)
     t = system._tables
-    # the exact kind reads the point of the default order, where fits leave it
-    pt = _point(system, theta.tobytes(), order or LegendreOrder.THIRD)
+    # the exact kind reads only order-free fields: the point a fit's final
+    # refresh left serves whatever its order
+    pt = _point(system, theta.tobytes(), order)
     xf, yf = pt.finite[t.corner_x], pt.finite[t.corner_y]
     if order is None:
         sq = np.sqrt(1.0 - pt.rho * pt.rho)
@@ -683,7 +696,8 @@ class CompiledMoments:
     """Dataset-dependent pieces of the moment system, precomputed once.
 
     Covers the retained rows ``rows`` selects (all by default; a fit passes
-    ``system.weighted_rows``): ``m`` and ``omega`` return those rows only.
+    ``system.weighted_rows``): ``m``, ``residual`` and ``omega`` return
+    those rows only.
     With m(theta) = a_mean - b(theta), the moment covariance is
     Omega_hat(theta) = E_n[(a - b)(a - b)'] = cov + m m', where cov is the
     centred covariance of the data products. Both a_mean and cov are data
@@ -707,9 +721,12 @@ class CompiledMoments:
     def m(self, theta, order=LegendreOrder.THIRD):
         return self.a_mean - model_terms(theta, self.system, order)[self.rows]
 
+    # m(theta) for the weight refresh: calls of ``m`` are the loss
+    # evaluations a trace counts, and this name stays unwrapped
+    residual = m
+
     def omega(self, theta, order=LegendreOrder.THIRD):
-        # not self.m: its calls are the loss evaluations a trace counts
-        m = self.a_mean - model_terms(theta, self.system, order)[self.rows]
+        m = self.residual(theta, order)
         out = np.outer(m, m)
         out += self.cov
         return out

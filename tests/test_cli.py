@@ -250,6 +250,17 @@ class TestFitCommand:
         assert _run(argv) == 1
         assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
 
+    def test_missing_report_directory_fails_before_fit(self, data_csv, tmp_path, capsys,
+                                                        monkeypatch):
+        started = []
+        monkeypatch.setattr(cli, "fit", lambda *args, **kwargs: started.append(1))
+        out = tmp_path / "missing_dir" / "r.json"
+        argv = ["fit", "--data", data_csv, "--continuous", "Y1,Y2",
+                "--ordinal", "X1:2,X2:2", "--out", out]
+        assert _run(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
+        assert not started  # the fit never started
+
     def test_unknown_column(self, data_csv, capsys):
         code = _run(
             ["fit", "--data", data_csv, "--continuous", "Y1,Zz", "--ordinal", "X1:2,X2:2"]

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import mixedcorr as mc
-from mixedcorr import moments
-from mixedcorr.estimator import _igmm_loop, _initial_theta, _minimize
+from mixedcorr import estimator, moments
+from mixedcorr.estimator import _igmm_loop, _initial_theta, _minimize, _refresh
 from mixedcorr.moments import CompiledMoments, weight_matrix
 
 from conftest import TRUE1, design1, design2
@@ -252,12 +252,14 @@ class TestFitOneStep:
 
 class TestWiderSystems:
     def test_one_step_on_ternary_triple(self, c2d3_system):
-        # the g-block weight is rank-deficient here (pairs sharing an
-        # ordinal variable), so both methods run on pseudo-inverse weights
+        # three ternary ordinals share their margins among the polychoric
+        # blocks; each method weights only its independent rows, so both run
+        # on direct inverses
         data = mc.generate(design2(n=1000, replications=2, seed=88), 0)
         r1 = mc.fit(data, c2d3_system, ONE_STEP)
         r2 = mc.fit(data, c2d3_system, TWO_STEP)
         assert r1.diagnostics.converged and r2.diagnostics.converged
+        assert not (r1.diagnostics.weight_pseudo_inverse or r2.diagnostics.weight_pseudo_inverse)
         assert np.max(np.abs(r1.r_hat.values - r2.r_hat.values)) < 0.01
 
     def test_five_category_ordinal(self):
@@ -381,6 +383,129 @@ class TestModelEvaluations:
             calls.clear()
             d = mc.fit(data, c2d3_system, mc.FitConfig(method=method)).diagnostics
             assert 0 < len(calls) <= d.loss_evaluations + d.outer_iterations
+
+
+    @pytest.mark.parametrize("method", [mc.TWO_STEP, mc.ONE_STEP])
+    def test_second_order_fit_evaluates_no_third_order_point(self, c2d3_system, method,
+                                                             monkeypatch):
+        # the exact G reads only order-free fields of the point, so it reuses
+        # the second-order point of the final refresh, and so does compute_sigma
+        orders = []
+        densities = moments.legendre_densities
+
+        def recorded(x, y, rho, order):
+            orders.append(order)
+            return densities(x, y, rho, order)
+
+        monkeypatch.setattr(moments, "legendre_densities", recorded)
+        cfg = mc.FitConfig(method=method, order=mc.LegendreOrder.SECOND)
+        for rep in range(2):
+            d = mc.fit(mc.generate(design2(), rep), c2d3_system, cfg).diagnostics
+            assert d.converged
+        assert orders and set(orders) == {mc.LegendreOrder.SECOND}
+
+
+def _wide_design():
+    """c=4 continuous and d=8 five-category ordinals with one-factor correlations."""
+    loadings = np.array([0.8, 0.7, -0.6, 0.5, 0.7, 0.6, 0.5, -0.4, 0.6, 0.7, 0.5, 0.4])
+    r_true = np.outer(loadings, loadings)
+    np.fill_diagonal(r_true, 1.0)
+    base = np.array([-1.3, -0.5, 0.2, 0.9])
+    return mc.SimDesign(
+        continuous=tuple(f"Y{i + 1}" for i in range(4)),
+        ordinal=tuple((f"X{j + 1}", base + 0.1 * (j % 3 - 1)) for j in range(8)),
+        r_true=r_true,
+        n=2000,
+        replications=2,
+        seed=11,
+    )
+
+
+class _StubMoments:
+    """The two fields of CompiledMoments a refresh reads."""
+
+    def __init__(self, cov, m):
+        self.cov = cov
+        self._m = m
+
+    def residual(self, theta, order):
+        return self._m
+
+
+class TestRankOneRefresh:
+    @pytest.mark.parametrize("method", [mc.TWO_STEP, mc.ONE_STEP])
+    @pytest.mark.parametrize("design", [design1, design2], ids=["design1", "design2"])
+    def test_equals_the_full_refresh(self, design, method):
+        data = mc.generate(design(), 0)
+        system = mc.build_system(data.specs, mc.MAX_SET)
+        compiled = CompiledMoments(data, system, system.weighted_rows(method == mc.ONE_STEP))
+        centred = weight_matrix(compiled.cov)
+        assert not centred.pseudo_inverse
+        # the starting point is off the optimum: the rank-one term matters
+        theta = _initial_theta(data, system)
+        order = mc.LegendreOrder.THIRD
+        update = _refresh(compiled, centred, theta, order)
+        full = weight_matrix(compiled.omega(theta, order))
+        scale = np.max(np.abs(full.matrix))
+        assert np.max(np.abs(full.matrix - centred.matrix)) > 1e-3 * scale
+        assert np.max(np.abs(update.matrix - full.matrix)) <= 1e-10 * scale
+        assert np.array_equal(update.matrix, update.matrix.T)
+        assert update.condition == pytest.approx(full.condition, rel=1e-10)
+        assert (update.pseudo_inverse, update.rank) == (False, full.rank)
+
+    def _count_weight_matrix(self, monkeypatch):
+        calls = []
+        original = estimator.weight_matrix
+
+        def counted(omega):
+            calls.append(omega.shape[0])
+            return original(omega)
+
+        monkeypatch.setattr(estimator, "weight_matrix", counted)
+        return calls
+
+    @pytest.mark.parametrize("method", [mc.TWO_STEP, mc.ONE_STEP])
+    def test_one_factorization_per_fit(self, c2d3_system, method, monkeypatch):
+        calls = self._count_weight_matrix(monkeypatch)
+        cfg = mc.FitConfig(method=method)
+        fits = [(mc.generate(design2(), rep), c2d3_system) for rep in range(2)]
+        wide = mc.generate(_wide_design(), 0)
+        fits.append((wide, mc.build_system(wide.specs, mc.MAX_SET)))
+        for data, system in fits:
+            calls.clear()
+            d = mc.fit(data, system, cfg).diagnostics
+            assert d.converged and not d.weight_pseudo_inverse
+            assert d.outer_iterations == 2
+            assert calls == [system.weighted_rows(method == mc.ONE_STEP).size]
+
+    def test_rank_deficient_centred_weight_takes_the_full_refresh(self, c2d3_system,
+                                                                 monkeypatch):
+        # over every retained row the products hold exact linear dependences,
+        # so S is singular and W_c a pseudo-inverse
+        data = mc.generate(design2(), 0)
+        compiled = CompiledMoments(data, c2d3_system)
+        centred = weight_matrix(compiled.cov)
+        assert centred.pseudo_inverse
+        theta = _initial_theta(data, c2d3_system)
+        order = mc.LegendreOrder.THIRD
+        full = weight_matrix(compiled.omega(theta, order))
+        calls = self._count_weight_matrix(monkeypatch)
+        refreshed = _refresh(compiled, centred, theta, order)
+        assert len(calls) == 1
+        assert refreshed.pseudo_inverse and refreshed.rank == full.rank
+        assert np.array_equal(refreshed.matrix, full.matrix)
+        assert refreshed.condition == full.condition
+
+    def test_ill_conditioned_update_takes_the_full_refresh(self, monkeypatch):
+        # S = diag(1, 1e-9) has a direct inverse, but S + m m' with m = (1e3, 0)
+        # has cond_1 ~ 1e15, past the 1/EIG_FLOOR a direct inverse may have
+        stub = _StubMoments(np.diag([1.0, 1e-9]), np.array([1e3, 0.0]))
+        centred = weight_matrix(stub.cov)
+        assert not centred.pseudo_inverse
+        calls = self._count_weight_matrix(monkeypatch)
+        refreshed = _refresh(stub, centred, None, mc.LegendreOrder.THIRD)
+        assert len(calls) == 1
+        assert refreshed.pseudo_inverse and refreshed.rank == 1
 
 
 class TestCentredStart:
