@@ -29,7 +29,7 @@ from .moments import CUSTOM, build_system
 from .normal import LegendreOrder
 from .simulation import SimDesign, run_study
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _MISSING = {"", "na", "nan", "null", "none", "."}
 
@@ -283,7 +283,6 @@ def _fit_report(args, data, system, cfg, res, recode_maps):
         "diagnostics": {
             "converged": d.converged,
             "outer_iterations": d.outer_iterations,
-            "final_diff": _json_float(d.final_diff),
             "final_loss": _json_float(d.final_loss),
             "final_grad_norm": _json_float(d.final_grad_norm),
             "loss_evaluations": d.loss_evaluations,

@@ -1,26 +1,29 @@
 """One-step and two-step iterative GMM estimators for the mixed correlation matrix.
 
-Both methods are one GMM estimator over the same blocked moment system:
-they alternate an inner quasi-Newton minimization of the GMM loss
-L(theta) = m'Wm/2 with a refresh of the weight matrix W as the inverse
-sample covariance Omega_hat(theta) of the moment functions, until the
-parameter change drops below the outer tolerance. W covers the method's
-weighted rows (``EquationSystem.weighted_rows``), which have no exact
-linear dependence. Omega_hat = S + m m', with S the centred covariance of
-the data products on those rows, so by Sherman-Morrison the fixed point's
-condition G'Wm = 0 is G'S^-1 m = 0 when S has full rank: the first solve,
-under W_c = S^-1 (a pseudo-inverse if S is rank-deficient in the data),
-reaches the fixed point, and the paper's refresh confirms it. W_c is the
-fit's one factorization: when it is a direct inverse, every refresh is its
-rank-one update W_c - u u'/(1 + m'u), u = W_c m, in O(q^2) (Sherman &
-Morrison 1950); only a pseudo-inverse W_c, or an update whose 1-norm
-condition fails the direct-inverse test, has Omega_hat inverted anew.
-Every inner solve counts as one outer iteration. The one-step
-method moves thresholds and correlations jointly; the two-step method
-solves the thresholds in closed form from the marginal frequencies, freezes
-them, and iterates on the correlation vector only, with a
-threshold-variability correction added to its asymptotic covariance.
-``fit`` takes the method from its FitConfig.
+Both methods are one GMM estimator over the same blocked moment system. The
+paper's iterative GMM alternates an inner minimization of the GMM loss
+L(theta) = m'Wm/2 with a refresh of the weight W as the inverse sample
+covariance Omega_hat(theta) of the moment functions, until a refresh no
+longer moves theta. W covers the method's weighted rows
+(``EquationSystem.weighted_rows``), which have no exact linear dependence.
+Omega_hat = S + m m', with S the centred covariance of the data products on
+those rows, which does not depend on theta. By Sherman-Morrison, with
+W_c = S^-1, G'Omega_hat^-1 m = G'W_c m / (1 + m'W_c m), so a stationary
+point of the loss under W_c is already the loop's fixed point (Hansen,
+Heaton & Yaron 1996: the fixed point is the continuously updated
+estimator). ``fit`` therefore makes one quasi-Newton solve under W_c, the
+fit's one q x q factorization, and takes the covariance's W from the
+paper's refresh at the solution: the rank-one update W_c - u u'/(1 + m'u),
+u = W_c m, in O(q^2) (Sherman & Morrison 1950), or, when W_c is a
+pseudo-inverse or the update's 1-norm condition fails the direct-inverse
+test, Omega_hat inverted anew. Where S is rank-deficient in the data (an
+empty cell, say) W_c is a pseudo-inverse, the argument fails, and the fit
+returns its one solve with converged=False. The one-step method moves
+thresholds and correlations jointly; the two-step method solves the
+thresholds in closed form from the marginal frequencies, freezes them, and
+iterates on the correlation vector only, with a threshold-variability
+correction added to its asymptotic covariance. ``fit`` takes the method
+from its FitConfig.
 """
 
 from __future__ import annotations
@@ -79,8 +82,6 @@ class FitConfig:
     """Tuning knobs for the iterative GMM fit."""
 
     method: str = TWO_STEP
-    max_outer_iter: int = 100
-    outer_tol: float = 1e-8
     inner_grad_tol: float = 1e-10
     inner_max_iter: int = 500
     order: LegendreOrder = LegendreOrder.THIRD
@@ -94,33 +95,40 @@ class FitConfig:
             raise ValueError(f"unknown covariance variant {self.covariance!r}")
         if self.system_mode not in (MAX_SET, MIN_SET, CUSTOM):
             raise ValueError(f"unknown system mode {self.system_mode!r}")
-        if min(self.outer_tol, self.inner_grad_tol) <= 0:
-            raise ValueError("tolerances must be positive")
-        if min(self.max_outer_iter, self.inner_max_iter) < 1:
-            raise ValueError("iteration caps must be >= 1")
+        if not isinstance(self.order, LegendreOrder):
+            raise ValueError(f"order must be a LegendreOrder, not {self.order!r}")
+        if self.inner_grad_tol <= 0:
+            raise ValueError("inner_grad_tol must be positive")
+        if not isinstance(self.inner_max_iter, (int, np.integer)) or self.inner_max_iter < 1:
+            raise ValueError(f"inner_max_iter must be an int >= 1, not {self.inner_max_iter!r}")
 
 
 @dataclass(frozen=True)
 class Diagnostics:
     """How a fit ended.
 
-    outer_iterations counts every inner solve: the centred-weight solve and
-    each solve under a refreshed W. inner_stop holds one STOP_* reason per
-    solve. weight_conditions holds the condition number of the centred
-    weight, then of the weight refreshed after each solve: the 1-norm
-    condition |Omega|_1 |W|_1 of a direct inverse, the ratio of the extreme
-    eigenvalues where ``weight_matrix`` fell back to its eigendecomposition.
-    A refresh by the rank-one update of a direct centred weight reports
-    cond_1(S + m m') = |S + m m'|_1 |W|_1 with the updated W, the number a
-    direct inversion of Omega_hat would report up to rounding.
-    weight_pseudo_inverse is set when one of those weights dropped a
-    direction under the eigenvalue floor.
-    loss_evaluations counts every evaluation of the GMM loss in the fit.
+    converged is set when the one inner solve stopped on a stationarity
+    test (STOP_GRAD_TOL, STOP_NON_DESCENT or STOP_STEP_FLOOR, not
+    STOP_MAX_ITER) and the centred weight W_c it ran under is a direct
+    inverse, so that its stationary point is the IGMM fixed point.
+    outer_iterations counts the inner solves, always 1 since that solve is
+    the fixed point; it stays so the counts of a trace keep their meaning.
+    inner_stop holds the solve's STOP_* reason, final_loss and
+    final_grad_norm the loss under W_c and its max |gradient| where it
+    stopped. weight_conditions holds the condition number of W_c, then of
+    the refresh at the final theta: the 1-norm condition |Omega|_1 |W|_1 of
+    a direct inverse, the ratio of the extreme eigenvalues where
+    ``weight_matrix`` fell back to its eigendecomposition. A refresh by the
+    rank-one update of a direct W_c reports cond_1(S + m m') =
+    |S + m m'|_1 |W|_1 with the updated W, the number a direct inversion of
+    Omega_hat would report up to rounding. weight_pseudo_inverse is set
+    when one of those weights dropped a direction under the eigenvalue
+    floor. loss_evaluations counts every evaluation of the GMM loss in the
+    fit.
     """
 
     converged: bool
     outer_iterations: int
-    final_diff: float
     final_loss: float
     final_grad_norm: float
     inner_iterations: int
@@ -376,62 +384,6 @@ def _refresh(compiled, centred, theta, order):
     return weight_matrix(omega)
 
 
-def _igmm_loop(compiled, cfg, theta0, free_idx, wres=None):
-    """Inner solves over ``free_idx`` from theta0, each one outer iteration.
-
-    The first solve runs under the WeightMatrix ``wres``, by default the
-    centred weight W_c = S^-1 of ``compiled.cov``; every later one under
-    the paper's refresh, W = Omega_hat(theta)^-1 on the rows ``compiled``
-    covers at the previous solution. The loop stops once a solve under a
-    refresh moves theta by less than outer_tol, or after cfg.max_outer_iter
-    solves, and returns W refreshed at the returned theta.
-
-    W_c is the one factorization of the loop: since Omega_hat = S + m m',
-    a refresh is a rank-one update of W_c when W_c is a direct inverse
-    (``_refresh``), and from W_c the first solve reaches the fixed point.
-    Where S is rank-deficient W_c is a pseudo-inverse, each refresh inverts
-    Omega_hat anew, and the refresh solves are what settle the fixed point.
-    Started from the identity, this is the paper's loop.
-    """
-    centred = weight_matrix(compiled.cov)
-    wres = centred if wres is None else wres
-    theta = theta0.copy()
-    conditions = [wres.condition]
-    pseudo = wres.pseudo_inverse
-    inner_total = 0
-    evaluations = 0
-    stops = []
-    diff = np.inf
-    converged = False
-    outer = 0
-    for outer in range(1, cfg.max_outer_iter + 1):
-        theta_new, info = _minimize(compiled, wres.matrix, theta, free_idx, cfg)
-        inner_total += info.iterations
-        evaluations += info.loss_evaluations
-        stops.append(info.stop)
-        wres = _refresh(compiled, centred, theta_new, cfg.order)
-        conditions.append(wres.condition)
-        pseudo = pseudo or wres.pseudo_inverse
-        diff = float(np.linalg.norm(theta_new[free_idx] - theta[free_idx]))
-        theta = theta_new
-        # only a solve under a refresh can confirm the fixed point
-        if outer > 1 and diff < cfg.outer_tol:
-            converged = True
-            break
-    return theta, wres.matrix, {
-        "converged": converged,
-        "outer_iterations": outer,
-        "final_diff": diff,
-        "final_loss": info.loss,
-        "final_grad_norm": info.grad_norm,
-        "inner_iterations": inner_total,
-        "loss_evaluations": evaluations,
-        "inner_stop": tuple(stops),
-        "weight_conditions": tuple(conditions),
-        "weight_pseudo_inverse": pseudo,
-    }
-
-
 def fit(data, system, cfg=None) -> EstimationResult:
     """Iterative GMM fit of ``system`` to ``data`` by the method cfg.method.
 
@@ -453,20 +405,21 @@ def fit(data, system, cfg=None) -> EstimationResult:
       the "paper" variant or the delta-method (G11' Sigma^-1 G11)^-1 under
       the default "corrected" one.
 
-    The loop runs at most cfg.max_outer_iter inner solves: one under the
-    inverse centred covariance S^-1 of the products, which reaches the IGMM
-    fixed point when S has full rank, then the paper's refreshes until one
-    moves theta by less than cfg.outer_tol (normally the first). Only a
-    refresh can confirm convergence, so with max_outer_iter=1 the fit
-    reports converged=False. S^-1 is the one q x q factorization of a fit
-    whose S^-1 is a direct inverse: each refresh is its rank-one update.
-    W in the covariances is the refresh at the final theta.
+    The fit makes one inner solve, under W_c = S^-1, the inverse centred
+    covariance of the products and the fit's one q x q factorization. By
+    Sherman-Morrison its stationary point is the fixed point of the paper's
+    refresh loop (module docstring), so no refresh solve follows. W in the
+    covariances is the paper's refresh at the final theta: the rank-one
+    update of W_c when W_c is a direct inverse. converged is set when the
+    solve stopped on a stationarity test rather than cfg.inner_max_iter and
+    W_c is a direct inverse; a pseudo-inverse W_c (S rank-deficient in the
+    data) returns the solve with converged=False.
 
     The minimizer follows the gradient of the Legendre-approximated loss,
     but G, G11, G21 and G22 in the covariances come from the exact-CDF
     Jacobian (``assemble_gradient(theta, system)``): the covariance targets
     the exact model, so it changes with the CDF order only through theta.
-    That G, like ``compute_sigma``, reads the model point the final refresh
+    That G, like ``compute_sigma``, reads the model point the refresh
     evaluated at cfg.order, so neither evaluates the model again.
     """
     cfg = cfg or FitConfig()
@@ -482,7 +435,10 @@ def fit(data, system, cfg=None) -> EstimationResult:
     rows = system.weighted_rows(one_step)
     compiled = CompiledMoments(data, system, rows)
 
-    theta, W, diag_kw = _igmm_loop(compiled, cfg, _initial_theta(data, system), free_idx)
+    centred = weight_matrix(compiled.cov)
+    theta, info = _minimize(compiled, centred.matrix, _initial_theta(data, system), free_idx, cfg)
+    refreshed = _refresh(compiled, centred, theta, cfg.order)
+    W = refreshed.matrix
 
     G_full = assemble_gradient(theta, system)
     G = G_full[rows]
@@ -508,5 +464,16 @@ def fit(data, system, cfg=None) -> EstimationResult:
             var_r = lam + lam @ gamma @ v_a @ gamma.T @ lam
         var_r = (var_r + var_r.T) / (2.0 * compiled.n)
 
-    diag_kw["wall_time"] = time.perf_counter() - start
+    diag_kw = {
+        "converged": info.stop != STOP_MAX_ITER and not centred.pseudo_inverse,
+        "outer_iterations": 1,
+        "final_loss": info.loss,
+        "final_grad_norm": info.grad_norm,
+        "inner_iterations": info.iterations,
+        "loss_evaluations": info.loss_evaluations,
+        "inner_stop": (info.stop,),
+        "weight_conditions": (centred.condition, refreshed.condition),
+        "weight_pseudo_inverse": centred.pseudo_inverse or refreshed.pseudo_inverse,
+        "wall_time": time.perf_counter() - start,
+    }
     return _result_from_theta(system, cfg, theta, var_r, var_theta, diag_kw)

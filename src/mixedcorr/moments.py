@@ -53,10 +53,10 @@ and z*phi there, the corner coordinates x, y and rho, the Legendre node
 densities at the corners and the corner CDF, each kernel vectorized over
 all bounds or corners. Everything downstream reads that point. The
 minimizer's gradient at an accepted step reads the point its last loss
-evaluation left, and so does the weight refresh at the solution of an
-inner solve that did not end on a rejected step; the exact G and
-``compute_sigma`` of a fit read the point of the final refresh, at the
-fit's order, with no second evaluation (the exact G uses no field that
+evaluation left, and so does the weight refresh at the solution of the
+inner solve when it did not end on a rejected step; the exact G and
+``compute_sigma`` of a fit read the point of that refresh, at the fit's
+order, with no second evaluation (the exact G uses no field that
 depends on the order). From the point come
 
     model pool:    0, 1, phi(bounds), Phi(bounds), corner CDF F(x, y; rho)
@@ -116,7 +116,6 @@ from .normal import (
     legendre_term_grad,
     norm_cdf,
     norm_pdf,
-    zphi,
 )
 
 __all__ = [
@@ -525,9 +524,9 @@ def _point(system, theta_bytes, order):
 
     One point is kept, that of the last theta seen. The minimizer's
     Legendre gradient at an accepted step reuses the point of that step's
-    loss evaluation, the weight refresh the point of an inner solve's
-    solution, and a fit's exact G and ``compute_sigma`` the point of its
-    final refresh. ``order=None`` asks only for the fields that do not
+    loss evaluation, the weight refresh the point of the inner solve's
+    solution, and a fit's exact G and ``compute_sigma`` the point of that
+    refresh. ``order=None`` asks only for the fields that do not
     depend on the order (those the exact G reads): the kept point serves
     whatever its order, and a new theta is evaluated at the default order.
     """
@@ -546,7 +545,9 @@ def _point(system, theta_bytes, order):
     densities = legendre_densities(x, y, rho, order)
     finite = np.where(np.isinf(b), 0.0, b)
     cdf = binorm_cdf_legendre(x, y, rho, order, densities)
-    pt = _Point(b, finite, norm_cdf(b), norm_pdf(b), zphi(b), x, y, rho, densities, cdf)
+    pdf = norm_pdf(b)
+    # phi is exactly 0 at +-inf, where finite holds 0: b phi(b) -> 0 there
+    pt = _Point(b, finite, norm_cdf(b), pdf, finite * pdf, x, y, rho, densities, cdf)
     _last_point = ((system, theta_bytes, order), pt)
     return pt
 

@@ -39,7 +39,6 @@ __all__ = [
     "binorm_cdf_oracle",
     "legendre_densities",
     "legendre_term_grad",
-    "zphi",
 ]
 
 ROOT2PI = np.sqrt(2.0 * np.pi)
@@ -59,14 +58,6 @@ class LegendreOrder(enum.Enum):
 def norm_pdf(z):
     """Standard normal density, elementwise; exactly 0 at +-inf."""
     out = np.exp(-0.5 * np.asarray(z, dtype=float) ** 2) / ROOT2PI
-    return out if out.ndim else float(out)
-
-
-def zphi(z):
-    """z * phi(z), elementwise, with the limit value 0 at +-inf."""
-    z = np.asarray(z, dtype=float)
-    zf = np.where(np.isinf(z), 0.0, z)
-    out = np.where(np.isinf(z), 0.0, zf * np.exp(-0.5 * zf**2) / ROOT2PI)
     return out if out.ndim else float(out)
 
 

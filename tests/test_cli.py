@@ -40,7 +40,7 @@ class TestFitCommand:
         )
         assert code == 0
         report = json.loads(out.read_text())
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
         assert len(report["coefficients"]) == 6
         assert set(report["thresholds"]) == {"X1", "X2"}
         assert len(report["thresholds"]["X1"]) == 1
@@ -342,7 +342,7 @@ class TestFitCommand:
 
         def slow_fit(data, system, cfg):
             return real_fit(data, system, mc.FitConfig(
-                method=cfg.method, max_outer_iter=1, outer_tol=1e-16,
+                method=cfg.method, inner_max_iter=1,
                 order=cfg.order, covariance=cfg.covariance))
 
         monkeypatch.setattr(cli, "fit", slow_fit)

@@ -3,10 +3,10 @@ import pytest
 
 import mixedcorr as mc
 from mixedcorr import estimator, moments
-from mixedcorr.estimator import _igmm_loop, _initial_theta, _minimize, _refresh
+from mixedcorr.estimator import _initial_theta, _minimize, _refresh
 from mixedcorr.moments import CompiledMoments, weight_matrix
 
-from conftest import TRUE1, design1, design2
+from conftest import TRUE1, design1, design2, design243
 
 ONE_STEP = mc.FitConfig(method=mc.ONE_STEP)
 TWO_STEP = mc.FitConfig(method=mc.TWO_STEP)
@@ -323,15 +323,18 @@ class TestErrorPaths:
 
 class TestDiagnostics:
     def test_no_convergence_flagged_not_raised(self, design1_data, four_var_system):
-        cfg = mc.FitConfig(method=mc.TWO_STEP, max_outer_iter=1, outer_tol=1e-16)
+        cfg = mc.FitConfig(method=mc.TWO_STEP, inner_max_iter=1)
         res = mc.fit(design1_data, four_var_system, cfg)
         assert not res.diagnostics.converged
+        assert res.diagnostics.inner_stop == ("max_iter",)
         assert res.diagnostics.outer_iterations == 1
         assert np.all(np.isfinite(res.r_hat.values))
 
-    def test_converged_diff_below_tol(self, design1_data, four_var_system):
-        res = mc.fit(design1_data, four_var_system, TWO_STEP)
-        assert res.diagnostics.final_diff <= mc.FitConfig().outer_tol
+    def test_converged_stop_is_stationary(self, design1_data, four_var_system):
+        for cfg in (TWO_STEP, ONE_STEP):
+            d = mc.fit(design1_data, four_var_system, cfg).diagnostics
+            assert d.converged and not d.weight_pseudo_inverse
+            assert d.inner_stop in (("grad_tol",), ("step_floor",), ("non_descent",))
 
     def test_psd_flag_present(self, design1_data, four_var_system):
         res = mc.fit(design1_data, four_var_system, TWO_STEP)
@@ -358,7 +361,7 @@ class TestDiagnostics:
             assert d.loss_evaluations >= searched + d.outer_iterations
 
     def test_inner_stop_max_iter(self, design1_data, four_var_system):
-        cfg = mc.FitConfig(method=mc.TWO_STEP, max_outer_iter=1, inner_max_iter=1)
+        cfg = mc.FitConfig(method=mc.TWO_STEP, inner_max_iter=1)
         d = mc.fit(design1_data, four_var_system, cfg).diagnostics
         assert d.inner_stop == ("max_iter",)
         assert d.inner_iterations == 1
@@ -389,7 +392,7 @@ class TestModelEvaluations:
     def test_second_order_fit_evaluates_no_third_order_point(self, c2d3_system, method,
                                                              monkeypatch):
         # the exact G reads only order-free fields of the point, so it reuses
-        # the second-order point of the final refresh, and so does compute_sigma
+        # the second-order point of the weight refresh, and so does compute_sigma
         orders = []
         densities = moments.legendre_densities
 
@@ -475,7 +478,7 @@ class TestRankOneRefresh:
             calls.clear()
             d = mc.fit(data, system, cfg).diagnostics
             assert d.converged and not d.weight_pseudo_inverse
-            assert d.outer_iterations == 2
+            assert d.outer_iterations == 1
             assert calls == [system.weighted_rows(method == mc.ONE_STEP).size]
 
     def test_rank_deficient_centred_weight_takes_the_full_refresh(self, c2d3_system,
@@ -508,27 +511,64 @@ class TestRankOneRefresh:
         assert refreshed.pseudo_inverse and refreshed.rank == 1
 
 
+def _paper_loop(compiled, cfg, theta0, free_idx):
+    """The paper's iterative GMM from the identity weight: an inner solve,
+    then the refresh W = Omega_hat(theta)^-1, until a solve under a refresh
+    moves theta by less than 1e-8 (at most 100 solves). Returns theta and
+    whether it stopped on that test."""
+    centred = weight_matrix(compiled.cov)
+    W = np.eye(compiled.a_mean.size)
+    theta = theta0.copy()
+    for solve in range(100):
+        theta_new, _ = _minimize(compiled, W, theta, free_idx, cfg)
+        diff = np.linalg.norm(theta_new[free_idx] - theta[free_idx])
+        theta = theta_new
+        if solve > 0 and diff < 1e-8:
+            return theta, True
+        W = _refresh(compiled, centred, theta, cfg.order).matrix
+    return theta, False
+
+
 class TestCentredStart:
     @pytest.mark.parametrize("method", [mc.TWO_STEP, mc.ONE_STEP])
     @pytest.mark.parametrize("design", [design1, design2], ids=["design1", "design2"])
     def test_fit_reaches_the_paper_fixed_point(self, design, method):
-        # the paper's loop from the identity ends where the fit's centred
-        # solve and confirming refresh end
+        # the paper's loop from the identity ends where the fit's one solve
+        # under the centred weight ends
         cfg = mc.FitConfig(method=method)
         for rep in range(2):
             data = mc.generate(design(), rep)
             system = mc.build_system(data.specs, mc.MAX_SET)
             res = mc.fit(data, system, cfg)
             assert res.diagnostics.converged
-            assert res.diagnostics.outer_iterations <= 3
+            assert res.diagnostics.outer_iterations == 1
             one_step = method == mc.ONE_STEP
             free_idx = np.flatnonzero(system.active) if one_step else system.coef_cols
             compiled = CompiledMoments(data, system, system.weighted_rows(one_step))
-            identity = weight_matrix(np.eye(compiled.a_mean.size))
             theta0 = _initial_theta(data, system)
-            theta, _, diag = _igmm_loop(compiled, cfg, theta0, free_idx, identity)
-            assert diag["converged"]
+            theta, settled = _paper_loop(compiled, cfg, theta0, free_idx)
+            assert settled
             assert np.max(np.abs(theta[system.coef_cols] - res.r_hat.values)) <= 1e-8
+
+
+class TestEmptyCell:
+    @pytest.mark.parametrize("method", [mc.TWO_STEP, mc.ONE_STEP])
+    def test_pseudo_inverse_centred_weight_is_not_converged(self, method):
+        # a design-2/4/3 dataset at n=300 whose (X2=1, X3=3) cell is empty:
+        # S is singular and W_c a pseudo-inverse, so the solve under W_c is
+        # not the IGMM fixed point, yet it stays near pairwise ML
+        data = mc.generate(design243(n=300, replications=300), 136)
+        x2, x3 = data.x[:, 1], data.x[:, 2]
+        assert not np.any((x2 == 1) & (x3 == 3))
+        system = mc.build_system(data.specs, mc.MAX_SET)
+        res = mc.fit(data, system, mc.FitConfig(method=method))
+        d = res.diagnostics
+        assert d.converged is False
+        assert d.weight_pseudo_inverse
+        assert d.outer_iterations == 1
+        for lab, pos in zip(res.coefficients, system.coef_cols - system.n_thr):
+            if lab[0] == "polychoric":
+                assert abs(res.r_hat.values[pos] - mc.ml_pair_oracle(data, lab)) <= 0.1
 
 
 class TestFitConfigValidation:
@@ -538,7 +578,17 @@ class TestFitConfigValidation:
 
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
-            mc.FitConfig(outer_tol=0.0)
+            mc.FitConfig(inner_grad_tol=0.0)
+
+    @pytest.mark.parametrize("order", [3, 2, "third"])
+    def test_order_must_be_a_legendre_order(self, order):
+        with pytest.raises(ValueError):
+            mc.FitConfig(order=order)
+
+    @pytest.mark.parametrize("cap", [2.5, 0, -1, "500"])
+    def test_inner_max_iter_must_be_a_positive_int(self, cap):
+        with pytest.raises(ValueError):
+            mc.FitConfig(inner_max_iter=cap)
 
     def test_bad_covariance(self):
         with pytest.raises(ValueError):

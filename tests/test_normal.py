@@ -16,7 +16,6 @@ from mixedcorr.normal import (
     norm_cdf,
     norm_pdf,
     norm_quantile,
-    zphi,
 )
 
 INV_ROOT2PI = 0.3989422804014327
@@ -40,8 +39,6 @@ class TestNormPdf:
     def test_infinite_argument_is_exactly_zero(self):
         assert norm_pdf(np.inf) == 0.0
         assert norm_pdf(-np.inf) == 0.0
-        assert zphi(np.inf) == 0.0
-        assert zphi(-np.inf) == 0.0
 
 
 class TestNormCdf:

@@ -112,7 +112,7 @@ class TestRunStudy:
             n=150,
             replications=2,
             seed=11,
-            fit=mc.FitConfig(max_outer_iter=1, outer_tol=1e-16),
+            fit=mc.FitConfig(inner_max_iter=1),
         )
         with pytest.raises(AllReplicationsFailed):
             mc.run_study(bad, workers=1)
