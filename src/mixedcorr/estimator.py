@@ -12,18 +12,17 @@ W_c = S^-1, G'Omega_hat^-1 m = G'W_c m / (1 + m'W_c m), so a stationary
 point of the loss under W_c is already the loop's fixed point (Hansen,
 Heaton & Yaron 1996: the fixed point is the continuously updated
 estimator). ``fit`` therefore makes one quasi-Newton solve under W_c, the
-fit's one q x q factorization, and takes the covariance's W from the
-paper's refresh at the solution: the rank-one update W_c - u u'/(1 + m'u),
-u = W_c m, in O(q^2) (Sherman & Morrison 1950), or, when W_c is a
-pseudo-inverse or the update's 1-norm condition fails the direct-inverse
-test, Omega_hat inverted anew. Where S is rank-deficient in the data (an
-empty cell, say) W_c is a pseudo-inverse, the argument fails, and the fit
-returns its one solve with converged=False. The one-step method moves
-thresholds and correlations jointly; the two-step method solves the
-thresholds in closed form from the marginal frequencies, freezes them, and
-iterates on the correlation vector only, with a threshold-variability
-correction added to its asymptotic covariance. ``fit`` takes the method
-from its FitConfig.
+fit's one q x q factorization, and reports the covariance of that solve:
+the GMM sandwich (G'W_cG)^-1 G'W_c S W_c G (G'W_cG)^-1 / n, which reduces
+to (G'W_cG)^-1 / n since W_c S W_c = W_c (Hall 2000 argues for the centred
+moment covariance in GMM inference). Where S is rank-deficient in the data
+(an empty cell, say) W_c is a pseudo-inverse, the fixed-point argument
+fails, and the fit returns its one solve with converged=False. The
+one-step method moves thresholds and correlations jointly; the two-step
+method solves the thresholds in closed form from the marginal frequencies,
+freezes them, and iterates on the correlation vector only, with a
+threshold-variability correction added to its asymptotic covariance.
+``fit`` takes the method from its FitConfig.
 """
 
 from __future__ import annotations
@@ -37,11 +36,9 @@ from .errors import EmptyCategory, LineSearchFailure, NonFiniteLoss
 from .model import CorrelationParams, ThresholdSet, coefficient_variables
 from .moments import (
     CUSTOM,
-    EIG_FLOOR,
     MAX_SET,
     MIN_SET,
     CompiledMoments,
-    WeightMatrix,
     assemble_gradient,
     compute_sigma,
     weight_matrix,
@@ -115,16 +112,13 @@ class Diagnostics:
     the fixed point; it stays so the counts of a trace keep their meaning.
     inner_stop holds the solve's STOP_* reason, final_loss and
     final_grad_norm the loss under W_c and its max |gradient| where it
-    stopped. weight_conditions holds the condition number of W_c, then of
-    the refresh at the final theta: the 1-norm condition |Omega|_1 |W|_1 of
-    a direct inverse, the ratio of the extreme eigenvalues where
-    ``weight_matrix`` fell back to its eigendecomposition. A refresh by the
-    rank-one update of a direct W_c reports cond_1(S + m m') =
-    |S + m m'|_1 |W|_1 with the updated W, the number a direct inversion of
-    Omega_hat would report up to rounding. weight_pseudo_inverse is set
-    when one of those weights dropped a direction under the eigenvalue
-    floor. loss_evaluations counts every evaluation of the GMM loss in the
-    fit.
+    stopped. weight_conditions holds one condition number per solve,
+    parallel to inner_stop: that of W_c, the 1-norm condition
+    |S|_1 |W_c|_1 of a direct inverse or the ratio of the extreme
+    eigenvalues where ``weight_matrix`` fell back to its eigendecomposition.
+    weight_pseudo_inverse is set when W_c dropped a direction under the
+    eigenvalue floor. loss_evaluations counts every evaluation of the GMM
+    loss in the fit.
     """
 
     converged: bool
@@ -359,31 +353,6 @@ def _result_from_theta(system, cfg, theta, var_r_active, var_theta_active, diag_
     )
 
 
-def _refresh(compiled, centred, theta, order):
-    """The paper's refresh W = Omega_hat(theta)^-1, Omega_hat = S + m m'.
-
-    When the centred weight ``centred`` is a direct inverse W_c = S^-1, W
-    is its Sherman-Morrison rank-one update W_c - u u'/(1 + m'u) with
-    u = W_c m: O(q^2), no factorization. It is kept when its 1-norm
-    condition |S + m m'|_1 |W|_1 passes the test ``weight_matrix`` puts to
-    a direct inverse, and ``condition`` is that cond_1. Otherwise, and
-    when W_c is a pseudo-inverse (S rank-deficient), ``weight_matrix``
-    inverts Omega_hat anew.
-    """
-    m = compiled.residual(theta, order)
-    omega = np.outer(m, m)
-    omega += compiled.cov
-    if not centred.pseudo_inverse:
-        u = centred.matrix @ m
-        W = np.outer(u, u)
-        W /= -(1.0 + float(m @ u))
-        W += centred.matrix
-        cond = float(np.linalg.norm(omega, 1) * np.linalg.norm(W, 1))
-        if cond < 1.0 / EIG_FLOOR:
-            return WeightMatrix(matrix=W, condition=cond, pseudo_inverse=False, rank=m.size)
-    return weight_matrix(omega)
-
-
 def fit(data, system, cfg=None) -> EstimationResult:
     """Iterative GMM fit of ``system`` to ``data`` by the method cfg.method.
 
@@ -393,11 +362,11 @@ def fit(data, system, cfg=None) -> EstimationResult:
     the Pearson correlations of the coded data. The method fixes which
     parameters move, which moment rows W weights, and the covariance:
 
-    - one-step: thresholds and correlations move jointly, W = (E_n[uu'])^-1
+    - one-step: thresholds and correlations move jointly, W = (Cov_n u)^-1
       weights every row but the polychoric cells the threshold rows imply,
       and Var(theta) = (G'WG)^-1 / n at the final iterate.
     - two-step: the thresholds stay frozen, the correlations move under the
-      gradient block G22 and W = (E_n[gg'])^-1 over the correlation rows
+      gradient block G22 and W = (Cov_n g)^-1 over the correlation rows
       but the polychoric cells that repeat an ordinal's margin.
       Var(R_hat) = (Lambda + Lambda Gamma V_a Gamma' Lambda) / n with
       Lambda = (G22' W G22)^-1 and Gamma = G22' W G21; V_a, the threshold
@@ -409,8 +378,8 @@ def fit(data, system, cfg=None) -> EstimationResult:
     covariance of the products and the fit's one q x q factorization. By
     Sherman-Morrison its stationary point is the fixed point of the paper's
     refresh loop (module docstring), so no refresh solve follows. W in the
-    covariances is the paper's refresh at the final theta: the rank-one
-    update of W_c when W_c is a direct inverse. converged is set when the
+    covariances is W_c, the weight the solve ran under, so they are the
+    sandwich of the estimator the fit computes. converged is set when the
     solve stopped on a stationarity test rather than cfg.inner_max_iter and
     W_c is a direct inverse; a pseudo-inverse W_c (S rank-deficient in the
     data) returns the solve with converged=False.
@@ -419,8 +388,10 @@ def fit(data, system, cfg=None) -> EstimationResult:
     but G, G11, G21 and G22 in the covariances come from the exact-CDF
     Jacobian (``assemble_gradient(theta, system)``): the covariance targets
     the exact model, so it changes with the CDF order only through theta.
-    That G, like ``compute_sigma``, reads the model point the refresh
-    evaluated at cfg.order, so neither evaluates the model again.
+    That G reads the model point at the solution, which the solve's last
+    loss evaluation left at cfg.order unless the solve ended on a rejected
+    trial step; then it evaluates one at the order of the point kept
+    (``moments._point``), and ``compute_sigma`` reads that point.
     """
     cfg = cfg or FitConfig()
     if (data.names, data.s, data.c) != (system.names, system.s, system.c):
@@ -436,15 +407,15 @@ def fit(data, system, cfg=None) -> EstimationResult:
     compiled = CompiledMoments(data, system, rows)
 
     centred = weight_matrix(compiled.cov)
-    theta, info = _minimize(compiled, centred.matrix, _initial_theta(data, system), free_idx, cfg)
-    refreshed = _refresh(compiled, centred, theta, cfg.order)
-    W = refreshed.matrix
+    W = centred.matrix
+    theta, info = _minimize(compiled, W, _initial_theta(data, system), free_idx, cfg)
 
     G_full = assemble_gradient(theta, system)
     G = G_full[rows]
     G_free = G[:, free_idx]
+    GW = G_free.T @ W
     # (G'WG)^-1 on the free columns and weighted rows; Lambda under two-step
-    lam = np.linalg.inv(G_free.T @ W @ G_free)
+    lam = np.linalg.inv(GW @ G_free)
     if one_step:
         var_theta = lam / compiled.n
         var_theta = (var_theta + var_theta.T) / 2.0
@@ -456,7 +427,7 @@ def fit(data, system, cfg=None) -> EstimationResult:
             G21 = G[:, system.thr_cols]
             G11 = G_full[: system.q_h][:, system.thr_cols]
             sigma = compute_sigma(theta, system, cfg.order)
-            gamma = G_free.T @ W @ G21
+            gamma = GW @ G21
             if cfg.covariance == COV_PAPER:
                 v_a = sigma
             else:
@@ -472,8 +443,8 @@ def fit(data, system, cfg=None) -> EstimationResult:
         "inner_iterations": info.iterations,
         "loss_evaluations": info.loss_evaluations,
         "inner_stop": (info.stop,),
-        "weight_conditions": (centred.condition, refreshed.condition),
-        "weight_pseudo_inverse": centred.pseudo_inverse or refreshed.pseudo_inverse,
+        "weight_conditions": (centred.condition,),
+        "weight_pseudo_inverse": centred.pseudo_inverse,
         "wall_time": time.perf_counter() - start,
     }
     return _result_from_theta(system, cfg, theta, var_r, var_theta, diag_kw)

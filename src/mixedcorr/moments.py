@@ -53,11 +53,12 @@ and z*phi there, the corner coordinates x, y and rho, the Legendre node
 densities at the corners and the corner CDF, each kernel vectorized over
 all bounds or corners. Everything downstream reads that point. The
 minimizer's gradient at an accepted step reads the point its last loss
-evaluation left, and so does the weight refresh at the solution of the
-inner solve when it did not end on a rejected step; the exact G and
-``compute_sigma`` of a fit read the point of that refresh, at the fit's
-order, with no second evaluation (the exact G uses no field that
-depends on the order). From the point come
+evaluation left, and so do the exact G and ``compute_sigma`` of a fit at
+the solution of its inner solve, with no second evaluation (the exact G
+uses no field that depends on the order). When the solve ended on a
+rejected trial step, the exact G evaluates the solution at the order of
+the point kept, the fit's order, and ``compute_sigma`` reads that point.
+From the point come
 
     model pool:    0, 1, phi(bounds), Phi(bounds), corner CDF F(x, y; rho)
     gradient pool: 0, 1, phi(bounds), z*phi(bounds),
@@ -524,18 +525,20 @@ def _point(system, theta_bytes, order):
 
     One point is kept, that of the last theta seen. The minimizer's
     Legendre gradient at an accepted step reuses the point of that step's
-    loss evaluation, the weight refresh the point of the inner solve's
-    solution, and a fit's exact G and ``compute_sigma`` the point of that
-    refresh. ``order=None`` asks only for the fields that do not
-    depend on the order (those the exact G reads): the kept point serves
-    whatever its order, and a new theta is evaluated at the default order.
+    loss evaluation, and a fit's exact G and ``compute_sigma`` the point at
+    the inner solve's solution. ``order=None`` asks only for the fields
+    that do not depend on the order (those the exact G reads): the kept
+    point serves whatever its order, and a new theta is evaluated at the
+    kept point's order (THIRD when none is kept), so that the exact G of a
+    fit leaves ``compute_sigma`` a point at the fit's order.
     """
     global _last_point
+    kept_order = LegendreOrder.THIRD
     if _last_point is not None:
         (kept_system, kept_bytes, kept_order), pt = _last_point
         if kept_system is system and kept_bytes == theta_bytes and order in (None, kept_order):
             return pt
-    order = order or LegendreOrder.THIRD
+    order = order or kept_order
     theta = np.frombuffer(theta_bytes, dtype=float)
     t = system._tables
     b = np.concatenate(([-np.inf, np.inf], theta[: system.n_thr]))[t.bound_src]
@@ -640,8 +643,8 @@ def assemble_gradient(theta, system, order=None) -> np.ndarray:
     """
     theta = _theta_array(theta, system)
     t = system._tables
-    # the exact kind reads only order-free fields: the point a fit's final
-    # refresh left serves whatever its order
+    # the exact kind reads only order-free fields: the point a fit's solve
+    # left at its solution serves whatever its order
     pt = _point(system, theta.tobytes(), order)
     xf, yf = pt.finite[t.corner_x], pt.finite[t.corner_y]
     if order is None:
@@ -697,8 +700,7 @@ class CompiledMoments:
     """Dataset-dependent pieces of the moment system, precomputed once.
 
     Covers the retained rows ``rows`` selects (all by default; a fit passes
-    ``system.weighted_rows``): ``m``, ``residual`` and ``omega`` return
-    those rows only.
+    ``system.weighted_rows``): ``m`` and ``omega`` return those rows only.
     With m(theta) = a_mean - b(theta), the moment covariance is
     Omega_hat(theta) = E_n[(a - b)(a - b)'] = cov + m m', where cov is the
     centred covariance of the data products. Both a_mean and cov are data
@@ -722,12 +724,8 @@ class CompiledMoments:
     def m(self, theta, order=LegendreOrder.THIRD):
         return self.a_mean - model_terms(theta, self.system, order)[self.rows]
 
-    # m(theta) for the weight refresh: calls of ``m`` are the loss
-    # evaluations a trace counts, and this name stays unwrapped
-    residual = m
-
     def omega(self, theta, order=LegendreOrder.THIRD):
-        m = self.residual(theta, order)
+        m = self.m(theta, order)
         out = np.outer(m, m)
         out += self.cov
         return out

@@ -40,7 +40,7 @@ class TestFitCommand:
         )
         assert code == 0
         report = json.loads(out.read_text())
-        assert report["schema_version"] == 2
+        assert report["schema_version"] == 3
         assert len(report["coefficients"]) == 6
         assert set(report["thresholds"]) == {"X1", "X2"}
         assert len(report["thresholds"]["X1"]) == 1
@@ -332,6 +332,7 @@ class TestFitCommand:
         assert _run(argv) == 0
         diag = json.loads(out.read_text())["diagnostics"]
         assert len(diag["inner_stop"]) == diag["outer_iterations"]
+        assert len(diag["weight_conditions"]) == diag["outer_iterations"]
         assert set(diag["inner_stop"]) <= {"grad_tol", "step_floor", "max_iter", "non_descent"}
         assert isinstance(diag["loss_evaluations"], int)
         assert diag["loss_evaluations"] >= diag["outer_iterations"]

@@ -3,7 +3,7 @@ import pytest
 
 import mixedcorr as mc
 from mixedcorr import estimator, moments
-from mixedcorr.estimator import _initial_theta, _minimize, _refresh
+from mixedcorr.estimator import _initial_theta, _minimize
 from mixedcorr.moments import CompiledMoments, weight_matrix
 
 from conftest import TRUE1, design1, design2, design243
@@ -354,6 +354,7 @@ class TestDiagnostics:
         for method in (mc.TWO_STEP, mc.ONE_STEP):
             d = mc.fit(design1_data, four_var_system, mc.FitConfig(method=method)).diagnostics
             assert len(d.inner_stop) == d.outer_iterations
+            assert len(d.weight_conditions) == d.outer_iterations
             assert set(d.inner_stop) <= {"grad_tol", "step_floor", "max_iter", "non_descent"}
             # each inner solve evaluates its start, and every iteration that
             # does not stop on a non-descent direction at least one trial point
@@ -370,9 +371,10 @@ class TestDiagnostics:
 class TestModelEvaluations:
     @pytest.mark.parametrize("method", [mc.TWO_STEP, mc.ONE_STEP])
     def test_one_density_evaluation_per_theta(self, c2d3_system, method, monkeypatch):
-        # only a loss evaluation or a weight refresh at a new theta evaluates
-        # the model; the gradient at an accepted step, the exact G and
-        # compute_sigma reuse the evaluation at their theta (default order)
+        # only a loss evaluation at a new theta, or the exact G at a solution
+        # the solve's last loss evaluation did not leave, evaluates the model;
+        # the gradient at an accepted step, the exact G and compute_sigma
+        # reuse the evaluation at their theta (default order)
         calls = []
         densities = moments.legendre_densities
 
@@ -392,7 +394,9 @@ class TestModelEvaluations:
     def test_second_order_fit_evaluates_no_third_order_point(self, c2d3_system, method,
                                                              monkeypatch):
         # the exact G reads only order-free fields of the point, so it reuses
-        # the second-order point of the weight refresh, and so does compute_sigma
+        # the second-order point at the solution, and so does compute_sigma;
+        # where the solve ended on a rejected trial step (design-2 rep 2), the
+        # exact G evaluates the solution at the kept point's second order
         orders = []
         densities = moments.legendre_densities
 
@@ -402,7 +406,7 @@ class TestModelEvaluations:
 
         monkeypatch.setattr(moments, "legendre_densities", recorded)
         cfg = mc.FitConfig(method=method, order=mc.LegendreOrder.SECOND)
-        for rep in range(2):
+        for rep in range(3):
             d = mc.fit(mc.generate(design2(), rep), c2d3_system, cfg).diagnostics
             assert d.converged
         assert orders and set(orders) == {mc.LegendreOrder.SECOND}
@@ -424,37 +428,15 @@ def _wide_design():
     )
 
 
-class _StubMoments:
-    """The two fields of CompiledMoments a refresh reads."""
-
-    def __init__(self, cov, m):
-        self.cov = cov
-        self._m = m
-
-    def residual(self, theta, order):
-        return self._m
+def _empty_cell_data():
+    """A design-2/4/3 dataset at n=300 whose (X2=1, X3=3) cell is empty."""
+    return mc.generate(design243(n=300, replications=300), 136)
 
 
 class TestRankOneRefresh:
-    @pytest.mark.parametrize("method", [mc.TWO_STEP, mc.ONE_STEP])
-    @pytest.mark.parametrize("design", [design1, design2], ids=["design1", "design2"])
-    def test_equals_the_full_refresh(self, design, method):
-        data = mc.generate(design(), 0)
-        system = mc.build_system(data.specs, mc.MAX_SET)
-        compiled = CompiledMoments(data, system, system.weighted_rows(method == mc.ONE_STEP))
-        centred = weight_matrix(compiled.cov)
-        assert not centred.pseudo_inverse
-        # the starting point is off the optimum: the rank-one term matters
-        theta = _initial_theta(data, system)
-        order = mc.LegendreOrder.THIRD
-        update = _refresh(compiled, centred, theta, order)
-        full = weight_matrix(compiled.omega(theta, order))
-        scale = np.max(np.abs(full.matrix))
-        assert np.max(np.abs(full.matrix - centred.matrix)) > 1e-3 * scale
-        assert np.max(np.abs(update.matrix - full.matrix)) <= 1e-10 * scale
-        assert np.array_equal(update.matrix, update.matrix.T)
-        assert update.condition == pytest.approx(full.condition, rel=1e-10)
-        assert (update.pseudo_inverse, update.rank) == (False, full.rank)
+    """The centred weight W_c = S^-1, whose stationary point the paper's
+    rank-one refresh W_c - u u'/(1 + m'u) would not move, is the fit's one
+    factorization and the W of its covariance."""
 
     def _count_weight_matrix(self, monkeypatch):
         calls = []
@@ -468,47 +450,38 @@ class TestRankOneRefresh:
         return calls
 
     @pytest.mark.parametrize("method", [mc.TWO_STEP, mc.ONE_STEP])
-    def test_one_factorization_per_fit(self, c2d3_system, method, monkeypatch):
+    def test_one_factorization_per_fit(self, method, monkeypatch):
         calls = self._count_weight_matrix(monkeypatch)
         cfg = mc.FitConfig(method=method)
-        fits = [(mc.generate(design2(), rep), c2d3_system) for rep in range(2)]
-        wide = mc.generate(_wide_design(), 0)
-        fits.append((wide, mc.build_system(wide.specs, mc.MAX_SET)))
-        for data, system in fits:
+        fits = [(mc.generate(design2(), rep), False) for rep in range(2)]
+        fits.append((mc.generate(_wide_design(), 0), False))
+        # an empty cell makes W_c a pseudo-inverse, still one weight_matrix call
+        fits.append((_empty_cell_data(), True))
+        for data, pseudo in fits:
+            system = mc.build_system(data.specs, mc.MAX_SET)
             calls.clear()
             d = mc.fit(data, system, cfg).diagnostics
-            assert d.converged and not d.weight_pseudo_inverse
+            assert d.weight_pseudo_inverse is pseudo and d.converged is not pseudo
             assert d.outer_iterations == 1
             assert calls == [system.weighted_rows(method == mc.ONE_STEP).size]
 
-    def test_rank_deficient_centred_weight_takes_the_full_refresh(self, c2d3_system,
-                                                                 monkeypatch):
-        # over every retained row the products hold exact linear dependences,
-        # so S is singular and W_c a pseudo-inverse
-        data = mc.generate(design2(), 0)
-        compiled = CompiledMoments(data, c2d3_system)
-        centred = weight_matrix(compiled.cov)
-        assert centred.pseudo_inverse
-        theta = _initial_theta(data, c2d3_system)
-        order = mc.LegendreOrder.THIRD
-        full = weight_matrix(compiled.omega(theta, order))
-        calls = self._count_weight_matrix(monkeypatch)
-        refreshed = _refresh(compiled, centred, theta, order)
-        assert len(calls) == 1
-        assert refreshed.pseudo_inverse and refreshed.rank == full.rank
-        assert np.array_equal(refreshed.matrix, full.matrix)
-        assert refreshed.condition == full.condition
-
-    def test_ill_conditioned_update_takes_the_full_refresh(self, monkeypatch):
-        # S = diag(1, 1e-9) has a direct inverse, but S + m m' with m = (1e3, 0)
-        # has cond_1 ~ 1e15, past the 1/EIG_FLOOR a direct inverse may have
-        stub = _StubMoments(np.diag([1.0, 1e-9]), np.array([1e3, 0.0]))
-        centred = weight_matrix(stub.cov)
-        assert not centred.pseudo_inverse
-        calls = self._count_weight_matrix(monkeypatch)
-        refreshed = _refresh(stub, centred, None, mc.LegendreOrder.THIRD)
-        assert len(calls) == 1
-        assert refreshed.pseudo_inverse and refreshed.rank == 1
+    @pytest.mark.parametrize("dataset", ["design2", "empty_cell"])
+    def test_one_step_covariance_is_the_centred_sandwich(self, dataset):
+        # Var(theta) is the GMM sandwich of the solve under W_c, direct or
+        # pseudo-inverse: (G'W_cG)^-1 G'W_c S W_c G (G'W_cG)^-1 / n
+        data = mc.generate(design2(), 0) if dataset == "design2" else _empty_cell_data()
+        system = mc.build_system(data.specs, mc.MAX_SET)
+        res = mc.fit(data, system, ONE_STEP)
+        rows = system.weighted_rows(True)
+        compiled = CompiledMoments(data, system, rows)
+        W = weight_matrix(compiled.cov).matrix
+        theta = np.concatenate([res.a_hat.to_array(), res.r_hat.values])
+        free = np.flatnonzero(system.active)
+        G = moments.assemble_gradient(theta, system)[rows][:, free]
+        bread = np.linalg.inv(G.T @ W @ G)
+        sandwich = bread @ G.T @ W @ compiled.cov @ W @ G @ bread / compiled.n
+        var_theta = res.var_theta[np.ix_(free, free)]
+        assert np.max(np.abs(var_theta - sandwich)) <= 1e-10 * np.max(np.abs(sandwich))
 
 
 def _paper_loop(compiled, cfg, theta0, free_idx):
@@ -516,7 +489,6 @@ def _paper_loop(compiled, cfg, theta0, free_idx):
     then the refresh W = Omega_hat(theta)^-1, until a solve under a refresh
     moves theta by less than 1e-8 (at most 100 solves). Returns theta and
     whether it stopped on that test."""
-    centred = weight_matrix(compiled.cov)
     W = np.eye(compiled.a_mean.size)
     theta = theta0.copy()
     for solve in range(100):
@@ -525,7 +497,7 @@ def _paper_loop(compiled, cfg, theta0, free_idx):
         theta = theta_new
         if solve > 0 and diff < 1e-8:
             return theta, True
-        W = _refresh(compiled, centred, theta, cfg.order).matrix
+        W = weight_matrix(compiled.omega(theta, cfg.order)).matrix
     return theta, False
 
 
@@ -557,7 +529,7 @@ class TestEmptyCell:
         # a design-2/4/3 dataset at n=300 whose (X2=1, X3=3) cell is empty:
         # S is singular and W_c a pseudo-inverse, so the solve under W_c is
         # not the IGMM fixed point, yet it stays near pairwise ML
-        data = mc.generate(design243(n=300, replications=300), 136)
+        data = _empty_cell_data()
         x2, x3 = data.x[:, 1], data.x[:, 2]
         assert not np.any((x2 == 1) & (x3 == 3))
         system = mc.build_system(data.specs, mc.MAX_SET)
