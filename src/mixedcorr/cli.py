@@ -54,11 +54,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma list of ordinal columns as name:categories or name (inferred)",
     )
     p_fit.add_argument("--method", choices=["two-step", "one-step"], default=FitConfig.method)
-    p_fit.add_argument("--system", choices=["max", "min"], default=FitConfig.system_mode)
+    # no default, so that --pairs can reject any --system given with it
+    p_fit.add_argument("--system", choices=["max", "min"])
     p_fit.add_argument(
         "--pairs",
         default=None,
-        help="restrict to coefficients, e.g. 'Y1:X2,X1:X2' (implies a custom system)",
+        help="restrict to coefficients, e.g. 'Y1:X2,X1:X2' (a custom system: no --system)",
     )
     p_fit.add_argument("--legendre", type=int, choices=[2, 3], default=FitConfig.order.value)
     p_fit.add_argument("--cov", choices=["paper", "corrected"], default=FitConfig.covariance)
@@ -322,6 +323,8 @@ def cmd_fit(args) -> int:
         raise _InputError("--continuous and --ordinal must name at least two columns")
     if len(set(names)) != len(names):
         raise _InputError("column sets must be disjoint")
+    if args.pairs and args.system:
+        raise _InputError("--pairs selects a custom system: drop --system")
     # before the CSV is read, so that a report path in a missing directory
     # costs no fit
     if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
@@ -339,7 +342,7 @@ def cmd_fit(args) -> int:
     if args.pairs:
         system = build_system(specs, CUSTOM, pairs=_parse_pairs(args.pairs, names, len(continuous)))
     else:
-        system = build_system(specs, args.system)
+        system = build_system(specs, args.system or FitConfig.system_mode)
 
     cfg = FitConfig(
         method=args.method,

@@ -49,6 +49,11 @@ class DegenerateWeight(MixedCorrError):
     """Moment covariance rank below half the retained equation count."""
 
 
+class SingularCovariance(MixedCorrError):
+    """The asymptotic covariance of a fit does not exist: a matrix it
+    inverts, such as G'WG, is singular at the solution."""
+
+
 class LineSearchFailure(MixedCorrError):
     """Backtracking line search found no decreasing step."""
 

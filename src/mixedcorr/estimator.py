@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyCategory, LineSearchFailure, NonFiniteLoss
+from .errors import EmptyCategory, LineSearchFailure, NonFiniteLoss, SingularCovariance
 from .model import CorrelationParams, ThresholdSet, coefficient_variables
 from .moments import (
     CUSTOM,
@@ -388,10 +388,9 @@ def fit(data, system, cfg=None) -> EstimationResult:
     but G, G11, G21 and G22 in the covariances come from the exact-CDF
     Jacobian (``assemble_gradient(theta, system)``): the covariance targets
     the exact model, so it changes with the CDF order only through theta.
-    That G reads the model point at the solution, which the solve's last
-    loss evaluation left at cfg.order unless the solve ended on a rejected
-    trial step; then it evaluates one at the order of the point kept
-    (``moments._point``), and ``compute_sigma`` reads that point.
+    Where G'WG (or, under the corrected variant, G11' Sigma^-1 G11) is
+    singular at the solution, the covariance does not exist and the fit
+    raises SingularCovariance.
     """
     cfg = cfg or FitConfig()
     if (data.names, data.s, data.c) != (system.names, system.s, system.c):
@@ -414,26 +413,29 @@ def fit(data, system, cfg=None) -> EstimationResult:
     G = G_full[rows]
     G_free = G[:, free_idx]
     GW = G_free.T @ W
-    # (G'WG)^-1 on the free columns and weighted rows; Lambda under two-step
-    lam = np.linalg.inv(GW @ G_free)
-    if one_step:
-        var_theta = lam / compiled.n
-        var_theta = (var_theta + var_theta.T) / 2.0
-        coef_in_free = np.searchsorted(free_idx, system.coef_cols)
-        var_r = var_theta[np.ix_(coef_in_free, coef_in_free)]
-    else:
-        var_theta, var_r = None, lam
-        if system.thr_cols.size:
-            G21 = G[:, system.thr_cols]
-            G11 = G_full[: system.q_h][:, system.thr_cols]
-            sigma = compute_sigma(theta, system, cfg.order)
-            gamma = GW @ G21
-            if cfg.covariance == COV_PAPER:
-                v_a = sigma
-            else:
-                v_a = np.linalg.inv(G11.T @ np.linalg.inv(sigma) @ G11)
-            var_r = lam + lam @ gamma @ v_a @ gamma.T @ lam
-        var_r = (var_r + var_r.T) / (2.0 * compiled.n)
+    try:
+        # (G'WG)^-1 on the free columns and weighted rows; Lambda under two-step
+        lam = np.linalg.inv(GW @ G_free)
+        if one_step:
+            var_theta = lam / compiled.n
+            var_theta = (var_theta + var_theta.T) / 2.0
+            coef_in_free = np.searchsorted(free_idx, system.coef_cols)
+            var_r = var_theta[np.ix_(coef_in_free, coef_in_free)]
+        else:
+            var_theta, var_r = None, lam
+            if system.thr_cols.size:
+                G21 = G[:, system.thr_cols]
+                G11 = G_full[: system.q_h][:, system.thr_cols]
+                sigma = compute_sigma(theta, system, cfg.order)
+                gamma = GW @ G21
+                if cfg.covariance == COV_PAPER:
+                    v_a = sigma
+                else:
+                    v_a = np.linalg.inv(G11.T @ np.linalg.inv(sigma) @ G11)
+                var_r = lam + lam @ gamma @ v_a @ gamma.T @ lam
+            var_r = (var_r + var_r.T) / (2.0 * compiled.n)
+    except np.linalg.LinAlgError as exc:
+        raise SingularCovariance(f"the {cfg.method} covariance is singular: {exc}") from exc
 
     diag_kw = {
         "converged": info.stop != STOP_MAX_ITER and not centred.pseudo_inverse,

@@ -47,18 +47,17 @@ the cut points of every ordinal with their -inf/+inf ends; the corners are
 the bound pairs (b_lo[k], b_hi[l]) of every pair of included ordinals,
 with the pair's polychoric rho or 0 where the system has none.
 
-Per theta and Legendre order the model is evaluated once, into a point
-memoized for the last theta seen: the bounds, their finite copy, Phi, phi
-and z*phi there, the corner coordinates x, y and rho, the Legendre node
-densities at the corners and the corner CDF, each kernel vectorized over
-all bounds or corners. Everything downstream reads that point. The
-minimizer's gradient at an accepted step reads the point its last loss
-evaluation left, and so do the exact G and ``compute_sigma`` of a fit at
-the solution of its inner solve, with no second evaluation (the exact G
-uses no field that depends on the order). When the solve ended on a
-rejected trial step, the exact G evaluates the solution at the order of
-the point kept, the fit's order, and ``compute_sigma`` reads that point.
-From the point come
+The model at one theta has fields that do not depend on the Legendre order
+(``_bounds``: the finite bounds, Phi, phi and z*phi there, the corner
+coordinates x, y and rho) and the Legendre fields at one order (the node
+densities at the corners and the corner CDF). ``_point`` memoizes both for
+the last (theta, order) seen, each kernel vectorized over all bounds or
+corners. The minimizer's gradient at an accepted step reads the point its
+last loss evaluation left, and ``compute_sigma`` the point at a fit's
+solution, evaluated anew only when the solve's last loss evaluation was a
+rejected trial step. The exact kinds (the exact G and the exact-CDF
+moments) read only ``_bounds`` and evaluate no Legendre densities. From
+the point come
 
     model pool:    0, 1, phi(bounds), Phi(bounds), corner CDF F(x, y; rho)
     gradient pool: 0, 1, phi(bounds), z*phi(bounds),
@@ -93,6 +92,7 @@ that both are one scatter over the same tables:
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -501,58 +501,45 @@ def _theta_array(theta, system):
     return arr
 
 
-class _Point(NamedTuple):
-    """The model at one theta and Legendre order: everything the model pool,
-    both gradient kinds and ``compute_sigma`` read (module docstring)."""
+class _Bounds(NamedTuple):
+    """The fields of the model at one theta that do not depend on the
+    Legendre order: all the exact kinds read (module docstring)."""
 
-    b: np.ndarray  # bounds
-    finite: np.ndarray  # b with +-inf replaced by 0
-    cdf: np.ndarray  # Phi(b)
-    pdf: np.ndarray  # phi(b)
-    zphi: np.ndarray  # b phi(b)
+    finite: np.ndarray  # bounds with +-inf replaced by 0
+    cdf: np.ndarray  # Phi(bounds)
+    pdf: np.ndarray  # phi(bounds)
+    zphi: np.ndarray  # bounds * phi(bounds)
     x: np.ndarray  # corner coordinate on the lower-indexed ordinal
     y: np.ndarray  # corner coordinate on the higher-indexed ordinal
     rho: np.ndarray  # correlation of the corner's pair, 0 if none
-    densities: np.ndarray  # legendre_densities at the corners
-    corners: np.ndarray  # Legendre corner CDF F(x, y; rho)
 
 
-_last_point = None  # ((system, theta bytes, order), _Point) of the last theta seen
+# the fields of _Bounds, then the Legendre node densities at the corners and
+# the Legendre corner CDF F(x, y; rho) at one order
+_Point = NamedTuple(
+    "_Point", [(f, np.ndarray) for f in _Bounds._fields + ("densities", "corners")]
+)
 
 
-def _point(system, theta_bytes, order):
-    """The model at the theta whose bytes are ``theta_bytes``, for ``order``.
-
-    One point is kept, that of the last theta seen. The minimizer's
-    Legendre gradient at an accepted step reuses the point of that step's
-    loss evaluation, and a fit's exact G and ``compute_sigma`` the point at
-    the inner solve's solution. ``order=None`` asks only for the fields
-    that do not depend on the order (those the exact G reads): the kept
-    point serves whatever its order, and a new theta is evaluated at the
-    kept point's order (THIRD when none is kept), so that the exact G of a
-    fit leaves ``compute_sigma`` a point at the fit's order.
-    """
-    global _last_point
-    kept_order = LegendreOrder.THIRD
-    if _last_point is not None:
-        (kept_system, kept_bytes, kept_order), pt = _last_point
-        if kept_system is system and kept_bytes == theta_bytes and order in (None, kept_order):
-            return pt
-    order = order or kept_order
-    theta = np.frombuffer(theta_bytes, dtype=float)
+def _bounds(system, theta):
+    """The order-free fields of the model at ``theta``."""
     t = system._tables
     b = np.concatenate(([-np.inf, np.inf], theta[: system.n_thr]))[t.bound_src]
-    x, y = b[t.corner_x], b[t.corner_y]
     # the appended 0 is the correlation of pairs without a coefficient
     rho = np.append(theta, 0.0)[t.corner_rho]
-    densities = legendre_densities(x, y, rho, order)
     finite = np.where(np.isinf(b), 0.0, b)
-    cdf = binorm_cdf_legendre(x, y, rho, order, densities)
     pdf = norm_pdf(b)
     # phi is exactly 0 at +-inf, where finite holds 0: b phi(b) -> 0 there
-    pt = _Point(b, finite, norm_cdf(b), pdf, finite * pdf, x, y, rho, densities, cdf)
-    _last_point = ((system, theta_bytes, order), pt)
-    return pt
+    return _Bounds(finite, norm_cdf(b), pdf, finite * pdf, b[t.corner_x], b[t.corner_y], rho)
+
+
+@functools.lru_cache(maxsize=1)
+def _point(system, theta_bytes, order):
+    """The model at the theta whose bytes are ``theta_bytes``, for ``order``,
+    kept for the last (theta, order) seen (module docstring)."""
+    pt = _bounds(system, np.frombuffer(theta_bytes, dtype=float))
+    densities = legendre_densities(pt.x, pt.y, pt.rho, order)
+    return _Point(*pt, densities, binorm_cdf_legendre(pt.x, pt.y, pt.rho, order, densities))
 
 
 def _scales(theta):
@@ -591,10 +578,11 @@ def data_products(data, system, include_removed=False) -> np.ndarray:
 
 def _model_pool(theta, system, order=LegendreOrder.THIRD, exact_cdf=False):
     """The model pool at theta (see the module docstring)."""
-    pt = _point(system, theta.tobytes(), order)
     if exact_cdf:
+        pt = _bounds(system, theta)
         corners = [binorm_cdf_oracle(*xyr) for xyr in zip(pt.x, pt.y, pt.rho)]
     else:
+        pt = _point(system, theta.tobytes(), order)
         corners = pt.corners
     return np.concatenate(([0.0, 1.0], pt.pdf, pt.cdf, corners))
 
@@ -643,9 +631,7 @@ def assemble_gradient(theta, system, order=None) -> np.ndarray:
     """
     theta = _theta_array(theta, system)
     t = system._tables
-    # the exact kind reads only order-free fields: the point a fit's solve
-    # left at its solution serves whatever its order
-    pt = _point(system, theta.tobytes(), order)
+    pt = _bounds(system, theta) if order is None else _point(system, theta.tobytes(), order)
     xf, yf = pt.finite[t.corner_x], pt.finite[t.corner_y]
     if order is None:
         sq = np.sqrt(1.0 - pt.rho * pt.rho)

@@ -63,8 +63,8 @@ class SimDesign:
         ords = []
         for name, cuts in self.ordinal:
             cuts = np.asarray(cuts, dtype=float)
-            if cuts.size < 1 or np.any(np.diff(cuts) <= 0):
-                raise ValueError(f"thresholds of {name!r} must be strictly increasing")
+            if cuts.size < 1 or not np.all(np.isfinite(cuts)) or np.any(np.diff(cuts) <= 0):
+                raise ValueError(f"thresholds of {name!r} must be finite and strictly increasing")
             cuts.setflags(write=False)
             ords.append((name, cuts))
         object.__setattr__(self, "ordinal", tuple(ords))

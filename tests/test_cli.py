@@ -206,12 +206,13 @@ class TestFitCommand:
             (GOOD, ["--pairs", "Y"], "expected 'name:name'"),
             (GOOD, ["--pairs", "Y:Z"], "unknown column 'Z'"),
             (GOOD, ["--pairs", "Y:Y"], "two distinct columns"),
+            (GOOD, ["--pairs", "Y:X", "--system", "min"], "drop --system"),
         ],
         ids=[
             "unopenable", "empty", "ragged_row", "header_only", "ordinal_count_text",
             "non_integer_labels", "too_many_labels", "no_observed_labels",
             "inferred_label_below_one", "pair_without_colon", "pair_unknown_column",
-            "pair_same_column",
+            "pair_same_column", "pairs_with_system",
         ],
     )
     def test_input_errors(self, tmp_path, capsys, text, args, message):
@@ -283,6 +284,14 @@ class TestFitCommand:
         _write_csv(path, ["Y", "C"], [[0.1 * k, 1] for k in range(20)])
         assert _run(["fit", "--data", path, "--continuous", "Y", "--ordinal", ordinal]) == 1
         assert "error: ordinal column 'C'" in capsys.readouterr().err
+
+    def test_singular_covariance(self, tmp_path, capsys):
+        # an empty cell of a 2x2 table leaves the one-step G'WG singular
+        path = tmp_path / "empty_cell.csv"
+        _write_csv(path, ["X1", "X2"], [[1, 2]] * 30 + [[2, 1]] * 30 + [[2, 2]] * 40)
+        argv = ["fit", "--data", path, "--ordinal", "X1:2,X2:2", "--method", "one-step"]
+        assert _run(argv) == 1
+        assert capsys.readouterr().err.startswith("error: the one-step covariance is singular")
 
     def test_min_system(self, data_csv, tmp_path):
         out = tmp_path / "report.json"
@@ -411,8 +420,17 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize(
         "override",
-        [None, {"fit": {"system": "bogus"}}, {"fit": {"system": "custom"}}, {"replications": 1}],
-        ids=["missing_keys", "bogus_system", "custom_system", "one_replication"],
+        [
+            None,
+            {"fit": {"system": "bogus"}},
+            {"fit": {"system": "custom"}},
+            {"replications": 1},
+            # json reads -Infinity; every replication would fail on an empty category
+            {"ordinal": [{"name": "X1", "thresholds": [-np.inf, 0.0]},
+                         {"name": "X2", "thresholds": [0.0]}]},
+        ],
+        ids=["missing_keys", "bogus_system", "custom_system", "one_replication",
+             "non_finite_threshold"],
     )
     def test_invalid_design(self, tmp_path, capsys, override):
         doc = {"name": "broken"}

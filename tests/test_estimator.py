@@ -313,6 +313,16 @@ class TestErrorPaths:
         with pytest.raises(ValueError, match="do not match"):
             mc.fit(mc.ingest(table, specs), mc.build_system(swapped, mc.MAX_SET))
 
+    @pytest.mark.parametrize("mode", [mc.MAX_SET, mc.MIN_SET])
+    @pytest.mark.parametrize("counts", [[[0, 30], [30, 40]], [[30, 0], [30, 40]]],
+                             ids=["empty_11", "empty_12"])
+    def test_singular_covariance_is_typed(self, counts, mode):
+        # a 2x2 table with an empty cell drives the one-step solve to a
+        # solution where G'WG is singular: no covariance exists there
+        data = _binary_dataset(counts)
+        with pytest.raises(mc.errors.SingularCovariance, match="singular"):
+            mc.fit(data, mc.build_system(data.specs, mode), ONE_STEP)
+
     def test_estimate_thresholds_empty_category(self):
         specs = (mc.VariableSpec("X", categories=3),)
         x = np.array([[1], [1], [3], [3]], dtype=np.int64)
@@ -371,10 +381,11 @@ class TestDiagnostics:
 class TestModelEvaluations:
     @pytest.mark.parametrize("method", [mc.TWO_STEP, mc.ONE_STEP])
     def test_one_density_evaluation_per_theta(self, c2d3_system, method, monkeypatch):
-        # only a loss evaluation at a new theta, or the exact G at a solution
-        # the solve's last loss evaluation did not leave, evaluates the model;
-        # the gradient at an accepted step, the exact G and compute_sigma
-        # reuse the evaluation at their theta (default order)
+        # only a loss evaluation at a new theta, or compute_sigma at a
+        # solution the solve's last loss evaluation did not leave, evaluates
+        # the Legendre densities; the gradient at an accepted step and
+        # compute_sigma reuse the evaluation at their theta, and the exact G
+        # evaluates none
         calls = []
         densities = moments.legendre_densities
 
@@ -393,10 +404,10 @@ class TestModelEvaluations:
     @pytest.mark.parametrize("method", [mc.TWO_STEP, mc.ONE_STEP])
     def test_second_order_fit_evaluates_no_third_order_point(self, c2d3_system, method,
                                                              monkeypatch):
-        # the exact G reads only order-free fields of the point, so it reuses
-        # the second-order point at the solution, and so does compute_sigma;
-        # where the solve ended on a rejected trial step (design-2 rep 2), the
-        # exact G evaluates the solution at the kept point's second order
+        # the exact G evaluates no Legendre densities, and compute_sigma reads
+        # the point at the fit's order: the one the solve's last loss
+        # evaluation left, or, where the solve ended on a rejected trial step
+        # (design-2 rep 2), a new one at the solution
         orders = []
         densities = moments.legendre_densities
 
@@ -410,6 +421,22 @@ class TestModelEvaluations:
             d = mc.fit(mc.generate(design2(), rep), c2d3_system, cfg).diagnostics
             assert d.converged
         assert orders and set(orders) == {mc.LegendreOrder.SECOND}
+
+    def test_exact_kinds_evaluate_no_densities(self, monkeypatch):
+        # a freshly built system: no model point is cached for it
+        system = mc.build_system(design2().specs, mc.MAX_SET)
+        theta = _initial_theta(mc.generate(design2(), 0), system)
+        calls = []
+        densities = moments.legendre_densities
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return densities(*args, **kwargs)
+
+        monkeypatch.setattr(moments, "legendre_densities", counted)
+        mc.assemble_gradient(theta, system)
+        moments.model_terms(theta, system, exact_cdf=True)
+        assert calls == []
 
 
 def _wide_design():
