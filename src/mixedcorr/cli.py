@@ -11,7 +11,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .moments import CUSTOM, build_system
 from .normal import LegendreOrder
 from .simulation import SimDesign, run_study
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 _MISSING = {"", "na", "nan", "null", "none", "."}
 
@@ -214,6 +214,8 @@ def _parse_pairs(arg, names, c):
         if parts[0] == parts[1]:
             raise _InputError(f"--pairs entry {item!r}: a pair needs two distinct columns")
         labels.append(label_of[frozenset((pos[parts[0]], pos[parts[1]]))])
+    if not labels:
+        raise _InputError("--pairs names no pair")
     return labels
 
 
@@ -257,7 +259,13 @@ def _fit_report(args, data, system, cfg, res, recode_maps):
         sp.name: [float(v) for v in res.a_hat[j]]
         for j, sp in enumerate(s for s in data.specs if s.is_ordinal)
     }
-    d = res.diagnostics
+    # Diagnostics is the record of the fit; its wall time is left out so that
+    # rerunning an identical request produces an identical report
+    diagnostics = {
+        k: _json_float(v) if isinstance(v, float) else v
+        for k, v in asdict(res.diagnostics).items()
+        if k != "wall_time"
+    }
     return {
         "schema_version": SCHEMA_VERSION,
         "config": {
@@ -279,19 +287,7 @@ def _fit_report(args, data, system, cfg, res, recode_maps):
         "thresholds": thresholds,
         "coefficients": coefficients,
         "var_r": var_r.tolist(),
-        # wall time deliberately left out: rerunning an identical request
-        # must produce an identical report
-        "diagnostics": {
-            "converged": d.converged,
-            "outer_iterations": d.outer_iterations,
-            "final_loss": _json_float(d.final_loss),
-            "final_grad_norm": _json_float(d.final_grad_norm),
-            "loss_evaluations": d.loss_evaluations,
-            "inner_stop": list(d.inner_stop),
-            "weight_conditions": [_json_float(c) for c in d.weight_conditions],
-            "weight_pseudo_inverse": d.weight_pseudo_inverse,
-            "r_matrix_psd": d.r_matrix_psd,
-        },
+        "diagnostics": diagnostics,
     }
 
 
@@ -394,7 +390,10 @@ def cmd_simulate(args) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         raise _InputError(f"{args.design}: invalid design ({exc})") from exc
     if args.seed is not None:
-        design = replace(design, seed=args.seed)
+        try:
+            design = replace(design, seed=args.seed)
+        except ValueError as exc:
+            raise _InputError(f"--seed: {exc}") from exc
 
     # before the study, so that an unusable output path costs no fits
     try:

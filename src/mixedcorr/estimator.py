@@ -62,10 +62,11 @@ TWO_STEP = "two-step"
 COV_PAPER = "paper"
 COV_CORRECTED = "corrected"
 
-# Why an inner minimization stopped: max |grad| reached inner_grad_tol, the
-# accepted step was below the floor or the Armijo margin of every shorter
-# step fell below the loss's rounding, inner_max_iter ran out, or the search
-# direction was numerically not a descent direction.
+# Why the solve stopped: max |grad| reached GRAD_TOL, the accepted step was
+# below the floor or the Armijo margin of every shorter step fell below the
+# loss's rounding, FitConfig.inner_max_iter ran out, or the search direction
+# was numerically not a descent direction.
+GRAD_TOL = 1e-10
 STOP_GRAD_TOL = "grad_tol"
 STOP_STEP_FLOOR = "step_floor"
 STOP_MAX_ITER = "max_iter"
@@ -76,10 +77,10 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Tuning knobs for the iterative GMM fit."""
+    """How to fit: the method, the equation set, the Legendre order of the
+    loss, the two-step covariance variant, and the solve's iteration cap."""
 
     method: str = TWO_STEP
-    inner_grad_tol: float = 1e-10
     inner_max_iter: int = 500
     order: LegendreOrder = LegendreOrder.THIRD
     system_mode: str = MAX_SET
@@ -94,44 +95,42 @@ class FitConfig:
             raise ValueError(f"unknown system mode {self.system_mode!r}")
         if not isinstance(self.order, LegendreOrder):
             raise ValueError(f"order must be a LegendreOrder, not {self.order!r}")
-        if self.inner_grad_tol <= 0:
-            raise ValueError("inner_grad_tol must be positive")
         if not isinstance(self.inner_max_iter, (int, np.integer)) or self.inner_max_iter < 1:
             raise ValueError(f"inner_max_iter must be an int >= 1, not {self.inner_max_iter!r}")
 
 
 @dataclass(frozen=True)
 class Diagnostics:
-    """How a fit ended.
+    """The record of the fit's one solve under the centred weight W_c.
 
-    converged is set when the one inner solve stopped on a stationarity
-    test (STOP_GRAD_TOL, STOP_NON_DESCENT or STOP_STEP_FLOOR, not
-    STOP_MAX_ITER) and the centred weight W_c it ran under is a direct
-    inverse, so that its stationary point is the IGMM fixed point.
-    outer_iterations counts the inner solves, always 1 since that solve is
-    the fixed point; it stays so the counts of a trace keep their meaning.
-    inner_stop holds the solve's STOP_* reason, final_loss and
+    converged is set when the solve stopped on a stationarity test
+    (STOP_GRAD_TOL, STOP_NON_DESCENT or STOP_STEP_FLOOR, not STOP_MAX_ITER)
+    and W_c is a direct inverse, so that its stationary point is the IGMM
+    fixed point. stop is the solve's STOP_* reason, final_loss and
     final_grad_norm the loss under W_c and its max |gradient| where it
-    stopped. weight_conditions holds one condition number per solve,
-    parallel to inner_stop: that of W_c, the 1-norm condition
-    |S|_1 |W_c|_1 of a direct inverse or the ratio of the extreme
+    stopped, inner_iterations its quasi-Newton iterations and
+    loss_evaluations every evaluation of the GMM loss in the fit.
+    weight_condition is the condition number of W_c: the 1-norm condition
+    |S|_1 |W_c|_1 of a direct inverse, or the ratio of the extreme
     eigenvalues where ``weight_matrix`` fell back to its eigendecomposition.
     weight_pseudo_inverse is set when W_c dropped a direction under the
-    eigenvalue floor. loss_evaluations counts every evaluation of the GMM
-    loss in the fit.
+    eigenvalue floor. r_matrix_psd is None when a custom system leaves a
+    coefficient of R out. The class constant outer_iterations counts the
+    solves, 1.
     """
 
     converged: bool
-    outer_iterations: int
+    stop: str
     final_loss: float
     final_grad_norm: float
     inner_iterations: int
     loss_evaluations: int
-    inner_stop: tuple
-    weight_conditions: tuple
+    weight_condition: float
     weight_pseudo_inverse: bool
     r_matrix_psd: bool | None
     wall_time: float
+
+    outer_iterations = 1
 
 
 @dataclass(frozen=True)
@@ -249,7 +248,7 @@ def _minimize(compiled, W, x0, free_idx, cfg):
     iterations = 0
     stop = STOP_MAX_ITER
     for _ in range(cfg.inner_max_iter):
-        if np.max(np.abs(g), initial=0.0) <= cfg.inner_grad_tol:
+        if np.max(np.abs(g), initial=0.0) <= GRAD_TOL:
             stop = STOP_GRAD_TOL
             break
         iterations += 1
@@ -320,39 +319,6 @@ def _expand_var(var_active, positions, size):
     return out
 
 
-def _result_from_theta(system, cfg, theta, var_r_active, var_theta_active, diag_kw):
-    k_full = len(system.all_coefficients)
-    included_pos = system.coef_cols - system.n_thr
-
-    r_values = np.full(k_full, np.nan)
-    r_values[included_pos] = theta[system.coef_cols]
-    r_hat = CorrelationParams(system.c, system.d, r_values)
-
-    a_hat = ThresholdSet.from_array(theta[: system.n_thr], [si - 1 for si in system.s])
-
-    var_r = _expand_var(var_r_active, included_pos, k_full)
-
-    var_theta = None
-    if var_theta_active is not None:
-        active_pos = np.flatnonzero(system.active)
-        var_theta = _expand_var(var_theta_active, active_pos, system.p)
-
-    psd = None
-    if not np.any(np.isnan(r_values)):
-        psd = bool(np.linalg.eigvalsh(r_hat.to_matrix()).min() >= -1e-10)
-
-    return EstimationResult(
-        method=cfg.method,
-        r_hat=r_hat,
-        a_hat=a_hat,
-        var_r=var_r,
-        var_theta=var_theta,
-        coefficients=tuple(system.included_coefficients),
-        coefficient_names=tuple(system.coefficient_names()),
-        diagnostics=Diagnostics(r_matrix_psd=psd, **diag_kw),
-    )
-
-
 def fit(data, system, cfg=None) -> EstimationResult:
     """Iterative GMM fit of ``system`` to ``data`` by the method cfg.method.
 
@@ -418,9 +384,8 @@ def fit(data, system, cfg=None) -> EstimationResult:
         lam = np.linalg.inv(GW @ G_free)
         if one_step:
             var_theta = lam / compiled.n
-            var_theta = (var_theta + var_theta.T) / 2.0
-            coef_in_free = np.searchsorted(free_idx, system.coef_cols)
-            var_r = var_theta[np.ix_(coef_in_free, coef_in_free)]
+            var_theta = _expand_var((var_theta + var_theta.T) / 2.0, free_idx, system.p)
+            var_r = var_theta[np.ix_(system.coef_cols, system.coef_cols)]
         else:
             var_theta, var_r = None, lam
             if system.thr_cols.size:
@@ -437,16 +402,32 @@ def fit(data, system, cfg=None) -> EstimationResult:
     except np.linalg.LinAlgError as exc:
         raise SingularCovariance(f"the {cfg.method} covariance is singular: {exc}") from exc
 
-    diag_kw = {
-        "converged": info.stop != STOP_MAX_ITER and not centred.pseudo_inverse,
-        "outer_iterations": 1,
-        "final_loss": info.loss,
-        "final_grad_norm": info.grad_norm,
-        "inner_iterations": info.iterations,
-        "loss_evaluations": info.loss_evaluations,
-        "inner_stop": (info.stop,),
-        "weight_conditions": (centred.condition,),
-        "weight_pseudo_inverse": centred.pseudo_inverse,
-        "wall_time": time.perf_counter() - start,
-    }
-    return _result_from_theta(system, cfg, theta, var_r, var_theta, diag_kw)
+    k_full = len(system.all_coefficients)
+    included_pos = system.coef_cols - system.n_thr
+    r_values = np.full(k_full, np.nan)
+    r_values[included_pos] = theta[system.coef_cols]
+    r_hat = CorrelationParams(system.c, system.d, r_values)
+    psd = None
+    if not np.any(np.isnan(r_values)):
+        psd = bool(np.linalg.eigvalsh(r_hat.to_matrix()).min() >= -1e-10)
+    return EstimationResult(
+        method=cfg.method,
+        r_hat=r_hat,
+        a_hat=ThresholdSet.from_array(theta[: system.n_thr], [si - 1 for si in system.s]),
+        var_r=_expand_var(var_r, included_pos, k_full),
+        var_theta=var_theta,
+        coefficients=tuple(system.included_coefficients),
+        coefficient_names=tuple(system.coefficient_names()),
+        diagnostics=Diagnostics(
+            converged=info.stop != STOP_MAX_ITER and not centred.pseudo_inverse,
+            stop=info.stop,
+            final_loss=info.loss,
+            final_grad_norm=info.grad_norm,
+            inner_iterations=info.iterations,
+            loss_evaluations=info.loss_evaluations,
+            weight_condition=centred.condition,
+            weight_pseudo_inverse=centred.pseudo_inverse,
+            r_matrix_psd=psd,
+            wall_time=time.perf_counter() - start,
+        ),
+    )

@@ -70,6 +70,8 @@ class SimDesign:
         object.__setattr__(self, "ordinal", tuple(ords))
         if self.replications < 2 or self.n < 2:
             raise ValueError("need n >= 2 and at least 2 replications to aggregate")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, not {self.seed}")
         if self.fit.system_mode == CUSTOM:
             raise ValueError("a study has no pair list: use the max or min system")
 
@@ -101,7 +103,9 @@ class SimDesign:
 
     @staticmethod
     def from_dict(doc: dict) -> "SimDesign":
-        fit_doc = doc.get("fit", {})
+        fit_doc = doc.get("fit", {}) if isinstance(doc, dict) else None
+        if not isinstance(fit_doc, dict):
+            raise TypeError("a design and its 'fit' must be JSON objects")
         cfg = FitConfig(
             method=fit_doc.get("method", FitConfig.method),
             system_mode=fit_doc.get("system", FitConfig.system_mode),

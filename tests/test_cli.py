@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -40,7 +41,7 @@ class TestFitCommand:
         )
         assert code == 0
         report = json.loads(out.read_text())
-        assert report["schema_version"] == 3
+        assert report["schema_version"] == 4
         assert len(report["coefficients"]) == 6
         assert set(report["thresholds"]) == {"X1", "X2"}
         assert len(report["thresholds"]["X1"]) == 1
@@ -207,12 +208,13 @@ class TestFitCommand:
             (GOOD, ["--pairs", "Y:Z"], "unknown column 'Z'"),
             (GOOD, ["--pairs", "Y:Y"], "two distinct columns"),
             (GOOD, ["--pairs", "Y:X", "--system", "min"], "drop --system"),
+            (GOOD, ["--pairs", ","], "--pairs names no pair"),
         ],
         ids=[
             "unopenable", "empty", "ragged_row", "header_only", "ordinal_count_text",
             "non_integer_labels", "too_many_labels", "no_observed_labels",
             "inferred_label_below_one", "pair_without_colon", "pair_unknown_column",
-            "pair_same_column", "pairs_with_system",
+            "pair_same_column", "pairs_with_system", "pairs_empty",
         ],
     )
     def test_input_errors(self, tmp_path, capsys, text, args, message):
@@ -340,12 +342,32 @@ class TestFitCommand:
                 "--ordinal", "X1:2,X2:2", "--method", "one-step", "--out", out]
         assert _run(argv) == 0
         diag = json.loads(out.read_text())["diagnostics"]
-        assert len(diag["inner_stop"]) == diag["outer_iterations"]
-        assert len(diag["weight_conditions"]) == diag["outer_iterations"]
-        assert set(diag["inner_stop"]) <= {"grad_tol", "step_floor", "max_iter", "non_descent"}
+        assert diag["stop"] in {"grad_tol", "step_floor", "max_iter", "non_descent"}
+        assert isinstance(diag["weight_condition"], float)
+        assert isinstance(diag["inner_iterations"], int)
         assert isinstance(diag["loss_evaluations"], int)
-        assert diag["loss_evaluations"] >= diag["outer_iterations"]
+        assert diag["loss_evaluations"] >= 1
         assert "wall_time" not in diag
+
+    def test_report_diagnostics_are_the_record(self, data_csv, tmp_path, monkeypatch):
+        # the report lists what Diagnostics holds, wall time aside, and the
+        # record counts one solve
+        results = []
+        real_fit = cli.fit
+
+        def recorded_fit(data, system, cfg):
+            results.append(real_fit(data, system, cfg))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "fit", recorded_fit)
+        out = tmp_path / "report.json"
+        argv = ["fit", "--data", data_csv, "--continuous", "Y1,Y2",
+                "--ordinal", "X1:2,X2:2", "--out", out]
+        assert _run(argv) == 0
+        diag = json.loads(out.read_text())["diagnostics"]
+        fields = {f.name for f in dataclasses.fields(mc.Diagnostics)}
+        assert set(diag) == fields - {"wall_time"}
+        assert results[0].diagnostics.outer_iterations == 1
 
     def test_nonconvergence_exit_code(self, data_csv, tmp_path, monkeypatch):
         real_fit = cli.fit
@@ -428,18 +450,31 @@ class TestSimulateCommand:
             # json reads -Infinity; every replication would fail on an empty category
             {"ordinal": [{"name": "X1", "thresholds": [-np.inf, 0.0]},
                          {"name": "X2", "thresholds": [0.0]}]},
+            [],  # the whole document, not an override
+            {"fit": []},
+            {"seed": -1},
         ],
         ids=["missing_keys", "bogus_system", "custom_system", "one_replication",
-             "non_finite_threshold"],
+             "non_finite_threshold", "top_level_not_object", "fit_not_object",
+             "negative_seed"],
     )
     def test_invalid_design(self, tmp_path, capsys, override):
         doc = {"name": "broken"}
-        if override is not None:
+        if isinstance(override, list):
+            doc = override
+        elif override is not None:
             doc = design1(n=50, replications=2).to_dict() | override
         dpath = tmp_path / "design.json"
         dpath.write_text(json.dumps(doc))
         assert _run(["simulate", "--design", dpath, "--out", tmp_path / "x"]) == 1
         assert "invalid design" in capsys.readouterr().err
+
+    def test_negative_seed_override(self, tmp_path, capsys):
+        dpath = tmp_path / "design.json"
+        dpath.write_text(json.dumps(design1(n=50, replications=2).to_dict()))
+        assert _run(["simulate", "--design", dpath, "--out", tmp_path / "x",
+                     "--seed", "-1"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_invalid_json(self, tmp_path, capsys):
         dpath = tmp_path / "design.json"
