@@ -11,17 +11,22 @@ those rows, which does not depend on theta. By Sherman-Morrison, with
 W_c = S^-1, G'Omega_hat^-1 m = G'W_c m / (1 + m'W_c m), so a stationary
 point of the loss under W_c is already the loop's fixed point (Hansen,
 Heaton & Yaron 1996: the fixed point is the continuously updated
-estimator). ``fit`` therefore makes one quasi-Newton solve under W_c, the
-fit's one q x q factorization, and reports the covariance of that solve:
-the GMM sandwich (G'W_cG)^-1 G'W_c S W_c G (G'W_cG)^-1 / n, which reduces
-to (G'W_cG)^-1 / n since W_c S W_c = W_c (Hall 2000 argues for the centred
-moment covariance in GMM inference). Where S is rank-deficient in the data
-(an empty cell, say) W_c is a pseudo-inverse, the fixed-point argument
-fails, and the fit returns its one solve with converged=False. The
-one-step method moves thresholds and correlations jointly; the two-step
-method solves the thresholds in closed form from the marginal frequencies,
-freezes them, and iterates on the correlation vector only, with a
-threshold-variability correction added to its asymptotic covariance.
+estimator). ``fit`` therefore makes one quasi-Newton solve under W_c and
+reports the covariance of that solve: the GMM sandwich
+(G'W_cG)^-1 G'W_c S W_c G (G'W_cG)^-1 / n, which reduces to (G'W_cG)^-1 / n
+since W_c S W_c = W_c (Hall 2000 argues for the centred moment covariance
+in GMM inference). W_c itself is never formed: the fit's one q x q
+factorization is the Cholesky factor L of S, and the solve and the
+covariance use only the whitened moments r = K m and J = K G, with the
+whitener K = L^-1 and K'K = W_c, so that the loss is |r|^2/2, its gradient
+G'K'r and G'W_cG = J'J. Where S is rank-deficient in the data (an empty
+cell, say) K comes from the eigendecomposition of S and W_c = K'K is a
+pseudo-inverse, the fixed-point argument fails, and the fit returns its
+one solve with converged=False. The one-step method moves thresholds and
+correlations jointly; the two-step method solves the thresholds in closed
+form from the marginal frequencies, freezes them, and iterates on the
+correlation vector only, with a threshold-variability correction added to
+its asymptotic covariance.
 ``fit`` takes the method from its FitConfig.
 """
 
@@ -39,6 +44,7 @@ from .moments import (
     MAX_SET,
     MIN_SET,
     CompiledMoments,
+    _lower_inverse,
     assemble_gradient,
     compute_sigma,
     weight_matrix,
@@ -64,9 +70,10 @@ COV_CORRECTED = "corrected"
 
 # Why the solve stopped: max |grad| reached GRAD_TOL, the accepted step was
 # below the floor or the Armijo margin of every shorter step fell below the
-# loss's rounding, FitConfig.inner_max_iter ran out, or the search direction
-# was numerically not a descent direction.
+# loss's rounding, MAX_ITER iterations ran out, or the search direction was
+# numerically not a descent direction.
 GRAD_TOL = 1e-10
+MAX_ITER = 500
 STOP_GRAD_TOL = "grad_tol"
 STOP_STEP_FLOOR = "step_floor"
 STOP_MAX_ITER = "max_iter"
@@ -78,10 +85,9 @@ _EPS = float(np.finfo(float).eps)
 @dataclass(frozen=True)
 class FitConfig:
     """How to fit: the method, the equation set, the Legendre order of the
-    loss, the two-step covariance variant, and the solve's iteration cap."""
+    loss and the two-step covariance variant."""
 
     method: str = TWO_STEP
-    inner_max_iter: int = 500
     order: LegendreOrder = LegendreOrder.THIRD
     system_mode: str = MAX_SET
     covariance: str = COV_CORRECTED  # two-step only: "corrected" or "paper"
@@ -95,8 +101,6 @@ class FitConfig:
             raise ValueError(f"unknown system mode {self.system_mode!r}")
         if not isinstance(self.order, LegendreOrder):
             raise ValueError(f"order must be a LegendreOrder, not {self.order!r}")
-        if not isinstance(self.inner_max_iter, (int, np.integer)) or self.inner_max_iter < 1:
-            raise ValueError(f"inner_max_iter must be an int >= 1, not {self.inner_max_iter!r}")
 
 
 @dataclass(frozen=True)
@@ -110,12 +114,12 @@ class Diagnostics:
     final_grad_norm the loss under W_c and its max |gradient| where it
     stopped, inner_iterations its quasi-Newton iterations and
     loss_evaluations every evaluation of the GMM loss in the fit.
-    weight_condition is the condition number of W_c: the 1-norm condition
-    |S|_1 |W_c|_1 of a direct inverse, or the ratio of the extreme
-    eigenvalues where ``weight_matrix`` fell back to its eigendecomposition.
-    weight_pseudo_inverse is set when W_c dropped a direction under the
-    eigenvalue floor. r_matrix_psd is None when a custom system leaves a
-    coefficient of R out. The class constant outer_iterations counts the
+    weight_condition bounds the condition number of S from above: it is
+    |S|_1 |K|_1 |K|_inf >= cond_1(S) for a direct whitener K = L^-1, and
+    the ratio of the extreme eigenvalues where ``weight_matrix`` fell back
+    to its eigendecomposition. weight_pseudo_inverse is set when W_c
+    dropped a direction under the eigenvalue floor. r_matrix_psd is None
+    when a custom system leaves a coefficient of R out. The class constant outer_iterations counts the
     solves, 1.
     """
 
@@ -201,10 +205,11 @@ class _InnerInfo:
     stop: str
 
 
-def _minimize(compiled, W, x0, free_idx, cfg):
+def _minimize(compiled, K, x0, free_idx, cfg):
     """Quasi-Newton (BFGS inverse-Hessian updates, backtracking Armijo line
-    search) over the free parameter subspace under a fixed weight matrix
-    on the moment rows ``compiled`` covers.
+    search) over the free parameter subspace of the loss |K m|^2 / 2, the
+    GMM loss under the fixed weight K'K on the moment rows ``compiled``
+    covers.
 
     The gradient is that of the loss itself: G differentiates the Legendre
     approximation of order cfg.order that the moments are evaluated with.
@@ -216,38 +221,33 @@ def _minimize(compiled, W, x0, free_idx, cfg):
     def loss_at(x):
         nonlocal evaluations
         evaluations += 1
-        m = compiled.m(x, cfg.order)
-        return 0.5 * float(m @ (W @ m)), m
+        r = K @ compiled.m(x, cfg.order)
+        return 0.5 * float(r @ r), r
 
-    def full_grad(x, m):
-        G = assemble_gradient(x, system, cfg.order)[compiled.rows]
-        return G, G.T @ (W @ m)
+    def free_grad(x, r):
+        G = assemble_gradient(x, system, cfg.order)[compiled.rows][:, free_idx]
+        return G, G.T @ (K.T @ r)
 
     x = np.clip(x0, lo, hi)
-    f, m = loss_at(x)
-    G0, g_full = full_grad(x, m)
-    g = g_full[free_idx]
+    f, r = loss_at(x)
+    G0, g = free_grad(x, r)
     if not (np.isfinite(f) and np.all(np.isfinite(g))):
         raise NonFiniteLoss("loss or gradient non-finite at the starting point")
 
+    # the loss is nearly quadratic with Hessian ~ J'J, J = K G on the free
+    # columns; seeding the inverse Hessian with it makes unit steps
+    # acceptable immediately
     nfree = free_idx.size
-
-    def gauss_newton_inverse(G):
-        # the loss is nearly quadratic with Hessian ~ G'WG; seeding the
-        # inverse Hessian with it makes unit steps acceptable immediately
-        Gf = G[:, free_idx]
-        B = Gf.T @ W @ Gf
-        B = (B + B.T) / 2.0
-        ridge = 1e-10 * max(float(np.trace(B)) / max(nfree, 1), 1e-30)
-        try:
-            return np.linalg.inv(B + ridge * np.eye(nfree))
-        except np.linalg.LinAlgError:
-            return np.eye(nfree)
-
-    H = gauss_newton_inverse(G0)
+    J = K @ G0
+    B = J.T @ J
+    ridge = 1e-10 * max(float(np.trace(B)) / max(nfree, 1), 1e-30)
+    try:
+        H = np.linalg.inv(B + ridge * np.eye(nfree))
+    except np.linalg.LinAlgError:
+        H = np.eye(nfree)
     iterations = 0
     stop = STOP_MAX_ITER
-    for _ in range(cfg.inner_max_iter):
+    for _ in range(MAX_ITER):
         if np.max(np.abs(g), initial=0.0) <= GRAD_TOL:
             stop = STOP_GRAD_TOL
             break
@@ -267,7 +267,7 @@ def _minimize(compiled, W, x0, free_idx, cfg):
             xn = x.copy()
             xn[free_idx] = x[free_idx] + step * direction
             np.clip(xn, lo, hi, out=xn)
-            fn, mn = loss_at(xn)
+            fn, rn = loss_at(xn)
             if np.isfinite(fn) and fn <= f + 1e-4 * step * gd:
                 break
             step *= 0.5
@@ -284,8 +284,7 @@ def _minimize(compiled, W, x0, free_idx, cfg):
             stop = STOP_STEP_FLOOR
             break
 
-        Gn, gn_full = full_grad(xn, mn)
-        gn = gn_full[free_idx]
+        _, gn = free_grad(xn, rn)
         if not np.all(np.isfinite(gn)):
             raise NonFiniteLoss("gradient non-finite at an accepted step")
         s = xn[free_idx] - x[free_idx]
@@ -304,13 +303,8 @@ def _minimize(compiled, W, x0, free_idx, cfg):
             stop = STOP_STEP_FLOOR
             break
 
-    return x, _InnerInfo(
-        loss=f,
-        grad_norm=float(np.max(np.abs(g), initial=0.0)),
-        iterations=iterations,
-        loss_evaluations=evaluations,
-        stop=stop,
-    )
+    grad_norm = float(np.max(np.abs(g), initial=0.0))
+    return x, _InnerInfo(f, grad_norm, iterations, evaluations, stop)
 
 
 def _expand_var(var_active, positions, size):
@@ -341,22 +335,24 @@ def fit(data, system, cfg=None) -> EstimationResult:
       the default "corrected" one.
 
     The fit makes one inner solve, under W_c = S^-1, the inverse centred
-    covariance of the products and the fit's one q x q factorization. By
-    Sherman-Morrison its stationary point is the fixed point of the paper's
-    refresh loop (module docstring), so no refresh solve follows. W in the
-    covariances is W_c, the weight the solve ran under, so they are the
-    sandwich of the estimator the fit computes. converged is set when the
-    solve stopped on a stationarity test rather than cfg.inner_max_iter and
-    W_c is a direct inverse; a pseudo-inverse W_c (S rank-deficient in the
-    data) returns the solve with converged=False.
+    covariance of the products, through its whitener K (K'K = W_c, from
+    the fit's one q x q factorization). By Sherman-Morrison its stationary
+    point is the fixed point of the paper's refresh loop (module
+    docstring), so no refresh solve follows. W in the covariances is W_c,
+    the weight the solve ran under, so they are the sandwich of the
+    estimator the fit computes; with J = K G, G'W_cG = J'J and
+    Gamma = J'(K G21). converged is set when the solve stopped on a
+    stationarity test rather than MAX_ITER and W_c is a direct inverse; a
+    pseudo-inverse W_c (S rank-deficient in the data) returns the solve
+    with converged=False.
 
     The minimizer follows the gradient of the Legendre-approximated loss,
     but G, G11, G21 and G22 in the covariances come from the exact-CDF
     Jacobian (``assemble_gradient(theta, system)``): the covariance targets
     the exact model, so it changes with the CDF order only through theta.
-    Where G'WG (or, under the corrected variant, G11' Sigma^-1 G11) is
-    singular at the solution, the covariance does not exist and the fit
-    raises SingularCovariance.
+    Where G'WG (J'J has no Cholesky factor, or, under the corrected variant,
+    G11' Sigma^-1 G11 is singular) at the solution, the covariance does not
+    exist and the fit raises SingularCovariance.
     """
     cfg = cfg or FitConfig()
     if (data.names, data.s, data.c) != (system.names, system.s, system.c):
@@ -372,27 +368,26 @@ def fit(data, system, cfg=None) -> EstimationResult:
     compiled = CompiledMoments(data, system, rows)
 
     centred = weight_matrix(compiled.cov)
-    W = centred.matrix
-    theta, info = _minimize(compiled, W, _initial_theta(data, system), free_idx, cfg)
+    K = centred.whitener
+    theta, info = _minimize(compiled, K, _initial_theta(data, system), free_idx, cfg)
 
     G_full = assemble_gradient(theta, system)
-    G = G_full[rows]
-    G_free = G[:, free_idx]
-    GW = G_free.T @ W
+    KG = K @ G_full[rows]
+    J = KG[:, free_idx]
     try:
-        # (G'WG)^-1 on the free columns and weighted rows; Lambda under two-step
-        lam = np.linalg.inv(GW @ G_free)
+        # (G'WG)^-1 = (J'J)^-1 on the free columns and weighted rows, from
+        # the Cholesky factor of J'J; Lambda under two-step
+        C_inv = _lower_inverse(np.linalg.cholesky(J.T @ J))
+        lam = C_inv.T @ C_inv
         if one_step:
-            var_theta = lam / compiled.n
-            var_theta = _expand_var((var_theta + var_theta.T) / 2.0, free_idx, system.p)
+            var_theta = _expand_var(lam / compiled.n, free_idx, system.p)
             var_r = var_theta[np.ix_(system.coef_cols, system.coef_cols)]
         else:
             var_theta, var_r = None, lam
             if system.thr_cols.size:
-                G21 = G[:, system.thr_cols]
                 G11 = G_full[: system.q_h][:, system.thr_cols]
                 sigma = compute_sigma(theta, system, cfg.order)
-                gamma = GW @ G21
+                gamma = J.T @ KG[:, system.thr_cols]
                 if cfg.covariance == COV_PAPER:
                     v_a = sigma
                 else:

@@ -29,10 +29,13 @@ moment covariance):
 
 On a table in which every pair of codes occurs, the rows each method
 keeps are independent and span all the rows it could weight. The weight
-matrix is then a direct inverse certified by a Cholesky factor and a
-1-norm condition number below 1/EIG_FLOOR; the eigendecomposition with its
-pseudo-inverse remains for covariances that are singular in the data, such
-as those of a table with an empty cell.
+W = S^-1 of their covariance S is never formed: GMM under W is least
+squares on the whitened moments K m, with K'K = W (Hansen 1982), and
+``weight_matrix`` returns K. On such a table K = L^-1, the inverse of the
+one Cholesky factor of S, certified by a bound on the 1-norm condition
+number of S below 1/EIG_FLOOR; the eigendecomposition, whose K has a row
+per eigenvalue above the floor, remains for covariances that are singular
+in the data, such as those of a table with an empty cell.
 
 The moment vector is linear in per-row data products, so sample moments
 factor as m(theta) = mean(A) - b(theta) with A data-only and b(theta)
@@ -735,54 +738,68 @@ def eval_moments(
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """Inverse moment covariance with conditioning diagnostics."""
+    """The whitener K of a moment covariance S, K'K = S^-1 (a pseudo-inverse
+    where S is singular), with conditioning diagnostics: the GMM loss
+    m'S^-1 m / 2 is |K m|^2 / 2."""
 
-    matrix: np.ndarray
+    whitener: np.ndarray
     condition: float
     pseudo_inverse: bool
     rank: int
 
 
+def _lower_inverse(L):
+    """Inverse of a nonsingular lower-triangular L by recursive halving (Du
+    Croz & Higham 1992): with L = [[A, 0], [B, C]], the inverse is
+    [[A^-1, 0], [-C^-1 B A^-1, C^-1]]. A block of at most 64 rows is
+    inverted by forward substitution, a row at a time."""
+    n = L.shape[0]
+    X = np.eye(n)
+    if n <= 64:
+        for i in range(n):
+            X[i] = (X[i] - L[i, :i] @ X[:i]) / L[i, i]
+        return X
+    h = n // 2
+    X[:h, :h] = _lower_inverse(L[:h, :h])
+    X[h:, h:] = _lower_inverse(L[h:, h:])
+    X[h:, :h] = -X[h:, h:] @ (L[h:, :h] @ X[:h, :h])
+    return X
+
+
 def weight_matrix(omega_hat) -> WeightMatrix:
-    """Invert the moment covariance.
+    """The whitener K of the symmetric moment covariance S, K'K = S^-1.
 
-    A positive definite covariance (its Cholesky factor exists) whose
-    1-norm condition number cond_1 = |Omega|_1 |W|_1 is below 1/EIG_FLOOR
-    is inverted directly, and ``condition`` is that cond_1. Since the
-    2-norm condition number of a symmetric matrix is at most cond_1, no
-    eigenvalue then sits at or below the floor, and W is the inverse the
-    eigendecomposition would give.
+    Where S has a Cholesky factor L (S = LL') and the bound
+    |S|_1 |K|_1 |K|_inf on its 1-norm condition number is below
+    1/EIG_FLOOR, K = L^-1, lower-triangular, and ``condition`` is that
+    bound. Since |S^-1|_1 = |K'K|_1 <= |K|_inf |K|_1, the bound is at least
+    cond_1(S), and the 2-norm condition number of a symmetric matrix is at
+    most cond_1, so no eigenvalue then sits at or below the floor.
 
-    Otherwise W comes from the eigendecomposition, and ``condition`` is the
-    ratio of the extreme eigenvalues. Eigenvalues at or below EIG_FLOOR
-    times the largest one count as zero: they set ``rank``, and their
-    directions get weight 0 in W, which is then a pseudo-inverse.
+    Otherwise K = Lambda^-1/2 V' over the eigenpairs (Lambda, V) of S whose
+    eigenvalue is above EIG_FLOOR times the largest, and ``condition`` is
+    the ratio of the extreme eigenvalues. The eigenvalues at or below the
+    floor count as zero: they set ``rank``, K has ``rank`` rows, and K'K is
+    then a pseudo-inverse.
     """
     omega = np.asarray(omega_hat, dtype=float)
-    omega = (omega + omega.T) / 2.0
     q = omega.shape[0]
     try:
-        np.linalg.cholesky(omega)
-        W = np.linalg.inv(omega)
+        K = _lower_inverse(np.linalg.cholesky(omega))
+        bound = np.linalg.norm(omega, 1) * np.linalg.norm(K, 1) * np.linalg.norm(K, np.inf)
     except np.linalg.LinAlgError:
-        pass
-    else:
-        cond = np.linalg.norm(omega, 1) * np.linalg.norm(W, 1)
-        if cond < 1.0 / EIG_FLOOR:
-            W = (W + W.T) / 2.0
-            return WeightMatrix(matrix=W, condition=float(cond), pseudo_inverse=False, rank=q)
+        bound = np.inf
+    if bound < 1.0 / EIG_FLOOR:
+        return WeightMatrix(whitener=K, condition=float(bound), pseudo_inverse=False, rank=q)
     evals, vecs = np.linalg.eigh(omega)
-    lmax = evals[-1]
-    if lmax <= 0.0:
+    if evals[-1] <= 0.0:
         raise DegenerateWeight("moment covariance has no positive eigenvalue")
-    cutoff = EIG_FLOOR * lmax
-    rank = int(np.sum(evals > cutoff))
+    keep = evals > EIG_FLOOR * evals[-1]
+    rank = int(np.count_nonzero(keep))
     if rank < q / 2.0:
         raise DegenerateWeight(
             f"moment covariance rank {rank} below half of q={q}; system mis-specified?"
         )
-    cond = np.inf if evals[0] <= 0.0 else lmax / evals[0]
-    inv_evals = np.where(evals > cutoff, 1.0 / np.maximum(evals, cutoff), 0.0)
-    W = (vecs * inv_evals) @ vecs.T
-    W = (W + W.T) / 2.0
-    return WeightMatrix(matrix=W, condition=float(cond), pseudo_inverse=rank < q, rank=rank)
+    cond = np.inf if evals[0] <= 0.0 else evals[-1] / evals[0]
+    K = (vecs[:, keep] / np.sqrt(evals[keep])).T
+    return WeightMatrix(whitener=K, condition=float(cond), pseudo_inverse=rank < q, rank=rank)

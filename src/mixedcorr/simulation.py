@@ -14,6 +14,7 @@ index), so any parallel schedule reproduces the serial results bit for bit.
 
 from __future__ import annotations
 
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -28,6 +29,7 @@ from .model import (
     KIND_POLYSERIAL,
     MixedDataset,
     VariableSpec,
+    _split_specs,
     coefficient_order,
     ingest,
 )
@@ -35,6 +37,13 @@ from .moments import CUSTOM, build_system
 from .normal import LegendreOrder, RHO_MAX, binorm_cdf_oracle, norm_cdf
 
 __all__ = ["SimDesign", "SimReport", "generate", "run_study", "ml_pair_oracle"]
+
+
+def _integer(name, value):
+    """``value`` if it is an integer, not a bool; else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -68,6 +77,7 @@ class SimDesign:
             cuts.setflags(write=False)
             ords.append((name, cuts))
         object.__setattr__(self, "ordinal", tuple(ords))
+        _split_specs(self.specs)
         if self.replications < 2 or self.n < 2:
             raise ValueError("need n >= 2 and at least 2 replications to aggregate")
         if self.seed < 0:
@@ -109,7 +119,7 @@ class SimDesign:
         cfg = FitConfig(
             method=fit_doc.get("method", FitConfig.method),
             system_mode=fit_doc.get("system", FitConfig.system_mode),
-            order=LegendreOrder(int(fit_doc.get("legendre", FitConfig.order.value))),
+            order=LegendreOrder(_integer("legendre", fit_doc.get("legendre", FitConfig.order.value))),
             covariance=fit_doc.get("covariance", FitConfig.covariance),
         )
         return SimDesign(
@@ -119,9 +129,9 @@ class SimDesign:
                 for o in doc.get("ordinal", ())
             ),
             r_true=np.asarray(doc["r_true"], dtype=float),
-            n=int(doc["n"]),
-            replications=int(doc["replications"]),
-            seed=int(doc["seed"]),
+            n=_integer("n", doc["n"]),
+            replications=_integer("replications", doc["replications"]),
+            seed=_integer("seed", doc["seed"]),
             fit=cfg,
             name=doc.get("name", "study"),
         )

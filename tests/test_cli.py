@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import mixedcorr as mc
-from mixedcorr import cli
+from mixedcorr import cli, estimator
 from mixedcorr.errors import EmptyCategory
 
 from conftest import design1
@@ -370,14 +370,7 @@ class TestFitCommand:
         assert results[0].diagnostics.outer_iterations == 1
 
     def test_nonconvergence_exit_code(self, data_csv, tmp_path, monkeypatch):
-        real_fit = cli.fit
-
-        def slow_fit(data, system, cfg):
-            return real_fit(data, system, mc.FitConfig(
-                method=cfg.method, inner_max_iter=1,
-                order=cfg.order, covariance=cfg.covariance))
-
-        monkeypatch.setattr(cli, "fit", slow_fit)
+        monkeypatch.setattr(estimator, "MAX_ITER", 1)
         out = tmp_path / "report.json"
         code = _run(
             ["fit", "--data", data_csv, "--continuous", "Y1,Y2",
@@ -453,10 +446,18 @@ class TestSimulateCommand:
             [],  # the whole document, not an override
             {"fit": []},
             {"seed": -1},
+            {"continuous": ["Y1", "Y1"]},
+            # int() would truncate each of these to a valid integer
+            {"seed": 1.5},
+            {"seed": True},
+            {"n": 50.5},
+            {"replications": 2.5},
+            {"fit": {"legendre": 2.5}},
         ],
         ids=["missing_keys", "bogus_system", "custom_system", "one_replication",
              "non_finite_threshold", "top_level_not_object", "fit_not_object",
-             "negative_seed"],
+             "negative_seed", "repeated_names", "fractional_seed", "boolean_seed",
+             "fractional_n", "fractional_replications", "fractional_legendre"],
     )
     def test_invalid_design(self, tmp_path, capsys, override):
         doc = {"name": "broken"}

@@ -3,7 +3,7 @@ import pytest
 
 import mixedcorr as mc
 from mixedcorr.errors import DegenerateWeight, UnknownPair
-from mixedcorr.moments import CompiledMoments, data_products, model_terms
+from mixedcorr.moments import CompiledMoments, _lower_inverse, data_products, model_terms
 from mixedcorr.normal import LegendreOrder, binorm_cdf_legendre
 
 from conftest import design1, design2, design243
@@ -438,15 +438,37 @@ class TestGradient:
         assert np.max(np.abs(G - fd)) < 1e-8
 
 
+def _weight(w):
+    """The weight K'K of a WeightMatrix with whitener K."""
+    return w.whitener.T @ w.whitener
+
+
+def _spd(q, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((q, q))
+    return a @ a.T + 0.5 * np.eye(q)
+
+
+class TestLowerInverse:
+    @pytest.mark.parametrize("q", [63, 64, 65, 200, 618])
+    def test_matches_the_inverse(self, q):
+        # blocks of more than 64 rows are halved, so 65 and up recurse
+        L = np.linalg.cholesky(_spd(q, q))
+        expected = np.linalg.inv(L)
+        got = _lower_inverse(L)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert not np.any(np.triu(got, 1))
+
+
 class TestWeightMatrix:
     def test_identity(self):
         w = mc.weight_matrix(np.eye(3))
-        assert np.allclose(w.matrix, np.eye(3))
+        assert np.allclose(_weight(w), np.eye(3))
         assert not w.pseudo_inverse
 
     def test_diagonal_inverse(self):
         w = mc.weight_matrix(np.diag([4.0, 0.25]))
-        assert np.allclose(w.matrix, np.diag([0.25, 4.0]))
+        assert np.allclose(_weight(w), np.diag([0.25, 4.0]))
         assert w.condition == pytest.approx(16.0)
 
     def test_pruned_one_step_omega_needs_pseudo_inverse(self, four_var_system):
@@ -468,20 +490,29 @@ class TestWeightMatrix:
         w = mc.weight_matrix(np.diag([1.0, 1e-11]))
         assert w.pseudo_inverse
         assert w.rank == 1
-        assert np.array_equal(w.matrix, np.diag([1.0, 0.0]))
+        assert np.array_equal(_weight(w), np.diag([1.0, 0.0]))
 
     def test_positive_definite_takes_the_direct_inverse(self):
-        rng = np.random.default_rng(9)
-        a = rng.standard_normal((5, 5))
-        omega = a @ a.T + 0.5 * np.eye(5)
+        omega = _spd(5, 9)
         w = mc.weight_matrix(omega)
         inv = np.linalg.inv(omega)
         assert not w.pseudo_inverse
         assert w.rank == 5
-        assert np.allclose(w.matrix, inv, rtol=1e-12, atol=0)
-        # the direct path reports the 1-norm condition number
+        assert np.allclose(_weight(w), inv, rtol=1e-12, atol=0)
+        # the direct path reports a bound on the 1-norm condition number
         cond_1 = np.linalg.norm(omega, 1) * np.linalg.norm(inv, 1)
-        assert w.condition == pytest.approx(cond_1, rel=1e-10)
+        assert w.condition >= cond_1 * (1 - 1e-12)
+
+    def test_direct_whitener_is_the_inverse_cholesky_factor(self):
+        # 200 rows: _lower_inverse recurses
+        omega = _spd(200, 3)
+        w = mc.weight_matrix(omega)
+        K = w.whitener
+        inv = np.linalg.inv(omega)
+        assert not w.pseudo_inverse
+        assert not np.any(np.triu(K, 1))
+        assert np.max(np.abs(K.T @ K - inv)) <= 1e-12 * np.max(np.abs(inv))
+        assert w.condition >= np.linalg.cond(omega, 1) * (1 - 1e-12)
 
     def test_large_norm_condition_falls_back_to_eigh(self):
         # eigenvalues 1 (along the diagonal direction) and lam three times:
@@ -497,7 +528,7 @@ class TestWeightMatrix:
         assert w.rank == 4
         assert w.condition == pytest.approx(1 / lam, rel=1e-4)
         expected = (np.eye(4) - np.outer(v, v)) / lam + np.outer(v, v)
-        assert np.allclose(w.matrix, expected, rtol=1e-4, atol=0)
+        assert np.allclose(_weight(w), expected, rtol=1e-4, atol=0)
 
     def test_degenerate_weight(self):
         v = np.array([1.0, 2.0, 3.0, 4.0])

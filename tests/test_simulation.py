@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import mixedcorr as mc
-from mixedcorr import simulation
+from mixedcorr import estimator, simulation
 from mixedcorr.errors import (
     AllReplicationsFailed,
     EmptyCategory,
@@ -106,14 +106,10 @@ class TestRunStudy:
         ratio = np.diag(small.covr).mean() / np.diag(big.covr).mean()
         assert 3.5 < ratio < 7.0
 
-    def test_all_failed(self):
-        # non-convergent configuration on every replication
-        bad = design1(
-            n=150,
-            replications=2,
-            seed=11,
-            fit=mc.FitConfig(inner_max_iter=1),
-        )
+    def test_all_failed(self, monkeypatch):
+        # a one-iteration solve converges on no replication
+        monkeypatch.setattr(estimator, "MAX_ITER", 1)
+        bad = design1(n=150, replications=2, seed=11)
         with pytest.raises(AllReplicationsFailed):
             mc.run_study(bad, workers=1)
 
