@@ -29,7 +29,7 @@ from .moments import CUSTOM, build_system
 from .normal import LegendreOrder
 from .simulation import SimDesign, run_study
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 _MISSING = {"", "na", "nan", "null", "none", "."}
 

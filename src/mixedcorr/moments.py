@@ -752,13 +752,11 @@ def _lower_inverse(L):
     """Inverse of a nonsingular lower-triangular L by recursive halving (Du
     Croz & Higham 1992): with L = [[A, 0], [B, C]], the inverse is
     [[A^-1, 0], [-C^-1 B A^-1, C^-1]]. A block of at most 64 rows is
-    inverted by forward substitution, a row at a time."""
+    inverted whole by LAPACK, its rounding above the diagonal dropped."""
     n = L.shape[0]
-    X = np.eye(n)
     if n <= 64:
-        for i in range(n):
-            X[i] = (X[i] - L[i, :i] @ X[:i]) / L[i, i]
-        return X
+        return np.tril(np.linalg.inv(L))
+    X = np.eye(n)
     h = n // 2
     X[:h, :h] = _lower_inverse(L[:h, :h])
     X[h:, h:] = _lower_inverse(L[h:, h:])

@@ -46,6 +46,13 @@ def _integer(name, value):
     return value
 
 
+def _string(name, value):
+    """``value`` if it is a string; else ValueError."""
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, not {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class SimDesign:
     """True distribution, sampling sizes and fit configuration of one study."""
@@ -122,10 +129,13 @@ class SimDesign:
             order=LegendreOrder(_integer("legendre", fit_doc.get("legendre", FitConfig.order.value))),
             covariance=fit_doc.get("covariance", FitConfig.covariance),
         )
+        continuous = doc.get("continuous", [])
+        if not isinstance(continuous, list):
+            raise ValueError(f"continuous must be a list of names, not {continuous!r}")
         return SimDesign(
-            continuous=tuple(doc.get("continuous", ())),
+            continuous=tuple(_string("a variable name", nm) for nm in continuous),
             ordinal=tuple(
-                (o["name"], np.asarray(o["thresholds"], dtype=float))
+                (_string("an ordinal name", o["name"]), np.asarray(o["thresholds"], dtype=float))
                 for o in doc.get("ordinal", ())
             ),
             r_true=np.asarray(doc["r_true"], dtype=float),
@@ -133,7 +143,7 @@ class SimDesign:
             replications=_integer("replications", doc["replications"]),
             seed=_integer("seed", doc["seed"]),
             fit=cfg,
-            name=doc.get("name", "study"),
+            name=_string("name", doc.get("name", "study")),
         )
 
 

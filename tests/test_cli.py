@@ -41,7 +41,7 @@ class TestFitCommand:
         )
         assert code == 0
         report = json.loads(out.read_text())
-        assert report["schema_version"] == 4
+        assert report["schema_version"] == 5
         assert len(report["coefficients"]) == 6
         assert set(report["thresholds"]) == {"X1", "X2"}
         assert len(report["thresholds"]["X1"]) == 1
@@ -342,7 +342,7 @@ class TestFitCommand:
                 "--ordinal", "X1:2,X2:2", "--method", "one-step", "--out", out]
         assert _run(argv) == 0
         diag = json.loads(out.read_text())["diagnostics"]
-        assert diag["stop"] in {"grad_tol", "step_floor", "max_iter", "non_descent"}
+        assert diag["stop"] in {"decrement", "step_floor", "max_iter"}
         assert isinstance(diag["weight_condition"], float)
         assert isinstance(diag["inner_iterations"], int)
         assert isinstance(diag["loss_evaluations"], int)
@@ -453,11 +453,17 @@ class TestSimulateCommand:
             {"n": 50.5},
             {"replications": 2.5},
             {"fit": {"legendre": 2.5}},
+            # a string is not a name list: tuple() would read "YZ" as Y and Z
+            {"continuous": "YZ"},
+            {"ordinal": [{"name": 7, "thresholds": [0.0]},
+                         {"name": "X2", "thresholds": [0.0]}]},
+            {"name": ["a"]},
         ],
         ids=["missing_keys", "bogus_system", "custom_system", "one_replication",
              "non_finite_threshold", "top_level_not_object", "fit_not_object",
              "negative_seed", "repeated_names", "fractional_seed", "boolean_seed",
-             "fractional_n", "fractional_replications", "fractional_legendre"],
+             "fractional_n", "fractional_replications", "fractional_legendre",
+             "continuous_string", "ordinal_name_not_string", "study_name_not_string"],
     )
     def test_invalid_design(self, tmp_path, capsys, override):
         doc = {"name": "broken"}
