@@ -158,9 +158,12 @@ def _recode_ordinal(name, col, declared):
     observed = col[mask]
     if observed.size == 0:
         raise _InputError(f"ordinal column {name!r} has no observed values")
+    if np.any(np.isinf(observed)):
+        raise _InputError(f"ordinal column {name!r} has an infinite label")
     if np.any(observed != np.round(observed)):
         raise _InputError(f"ordinal column {name!r} has non-integer labels")
-    labels = np.unique(observed.astype(np.int64))
+    # compared as floats: an integer cast would wrap labels at or above 2**63
+    labels = np.unique(observed)
     if declared is not None:
         if labels.size > declared:
             raise _InputError(

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyCategory, LineSearchFailure, NonFiniteLoss, SingularCovariance
-from .model import CorrelationParams, ThresholdSet, coefficient_variables
+from .model import CorrelationParams, ThresholdSet
 from .moments import (
     CUSTOM,
     MAX_SET,
@@ -189,11 +189,9 @@ def estimate_thresholds(data) -> ThresholdSet:
 def _pearson_init(data, system) -> np.ndarray:
     """Pearson correlations of the coded data for every coefficient, clamped."""
     cols = np.column_stack([data.y, data.x.astype(float)])
-    corr = np.corrcoef(cols, rowvar=False)
-    # corrcoef is symmetric only up to rounding: read the lower triangle
-    pos = [coefficient_variables(system.c, *lab) for lab in system.all_coefficients]
-    vals = np.array([corr[max(a, b), min(a, b)] for a, b in pos])
-    return np.clip(vals, -RHO_MAX, RHO_MAX)
+    corr = np.clip(np.corrcoef(cols, rowvar=False), -RHO_MAX, RHO_MAX)
+    # corrcoef is symmetric only up to rounding: from_matrix reads the lower triangle
+    return CorrelationParams.from_matrix(corr, system.c, system.d).values
 
 
 def _initial_theta(data, system) -> np.ndarray:

@@ -43,12 +43,12 @@ model-implied; the gradient G = -db/dtheta is deterministic.
 
 ``_compile`` is the one walk over the blocks, and the only code that
 branches on the equation kind: it lays out each block's equations and
-retained flags, its weighted rows and its entries in flat index tables, so
-no evaluation dispatches on the equation kind. Each column of A is the
-product of two factor columns out of (1, Y_i, I(X_i = k)). The bounds are
-the cut points of every ordinal with their -inf/+inf ends; the corners are
-the bound pairs (b_lo[k], b_hi[l]) of every pair of included ordinals,
-with the pair's polychoric rho or 0 where the system has none.
+retained flags, its weighted rows and its model terms in flat index
+tables, so no evaluation dispatches on the equation kind. Each column of
+A is the product of two factor columns out of (1, Y_i, I(X_i = k)). The
+bounds are the cut points of every ordinal with their -inf/+inf ends; the
+corners are the bound pairs (b_lo[k], b_hi[l]) of every pair of included
+ordinals, with the pair's polychoric rho or 0 where the system has none.
 
 The model at one theta has fields that do not depend on the Legendre order
 (``_bounds``: the finite bounds, Phi, phi and z*phi there, the corner
@@ -66,16 +66,26 @@ the point come
     gradient pool: 0, 1, phi(bounds), z*phi(bounds),
                    dF/drho, dF/dx and dF/dy at the corners
 
-and every model term and every nonzero entry of G is
-scale * (v11 - v10 - v01 + v00) over four gathered pool values, with the
-scale gathered from (1, theta). A threshold term is a
-difference of two Phi values, a Pearson term rho itself, a polyserial term
-rho times a difference of two phi values, a polychoric term the rectangle
-of four corner CDFs. The threshold-moment covariance gathers its joint
-cell probabilities from the same corner CDFs.
+and every model term is scale * (v11 - v10 - v01 + v00) over four
+gathered model-pool values, with the scale gathered from (1, theta). A
+threshold term is a difference of two Phi values, a Pearson term rho
+itself, a polyserial term rho times a difference of two phi values, a
+polychoric term the rectangle of four corner CDFs. The threshold-moment
+covariance gathers its joint cell probabilities from the same corner CDFs.
+
+G is derived from the model terms by the chain rule (forward-mode
+differentiation, Griewank & Walther 2008, ch. 3), never written by hand.
+One table gives the partials of each model-pool slot in the gradient pool,
+each for a theta column that exists (a finite cut, an included
+coefficient): Phi(b) -> +phi(b), phi(b) -> -z*phi(b), a corner CDF ->
+dF/drho, dF/dx and dF/dy there. The partial in a theta scale is the
+unscaled term; the scaled terms read only 0, 1 and phi, which both pools
+hold in the same slots. Each entry of G is then one signed, scaled
+gradient-pool value, and the entries of one (row, column) are summed in
+entry order.
 
 The corner partials come in two kinds, filled into the same pool slots so
-that both are one scatter over the same tables:
+that both sum the same entries:
 
 - exact (``assemble_gradient(theta, system)``): the derivatives of the
   exact bivariate CDF, dF/drho = phi(x, y; rho) and
@@ -250,11 +260,11 @@ class _Tables:
     ind_code: np.ndarray  # indicator factor -> category code
     factors: np.ndarray  # (2, q_full) factor rows whose product is the data term
     b_scale: np.ndarray  # equation -> scale slot of its model term
-    b_idx: np.ndarray  # (4, q_full) model-pool slots
-    g_pos: np.ndarray  # nonzero gradient entry -> retained row * p + theta column
+    b_idx: np.ndarray  # (4, q_full) model-pool slots (v11, v10, v01, v00)
+    g_pos: np.ndarray  # gradient entry -> retained row * p + theta column
     g_sign: np.ndarray  # -> +-1
     g_scale: np.ndarray  # -> scale slot
-    g_idx: np.ndarray  # (4, entries) gradient-pool slots
+    g_idx: np.ndarray  # -> its one gradient-pool slot
     sigma_same: np.ndarray  # (q_h, q_h) both threshold equations on one variable
     sigma_idx: np.ndarray  # (4, q_h**2) model-pool slots of the joint cell probability
 
@@ -270,12 +280,14 @@ def _compile(system, full_partner):
     c, s = system.c, system.s
     minimal = system.mode == MIN_SET
 
-    bound, bound_src = {}, []
+    bound, bound_src, bound_col = {}, [], []
     for v in system.included_ordinals:
         for a in range(s[v - 1] + 1):
             bound[v, a] = len(bound_src)
-            cut = 1 + system.thr_offsets[v] + a
-            bound_src.append(0 if a == 0 else 1 if a == s[v - 1] else cut)
+            cut = system.thr_offsets[v] + a - 1  # theta column of a finite bound
+            finite = 0 < a < s[v - 1]
+            bound_src.append(2 + cut if finite else 0 if a == 0 else 1)
+            bound_col.append(cut if finite else -1)
     nb = len(bound_src)
 
     corner, corner_x, corner_y, corner_rho = {}, [], [], []
@@ -291,25 +303,25 @@ def _compile(system, full_partner):
                     corner_rho.append(col)
     nc = len(corner_x)
 
+    # per model-pool slot, (theta column, sign, gradient-pool slot) of each
+    # partial that has a column: phi(b) -> -z*phi(b), Phi(b) -> +phi(b) and
+    # a corner CDF F -> dF/drho, dF/dx, dF/dy
+    partials = [[], []]  # the constants 0 and 1
+    partials += [[(col, -1.0, 2 + nb + i)] if col >= 0 else [] for i, col in enumerate(bound_col)]
+    partials += [[(col, 1.0, 2 + i)] if col >= 0 else [] for i, col in enumerate(bound_col)]
+    for i, (rho_col, x, y) in enumerate(zip(corner_rho, corner_x, corner_y)):
+        cols = (rho_col, bound_col[x], bound_col[y])
+        partials.append(
+            [(col, 1.0, 2 + 2 * nb + seg * nc + i) for seg, col in enumerate(cols) if col >= 0]
+        )
+
     def at_bound(segment, v, a):
         return 2 + segment * nb + bound[v, a]
 
-    def at_corner(segment, lo, hi, a, b):
-        return 2 + 2 * nb + segment * nc + corner[lo, hi, a, b]
-
-    def rect(segment, lo, hi, k, l):
+    def rect(lo, hi, k, l):
         # the corners of one pair are stored row by row, s_hi + 1 per row
-        v11, row = at_corner(segment, lo, hi, k, l), s[hi - 1] + 1
+        v11, row = 2 + 2 * nb + corner[lo, hi, k, l], s[hi - 1] + 1
         return (v11, v11 - 1, v11 - row, v11 - row - 1)
-
-    def bound_cols(v, k):
-        # (theta column, sign, bound) of the finite bounds of category k
-        off = system.thr_offsets[v]
-        return [
-            (off + a - 1, sign, a)
-            for a, sign in ((k, -1.0), (k - 1, 1.0))
-            if 1 <= a < s[v - 1]
-        ]
 
     ind = {}  # factor rows: the constant 1, Y_1..Y_c, then each I(X_v = k)
     for v in system.included_ordinals:
@@ -324,19 +336,26 @@ def _compile(system, full_partner):
 
     def add_block(kind, index, eqs):
         # eqs: per equation (descriptor, retained, factor rows, model term,
-        # gradient entries, weighted by (two-step, one-step))
+        # weighted by (two-step, one-step))
         nonlocal row
         columns = tuple(zip(*eqs))
         blocks.append(EquationBlock(kind, index, columns[0], columns[1]))
-        for _, kept, factor, term, entries, weigh in eqs:
+        for _, kept, factor, (scale, idx), weigh in eqs:
             factors.append(factor)
-            terms.append(term)
-            if kept:
-                grad.extend((row,) + e for e in entries)
-                for rows, member in zip(weighted, weigh):
-                    if member:
-                        rows.append(row)
-                row += 1
+            terms.append((scale, idx))
+            if not kept:
+                continue
+            # G = -d(scale * rect(idx))/dtheta by the chain rule, one entry per
+            # gradient-pool value; a theta scale's partial is the unscaled
+            # term, whose slots (0, 1 or phi) both pools hold alike
+            for sign, slot in zip((-1.0, 1.0, 1.0, -1.0), idx):
+                if scale != UNIT and slot != Z:
+                    grad.append((row, scale - 1, sign, UNIT, slot))
+                grad.extend((row, col, sign * d, scale, g) for col, d, g in partials[slot])
+            for rows, member in zip(weighted, weigh):
+                if member:
+                    rows.append(row)
+            row += 1
 
     for v in system.included_ordinals:
         eqs = []
@@ -345,32 +364,22 @@ def _compile(system, full_partner):
             term = (UNIT, (at_bound(1, v, k), at_bound(1, v, k - 1), Z, Z))
             if kept:
                 h_rows.append((v, k))
-            entries = [
-                (col, sign, UNIT, (at_bound(0, v, a), Z, Z, Z))
-                for col, sign, a in bound_cols(v, k)
-            ]
-            eqs.append((("h", v, k), kept, (UNIT, ind[v, k]), term, entries, (False, True)))
+            eqs.append((("h", v, k), kept, (UNIT, ind[v, k]), term, (False, True)))
         add_block("threshold", (v,), eqs)
 
     # retained and weighted rows follow the rules of the module docstring
     seen = set()  # ordinals of the polychoric blocks walked so far
     for lab in system.included_coefficients:
         kind, i, j = lab
-        col = system.coef_pos[lab]
+        scale = 1 + system.coef_pos[lab]
         if kind == KIND_PEARSON:
-            entries = [(col, -1.0, UNIT, (ONE, Z, Z, Z))]
-            eqs = [(("yy", i, j), True, (i, j), (1 + col, (ONE, Z, Z, Z)), entries, (True, True))]
+            eqs = [(("yy", i, j), True, (i, j), (scale, (ONE, Z, Z, Z)), (True, True))]
         elif kind == KIND_POLYSERIAL:
             eqs = []
             for k in range(1, s[j - 1] + 1):
                 kept = k == 1 if minimal else full_partner[i] == j or k < s[j - 1]
-                xi = (at_bound(0, j, k - 1), at_bound(0, j, k), Z, Z)
-                entries = [(col, -1.0, UNIT, xi)] + [
-                    (tcol, sign, 1 + col, (at_bound(1, j, a), Z, Z, Z))
-                    for tcol, sign, a in bound_cols(j, k)
-                ]
-                eq = ("yx", i, j, k)
-                eqs.append((eq, kept, (i, ind[j, k]), (1 + col, xi), entries, (True, True)))
+                term = (scale, (at_bound(0, j, k - 1), at_bound(0, j, k), Z, Z))
+                eqs.append((("yx", i, j, k), kept, (i, ind[j, k]), term, (True, True)))
         else:
             lo, hi = j, i
             eqs = []
@@ -378,22 +387,13 @@ def _compile(system, full_partner):
                 for l in range(1, s[hi - 1] + 1):
                     last_k, last_l = k == s[lo - 1], l == s[hi - 1]
                     kept = k == l == 1 if minimal else not (last_k and last_l)
-                    cell = rect(0, lo, hi, k, l)
-                    entries = [(col, -1.0, UNIT, cell)]
-                    # a moved bound of one variable enters through the corner CDF's
-                    # partial in that variable, at both bounds of the other's category
-                    for tcol, sign, a in bound_cols(lo, k):
-                        v1, v0 = at_corner(1, lo, hi, a, l), at_corner(1, lo, hi, a, l - 1)
-                        entries.append((tcol, sign, UNIT, (v1, v0, Z, Z)))
-                    for tcol, sign, b in bound_cols(hi, l):
-                        v1, v0 = at_corner(2, lo, hi, k, b), at_corner(2, lo, hi, k - 1, b)
-                        entries.append((tcol, sign, UNIT, (v1, v0, Z, Z)))
                     weigh = (
                         not (last_l and lo in seen or last_k and hi in seen),
                         not (last_k or last_l),
                     )
                     eq = ("xx", lo, hi, k, l)
-                    eqs.append((eq, kept, (ind[lo, k], ind[hi, l]), (UNIT, cell), entries, weigh))
+                    term = (UNIT, rect(lo, hi, k, l))
+                    eqs.append((eq, kept, (ind[lo, k], ind[hi, l]), term, weigh))
             seen.update((lo, hi))
         add_block(kind, (i, j), eqs)
 
@@ -405,7 +405,7 @@ def _compile(system, full_partner):
                 sigma_idx.append((Z, Z, Z, Z))
             else:
                 klo, lhi = (k, l) if v < w else (l, k)
-                sigma_idx.append(rect(0, min(v, w), max(v, w), klo, lhi))
+                sigma_idx.append(rect(min(v, w), max(v, w), klo, lhi))
 
     def ints(values, shape=(-1,)):
         out = np.array(values, dtype=np.intp).reshape(shape)
@@ -427,7 +427,7 @@ def _compile(system, full_partner):
         g_pos=ints(np.multiply(grad_rows[0], system.p) + grad_rows[1]),
         g_sign=np.array(grad_rows[2], dtype=float),
         g_scale=ints(grad_rows[3]),
-        g_idx=ints(grad_rows[4], (-1, 4)).T,
+        g_idx=ints(grad_rows[4]),
         sigma_same=np.array(sigma_same, dtype=bool).reshape(nh, nh),
         sigma_idx=ints(sigma_idx, (-1, 4)).T,
     )
@@ -651,9 +651,8 @@ def assemble_gradient(theta, system, order=None) -> np.ndarray:
             d_y + pt.pdf[t.corner_y] * pt.cdf[t.corner_x],
         )
     pool = np.concatenate(([0.0, 1.0], pt.pdf, pt.zphi) + tuple(partials))
-    G = np.zeros(system.q * system.p)
-    G[t.g_pos] = t.g_sign * (_scales(theta)[t.g_scale] * _rect(pool, t.g_idx))
-    return G.reshape(system.q, system.p)
+    weights = t.g_sign * (_scales(theta)[t.g_scale] * pool[t.g_idx])
+    return np.bincount(t.g_pos, weights, system.q * system.p).reshape(system.q, system.p)
 
 
 def compute_sigma(theta, system, order=LegendreOrder.THIRD) -> np.ndarray:

@@ -79,8 +79,11 @@ class SimDesign:
         ords = []
         for name, cuts in self.ordinal:
             cuts = np.asarray(cuts, dtype=float)
-            if cuts.size < 1 or not np.all(np.isfinite(cuts)) or np.any(np.diff(cuts) <= 0):
-                raise ValueError(f"thresholds of {name!r} must be finite and strictly increasing")
+            one_list = cuts.ndim == 1 and cuts.size > 0
+            if not one_list or not np.all(np.isfinite(cuts)) or np.any(np.diff(cuts) <= 0):
+                raise ValueError(
+                    f"thresholds of {name!r} must be one finite, strictly increasing list"
+                )
             cuts.setflags(write=False)
             ords.append((name, cuts))
         object.__setattr__(self, "ordinal", tuple(ords))

@@ -138,6 +138,20 @@ class TestFitCommand:
         recode = next(v for v in report["variables"] if v["name"] == "X")["recode_map"]
         assert recode == {"10": 1, "20": 2}
 
+    def test_labels_beyond_int64_recoded(self, tmp_path):
+        # labels at or above 2**63 have no int64 value
+        rng = np.random.default_rng(4)
+        codes = rng.choice([5.0, 1e19], size=80)
+        y = rng.normal(size=80) + 0.5 * (codes > 5)
+        path = tmp_path / "labels.csv"
+        _write_csv(path, ["Y", "X"], np.column_stack([y, codes]).tolist())
+        out = tmp_path / "report.json"
+        argv = ["fit", "--data", path, "--continuous", "Y", "--ordinal", "X:2", "--out", out]
+        assert _run(argv) == 0
+        report = json.loads(out.read_text())
+        recode = next(v for v in report["variables"] if v["name"] == "X")["recode_map"]
+        assert recode == {"5": 1, str(10**19): 2}
+
     def test_non_numeric_cell_reports_line(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("Y,X\n0.1,1\nobviously_text,2\n0.3,1\n")
@@ -209,12 +223,19 @@ class TestFitCommand:
             (GOOD, ["--pairs", "Y:Y"], "two distinct columns"),
             (GOOD, ["--pairs", "Y:X", "--system", "min"], "drop --system"),
             (GOOD, ["--pairs", ","], "--pairs names no pair"),
+            # an infinite label is no category, declared or inferred
+            (GOOD + "0.2,inf\n", [], "'X' has an infinite label"),
+            (GOOD + "0.2,-inf\n", ["--ordinal", "X:3"], "'X' has an infinite label"),
+            (GOOD + "0.2,inf\n", ["--ordinal", "X"], "'X' has an infinite label"),
+            (GOOD + "0.2,-inf\n", ["--ordinal", "X"], "'X' has an infinite label"),
         ],
         ids=[
             "unopenable", "empty", "ragged_row", "header_only", "ordinal_count_text",
             "non_integer_labels", "too_many_labels", "no_observed_labels",
             "inferred_label_below_one", "pair_without_colon", "pair_unknown_column",
             "pair_same_column", "pairs_with_system", "pairs_empty",
+            "infinite_label_declared", "negative_infinite_label_declared",
+            "infinite_label_inferred", "negative_infinite_label_inferred",
         ],
     )
     def test_input_errors(self, tmp_path, capsys, text, args, message):
@@ -458,12 +479,16 @@ class TestSimulateCommand:
             {"ordinal": [{"name": 7, "thresholds": [0.0]},
                          {"name": "X2", "thresholds": [0.0]}]},
             {"name": ["a"]},
+            # np.searchsorted in generate cannot take a nested list
+            {"ordinal": [{"name": "X1", "thresholds": [[0.0]]},
+                         {"name": "X2", "thresholds": [0.0]}]},
         ],
         ids=["missing_keys", "bogus_system", "custom_system", "one_replication",
              "non_finite_threshold", "top_level_not_object", "fit_not_object",
              "negative_seed", "repeated_names", "fractional_seed", "boolean_seed",
              "fractional_n", "fractional_replications", "fractional_legendre",
-             "continuous_string", "ordinal_name_not_string", "study_name_not_string"],
+             "continuous_string", "ordinal_name_not_string", "study_name_not_string",
+             "nested_thresholds"],
     )
     def test_invalid_design(self, tmp_path, capsys, override):
         doc = {"name": "broken"}

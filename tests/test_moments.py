@@ -416,12 +416,22 @@ class TestGradient:
         "order", [LegendreOrder.SECOND, LegendreOrder.THIRD], ids=["o2", "o3"]
     )
     @pytest.mark.parametrize("mode", [mc.MAX_SET, mc.MIN_SET, mc.CUSTOM])
-    @pytest.mark.parametrize("design", [design1, design2, design243], ids=["d1", "d2", "d243"])
-    def test_legendre_gradient_matches_finite_differences(self, design, mode, order):
+    @pytest.mark.parametrize(
+        "specs, pairs",
+        [
+            pytest.param(d().specs, [("polychoric", 2, 1), ("polyserial", 1, 2)], id=name)
+            for name, d in [("d1", design1), ("d2", design2), ("d243", design243)]
+        ]
+        # a system with no bounds, and one with no scaled model term
+        + [
+            pytest.param(_specs(3, []), [("pearson", 3, 1)], id="continuous"),
+            pytest.param(_specs(0, [3, 2, 4]), [("polychoric", 3, 1)], id="ordinal"),
+        ],
+    )
+    def test_legendre_gradient_matches_finite_differences(self, specs, pairs, mode, order):
         # the minimizer's gradient is the Jacobian of the approximated
         # moments themselves, to finite-difference accuracy
-        pairs = [("polychoric", 2, 1), ("polyserial", 1, 2)] if mode == mc.CUSTOM else None
-        system = mc.build_system(design().specs, mode, pairs=pairs)
+        system = mc.build_system(specs, mode, pairs=pairs if mode == mc.CUSTOM else None)
         rng = np.random.default_rng(3)
         theta = np.concatenate(
             [np.sort(rng.uniform(-0.8, 0.8, s - 1)) for s in system.s]
