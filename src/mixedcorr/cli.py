@@ -62,7 +62,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict to coefficients, e.g. 'Y1:X2,X1:X2' (a custom system: no --system)",
     )
     p_fit.add_argument("--legendre", type=int, choices=[2, 3], default=FitConfig.order.value)
-    p_fit.add_argument("--cov", choices=["paper", "corrected"], default=FitConfig.covariance)
+    p_fit.add_argument(
+        "--cov",
+        choices=["paper", "corrected"],
+        default=FitConfig.covariance,
+        help="two-step covariance: 'corrected', the sandwich of the stacked threshold and "
+        "coefficient moments, or 'paper', the paper's formula, which omits their cross term "
+        "(one-step takes only 'corrected')",
+    )
     p_fit.add_argument("--out", default=None, help="report path (stdout when omitted)")
     p_fit.add_argument("--format", choices=["json", "csv"], default="json")
 
@@ -324,6 +331,15 @@ def cmd_fit(args) -> int:
         raise _InputError("column sets must be disjoint")
     if args.pairs and args.system:
         raise _InputError("--pairs selects a custom system: drop --system")
+    try:
+        cfg = FitConfig(
+            method=args.method,
+            order=LegendreOrder(args.legendre),
+            covariance=args.cov,
+            system_mode=CUSTOM if args.pairs else args.system or FitConfig.system_mode,
+        )
+    except ValueError as exc:
+        raise _InputError(f"--method {args.method} --cov {args.cov}: {exc}") from exc
     # before the CSV is read, so that a report path in a missing directory
     # costs no fit
     if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
@@ -338,17 +354,8 @@ def cmd_fit(args) -> int:
 
     data = ingest(table, specs)
 
-    if args.pairs:
-        system = build_system(specs, CUSTOM, pairs=_parse_pairs(args.pairs, names, len(continuous)))
-    else:
-        system = build_system(specs, args.system or FitConfig.system_mode)
-
-    cfg = FitConfig(
-        method=args.method,
-        order=LegendreOrder(args.legendre),
-        covariance=args.cov,
-        system_mode=system.mode,
-    )
+    pairs = _parse_pairs(args.pairs, names, len(continuous)) if args.pairs else None
+    system = build_system(specs, cfg.system_mode, pairs)
     res = fit(data, system, cfg)
     report = _fit_report(args, data, system, cfg, res, recode_maps)
     _write_fit_report(report, args.format, args.out)

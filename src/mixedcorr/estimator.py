@@ -25,9 +25,19 @@ pseudo-inverse, the fixed-point argument fails, and the fit returns its
 one solve with converged=False. The one-step method moves thresholds and
 correlations jointly; the two-step method solves the thresholds in closed
 form from the marginal frequencies, freezes them, and iterates on the
-correlation vector only, with a threshold-variability correction added to
-its asymptotic covariance.
+correlation vector only.
 ``fit`` takes the method from its FitConfig.
+
+Each method's estimate is the root of stacked estimating equations
+A m_R(theta) = 0 over a row set R, and its covariance is that root's
+sandwich D^-1 A S_R A' D^-T / n with D = A G_R (Hansen 1982; Newey &
+McFadden 1994, section 6), S_R the centred covariance of the data products
+on R. One-step: R is its weighted rows and A = J'K, so the sandwich is
+(J'J)^-1 / n. Two-step: R is the threshold rows h, which the closed-form
+thresholds solve exactly, over its weighted rows g, and
+A = blockdiag(I, J'K) with K the whitener of S_gg alone; the sandwich
+counts the thresholds' sampling variation and its covariance with the
+coefficient moments.
 """
 
 from __future__ import annotations
@@ -107,6 +117,8 @@ class FitConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.covariance not in (COV_PAPER, COV_CORRECTED):
             raise ValueError(f"unknown covariance variant {self.covariance!r}")
+        if self.method == ONE_STEP and self.covariance == COV_PAPER:
+            raise ValueError("the paper covariance is a two-step variant; one-step has no other")
         if self.system_mode not in (MAX_SET, MIN_SET, CUSTOM):
             raise ValueError(f"unknown system mode {self.system_mode!r}")
         if not isinstance(self.order, LegendreOrder):
@@ -208,7 +220,8 @@ def _minimize(compiled, K, x0, free_idx, cfg):
     """Quasi-Newton (BFGS inverse-Hessian updates, backtracking Armijo line
     search) over the free parameter subspace of the loss |K m|^2 / 2, the
     GMM loss under the fixed weight K'K on the moment rows ``compiled``
-    covers.
+    covers; a row whose column of K is zero, like a two-step threshold row,
+    takes no weight.
 
     The gradient is that of the loss itself: G differentiates the Legendre
     approximation of order cfg.order that the moments are evaluated with.
@@ -328,12 +341,21 @@ def fit(data, system, cfg=None) -> EstimationResult:
       and Var(theta) = (G'WG)^-1 / n at the final iterate.
     - two-step: the thresholds stay frozen, the correlations move under the
       gradient block G22 and W = (Cov_n g)^-1 over the correlation rows
-      but the polychoric cells that repeat an ordinal's margin.
-      Var(R_hat) = (Lambda + Lambda Gamma V_a Gamma' Lambda) / n with
-      Lambda = (G22' W G22)^-1 and Gamma = G22' W G21; V_a, the threshold
-      covariance, is the raw threshold-moment covariance Sigma = Var h under
-      the "paper" variant or the delta-method (G11' Sigma^-1 G11)^-1 under
-      the default "corrected" one.
+      but the polychoric cells that repeat an ordinal's margin. The
+      compiled rows are the q_h threshold rows h followed by those, and K
+      is [0 | K_g] with K_g the whitener of the g block of S alone, so the
+      threshold rows take no weight. Var(R_hat) = (Lambda + Lambda M
+      Lambda) / n with Lambda = (G22' W G22)^-1 = (J'J)^-1 and
+      Gamma = G22' W G21 = J'(K G21). Under the default "corrected"
+      variant this is the sandwich of the stacked equations
+      [h; J'K g] = 0 (module docstring): with F = Gamma G11^-1 and
+      T = J'(K S_gh), M = F S_hh F' - F T' - T F', since K S_gg K' = I.
+      The "paper" variant is the paper's formula, M = Gamma Sigma Gamma'
+      with Sigma = ``compute_sigma``, the model-implied Var h; it omits
+      the cross term T between the threshold and coefficient moments.
+      Where every block keeps one equation (a min set) both methods solve
+      the same just-identified equations, and the corrected covariance
+      matches the one-step one.
 
     The fit makes one inner solve, under W_c = S^-1, the inverse centred
     covariance of the products, through its whitener K (K'K = W_c, from
@@ -341,19 +363,19 @@ def fit(data, system, cfg=None) -> EstimationResult:
     point is the fixed point of the paper's refresh loop (module
     docstring), so no refresh solve follows. W in the covariances is W_c,
     the weight the solve ran under, so they are the sandwich of the
-    estimator the fit computes; with J = K G, G'W_cG = J'J and
-    Gamma = J'(K G21). converged is set when the solve stopped on a
-    stationarity test rather than MAX_ITER and W_c is a direct inverse; a
-    pseudo-inverse W_c (S rank-deficient in the data) returns the solve
-    with converged=False.
+    estimator the fit computes; with J = K G, G'W_cG = J'J.
+    converged is set when the solve stopped on a stationarity test rather
+    than MAX_ITER and W_c is a direct inverse; a pseudo-inverse W_c (S
+    rank-deficient in the data) returns the solve with converged=False.
 
     The minimizer follows the gradient of the Legendre-approximated loss,
     but G, G11, G21 and G22 in the covariances come from the exact-CDF
     Jacobian (``assemble_gradient(theta, system)``): the covariance targets
     the exact model, so it changes with the CDF order only through theta.
-    Where G'WG (J'J has no Cholesky factor, or, under the corrected variant,
-    G11' Sigma^-1 G11 is singular) at the solution, the covariance does not
-    exist and the fit raises SingularCovariance.
+    Where G'WG (J'J) has no Cholesky factor, or, under the corrected
+    variant, G11 is singular at the solution, the covariance does not exist
+    and the fit raises SingularCovariance. FitConfig rejects the "paper"
+    variant under one-step, which has one covariance.
     """
     cfg = cfg or FitConfig()
     if (data.names, data.s, data.c) != (system.names, system.s, system.c):
@@ -365,11 +387,15 @@ def fit(data, system, cfg=None) -> EstimationResult:
     start = time.perf_counter()
     one_step = cfg.method == ONE_STEP
     free_idx = np.flatnonzero(system.active) if one_step else system.coef_cols
-    rows = system.weighted_rows(one_step)
+    # two-step stacks the q_h threshold rows, which take no weight, on its
+    # weighted rows: K = [0 | K_g], from the g sub-block of S alone
+    nh = 0 if one_step else system.q_h
+    rows = np.concatenate((np.arange(nh), system.weighted_rows(one_step)))
     compiled = CompiledMoments(data, system, rows)
+    S = compiled.cov
 
-    centred = weight_matrix(compiled.cov)
-    K = centred.whitener
+    centred = weight_matrix(S[nh:, nh:])
+    K = np.pad(centred.whitener, ((0, 0), (nh, 0)))
     theta, info = _minimize(compiled, K, _initial_theta(data, system), free_idx, cfg)
 
     G_full = assemble_gradient(theta, system)
@@ -384,16 +410,15 @@ def fit(data, system, cfg=None) -> EstimationResult:
             var_theta = _expand_var(lam / compiled.n, free_idx, system.p)
             var_r = var_theta[np.ix_(system.coef_cols, system.coef_cols)]
         else:
-            var_theta, var_r = None, lam
-            if system.thr_cols.size:
-                G11 = G_full[: system.q_h][:, system.thr_cols]
-                sigma = compute_sigma(theta, system, cfg.order)
-                gamma = J.T @ KG[:, system.thr_cols]
-                if cfg.covariance == COV_PAPER:
-                    v_a = sigma
-                else:
-                    v_a = np.linalg.inv(G11.T @ np.linalg.inv(sigma) @ G11)
-                var_r = lam + lam @ gamma @ v_a @ gamma.T @ lam
+            gamma = J.T @ KG[:, system.thr_cols]
+            if cfg.covariance == COV_PAPER:
+                M = gamma @ compute_sigma(theta, system, cfg.order) @ gamma.T
+            else:
+                # F T' with F = Gamma G11^-1 and T = J'(K S_gh)
+                F = np.linalg.solve(G_full[:nh][:, system.thr_cols].T, gamma.T).T
+                FT = F @ (K @ S[:, :nh]).T @ J
+                M = F @ S[:nh, :nh] @ F.T - FT - FT.T
+            var_theta, var_r = None, lam + lam @ M @ lam
             var_r = (var_r + var_r.T) / (2.0 * compiled.n)
     except np.linalg.LinAlgError as exc:
         raise SingularCovariance(f"the {cfg.method} covariance is singular: {exc}") from exc

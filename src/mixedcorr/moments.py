@@ -56,11 +56,11 @@ coordinates x, y and rho) and the Legendre fields at one order (the node
 densities at the corners and the corner CDF). ``_point`` memoizes both for
 the last (theta, order) seen, each kernel vectorized over all bounds or
 corners. The minimizer's gradient at an accepted step reads the point its
-last loss evaluation left, and ``compute_sigma`` the point at a fit's
-solution, evaluated anew only when the solve's last loss evaluation was a
-rejected trial step. The exact kinds (the exact G and the exact-CDF
-moments) read only ``_bounds`` and evaluate no Legendre densities. From
-the point come
+last loss evaluation left, and ``compute_sigma`` (the "paper" two-step
+covariance) the point at a fit's solution, evaluated anew only when the
+solve's last loss evaluation was a rejected trial step. The exact kinds
+(the exact G and the exact-CDF moments) read only ``_bounds`` and evaluate
+no Legendre densities. From the point come
 
     model pool:    0, 1, phi(bounds), Phi(bounds), corner CDF F(x, y; rho)
     gradient pool: 0, 1, phi(bounds), z*phi(bounds),
@@ -656,7 +656,9 @@ def assemble_gradient(theta, system, order=None) -> np.ndarray:
 
 
 def compute_sigma(theta, system, order=LegendreOrder.THIRD) -> np.ndarray:
-    """Analytic Var h at theta over the retained threshold equations.
+    """Analytic Var h at theta over the retained threshold equations: the
+    Sigma of the paper's two-step covariance (the "paper" variant of
+    ``estimator.fit``; the default variant reads the data covariance).
 
     Within a variable the blocks are multinomial (p_k delta_kl - p_k p_l);
     across variables the cell probability under the pair's polychoric

@@ -228,6 +228,8 @@ class TestFitCommand:
             (GOOD + "0.2,-inf\n", ["--ordinal", "X:3"], "'X' has an infinite label"),
             (GOOD + "0.2,inf\n", ["--ordinal", "X"], "'X' has an infinite label"),
             (GOOD + "0.2,-inf\n", ["--ordinal", "X"], "'X' has an infinite label"),
+            # the file is not read: its error would be "cannot open"
+            (None, ["--method", "one-step", "--cov", "paper"], "two-step variant"),
         ],
         ids=[
             "unopenable", "empty", "ragged_row", "header_only", "ordinal_count_text",
@@ -236,6 +238,7 @@ class TestFitCommand:
             "pair_same_column", "pairs_with_system", "pairs_empty",
             "infinite_label_declared", "negative_infinite_label_declared",
             "infinite_label_inferred", "negative_infinite_label_inferred",
+            "one_step_paper_covariance",
         ],
     )
     def test_input_errors(self, tmp_path, capsys, text, args, message):
@@ -482,13 +485,14 @@ class TestSimulateCommand:
             # np.searchsorted in generate cannot take a nested list
             {"ordinal": [{"name": "X1", "thresholds": [[0.0]]},
                          {"name": "X2", "thresholds": [0.0]}]},
+            {"fit": {"method": "one-step", "covariance": "paper"}},
         ],
         ids=["missing_keys", "bogus_system", "custom_system", "one_replication",
              "non_finite_threshold", "top_level_not_object", "fit_not_object",
              "negative_seed", "repeated_names", "fractional_seed", "boolean_seed",
              "fractional_n", "fractional_replications", "fractional_legendre",
              "continuous_string", "ordinal_name_not_string", "study_name_not_string",
-             "nested_thresholds"],
+             "nested_thresholds", "one_step_paper_covariance"],
     )
     def test_invalid_design(self, tmp_path, capsys, override):
         doc = {"name": "broken"}

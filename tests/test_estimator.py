@@ -527,6 +527,41 @@ class TestRankOneRefresh:
         var_theta = res.var_theta[np.ix_(free, free)]
         assert np.max(np.abs(var_theta - sandwich)) <= 1e-10 * np.max(np.abs(sandwich))
 
+    @pytest.mark.parametrize("dataset", ["design2", "empty_cell"])
+    def test_two_step_covariance_is_the_stacked_sandwich(self, dataset):
+        # the two-step estimate is the root of [h; G22'W g] = 0 over the
+        # threshold rows h and the two-step weighted rows g, W = K'K from the
+        # g block of S alone: Var(R_hat) is the coefficient block of
+        # D^-1 A S_R A' D^-T / n with A = blockdiag(I, G22'W), D = A G_R
+        data = mc.generate(design2(), 0) if dataset == "design2" else _empty_cell_data()
+        system = mc.build_system(data.specs, mc.MAX_SET)
+        res = mc.fit(data, system, TWO_STEP)
+        nh = system.q_h
+        rows = np.concatenate([np.arange(nh), system.weighted_rows(False)])
+        compiled = CompiledMoments(data, system, rows)
+        K = weight_matrix(compiled.cov[nh:, nh:]).whitener
+        theta = np.concatenate([res.a_hat.to_array(), res.r_hat.values])
+        free = np.flatnonzero(system.active)
+        G = moments.assemble_gradient(theta, system)[rows][:, free]
+        A = np.zeros((free.size, rows.size))
+        A[:nh, :nh] = np.eye(nh)
+        A[nh:, nh:] = G[nh:, nh:].T @ K.T @ K
+        D_inv = np.linalg.inv(A @ G)
+        sandwich = D_inv @ A @ compiled.cov @ A.T @ D_inv.T / compiled.n
+        expected = sandwich[nh:, nh:]
+        assert np.max(np.abs(res.var_r - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("design", [design1, design2], ids=["design1", "design2"])
+    def test_min_set_two_step_covariance_is_the_one_step_one(self, design):
+        # on a min set both methods solve the same just-identified equations,
+        # so the two-step sandwich is the one-step covariance
+        for rep in range(2):
+            data = mc.generate(design(), rep)
+            system = mc.build_system(data.specs, mc.MIN_SET)
+            two = mc.fit(data, system, mc.FitConfig(system_mode=mc.MIN_SET))
+            one = mc.fit(data, system, mc.FitConfig(method=mc.ONE_STEP, system_mode=mc.MIN_SET))
+            assert np.max(np.abs(two.var_r - one.var_r)) <= 1e-6 * np.max(np.abs(one.var_r))
+
 
 def _paper_loop(compiled, cfg, theta0, free_idx):
     """The paper's iterative GMM from the identity weight: an inner solve,
@@ -600,6 +635,10 @@ class TestFitConfigValidation:
     def test_bad_covariance(self):
         with pytest.raises(ValueError):
             mc.FitConfig(covariance="bootstrap")
+
+    def test_paper_covariance_is_two_step_only(self):
+        with pytest.raises(ValueError):
+            mc.FitConfig(method=mc.ONE_STEP, covariance=mc.COV_PAPER)
 
 
 def test_normality_screen(study1_n1000):
