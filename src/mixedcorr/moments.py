@@ -54,11 +54,13 @@ The model at one theta has fields that do not depend on the Legendre order
 (``_bounds``: the finite bounds, Phi, phi and z*phi there, the corner
 coordinates x, y and rho) and the Legendre fields at one order (the node
 densities at the corners and the corner CDF). ``_point`` memoizes both for
-the last (theta, order) seen, each kernel vectorized over all bounds or
-corners. The minimizer's gradient at an accepted step reads the point its
-last loss evaluation left, and ``compute_sigma`` (the "paper" two-step
-covariance) the point at a fit's solution, evaluated anew only when the
-solve's last loss evaluation was a rejected trial step. The exact kinds
+the last (theta, order) seen, each kernel evaluated over all bounds or
+corners at once. Phi is evaluated on the bounds only (``norm_cdf`` is a
+per-value standard-library kernel) and the corner CDF gathers its
+Phi(x)Phi(y) from there. The minimizer's gradient at an accepted step
+reads the point its last loss evaluation left, and ``compute_sigma`` (the
+"paper" two-step covariance) the point at a fit's solution, evaluated anew
+only when the solve's last loss evaluation was a rejected trial step. The exact kinds
 (the exact G and the exact-CDF moments) read only ``_bounds`` and evaluate
 no Legendre densities. From the point come
 
@@ -540,9 +542,12 @@ def _bounds(system, theta):
 def _point(system, theta_bytes, order):
     """The model at the theta whose bytes are ``theta_bytes``, for ``order``,
     kept for the last (theta, order) seen (module docstring)."""
+    t = system._tables
     pt = _bounds(system, np.frombuffer(theta_bytes, dtype=float))
     densities = legendre_densities(pt.x, pt.y, pt.rho, order)
-    return _Point(*pt, densities, binorm_cdf_legendre(pt.x, pt.y, pt.rho, order, densities))
+    marginals = pt.cdf[t.corner_x], pt.cdf[t.corner_y]
+    corners = binorm_cdf_legendre(pt.x, pt.y, pt.rho, order, densities, marginals)
+    return _Point(*pt, densities, corners)
 
 
 def _scales(theta):

@@ -14,6 +14,13 @@ by Gauss-Legendre quadrature of the integral term:
 plus Phi(x)Phi(y).  A slow adaptive-quadrature oracle of the same identity
 is provided for testing.
 
+The univariate kernels come from the standard library, so importing the
+package loads no scipy: Phi(z) = erfc(-z / sqrt(2)) / 2 by ``math.erfc`` and
+its inverse by ``statistics.NormalDist().inv_cdf`` (Wichura's AS 241), each
+evaluated one value at a time. Phi so computed is about ten times slower
+per value than scipy's vectorized ``ndtr``, so the model evaluates it on
+the threshold bounds only and reads Phi at the corners from there.
+
 Thresholds at the ends of the category scale are passed in as literal
 +-inf, never as large finite stand-ins: phi(+-inf) = 0 and
 Phi(+-inf) in {0, 1} hold exactly.
@@ -22,9 +29,10 @@ Phi(+-inf) in {0, 1} hold exactly.
 from __future__ import annotations
 
 import enum
+import math
+import statistics
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import OutOfRange, SingularCorrelation
 
@@ -42,6 +50,10 @@ __all__ = [
 ]
 
 ROOT2PI = np.sqrt(2.0 * np.pi)
+# Phi(z) = erfc(z * -_SQRT1_2) / 2; multiplying by sqrt(1/2) rounds the
+# argument as scipy's ndtr does, dividing by sqrt(2) would not
+_SQRT1_2 = math.sqrt(0.5)
+_STANDARD = statistics.NormalDist()
 
 # Correlations are kept inside this box everywhere; the quadrature kernel is
 # ill-conditioned at the boundary.
@@ -61,23 +73,35 @@ def norm_pdf(z):
     return out if out.ndim else float(out)
 
 
+def _per_value(kernel, v):
+    # a scalar function of the standard library applied to every entry
+    out = np.fromiter(map(kernel, v.ravel().tolist()), float, v.size).reshape(v.shape)
+    return out if out.ndim else float(out)
+
+
 def norm_cdf(z):
-    """Standard normal distribution function, elementwise; exact at +-inf."""
-    out = ndtr(np.asarray(z, dtype=float))
-    return out if np.ndim(out) else float(out)
+    """Standard normal distribution function, elementwise; exact at +-inf.
+
+    Computed as erfc(-z / sqrt(2)) / 2 by ``math.erfc``, one value at a
+    time: within 1e-14 relative of scipy's ``ndtr`` down to z = -10 and
+    within 1e-12 relative below, as far as the result is a normal float.
+    """
+    z = np.asarray(z, dtype=float)
+    return 0.5 * _per_value(math.erfc, z * -_SQRT1_2)
 
 
 def norm_quantile(p):
     """Inverse of norm_cdf on the open interval (0, 1).
 
-    Raises OutOfRange for p <= 0 or p >= 1 (infinite thresholds are
-    represented explicitly by the caller, not produced here).
+    Computed by ``statistics.NormalDist().inv_cdf`` (Wichura's AS 241), one
+    value at a time. Raises OutOfRange for p <= 0, p >= 1 or NaN (infinite
+    thresholds are represented explicitly by the caller, not produced
+    here).
     """
     p = np.asarray(p, dtype=float)
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
+    if not np.all((p > 0.0) & (p < 1.0)):  # also rejects NaN
         raise OutOfRange("quantile argument must lie strictly between 0 and 1")
-    out = ndtri(p)
-    return out if out.ndim else float(out)
+    return _per_value(_STANDARD.inv_cdf, p)
 
 
 def _check_rho(rho, limit):
@@ -148,19 +172,22 @@ def legendre_densities(x, y, rho, order=LegendreOrder.THIRD):
     return np.where(inf, 0.0, _bpdf_raw(xf, yf, nodes * rho))
 
 
-def binorm_cdf_legendre(x, y, rho, order=LegendreOrder.THIRD, densities=None):
+def binorm_cdf_legendre(x, y, rho, order=LegendreOrder.THIRD, densities=None, marginals=None):
     """P(X <= x, Y <= y) for standard bivariate normals, Legendre-approximated.
 
     Arguments broadcast elementwise. x and y may be +-inf: the quadrature
     term is zeroed there, so Phi(x)Phi(y) gives the exact marginal (0,
     Phi(y), Phi(x) or 1). Requires |rho| <= RHO_MAX. ``densities``, when
-    given, are ``legendre_densities(x, y, rho, order)``.
+    given, are ``legendre_densities(x, y, rho, order)``, and ``marginals``
+    the pair (Phi(x), Phi(y)).
     """
     if densities is None:
         densities = legendre_densities(x, y, rho, order)
+    if marginals is None:
+        marginals = norm_cdf(x), norm_cdf(y)
     terms = _NODES[order][1].reshape(_node_axis(x, y, rho)) * densities
     quad = sum(terms[1:], terms[0])
-    out = np.asarray(rho, dtype=float) * quad + ndtr(x) * ndtr(y)
+    out = np.asarray(rho, dtype=float) * quad + marginals[0] * marginals[1]
     return out if out.ndim else float(out)
 
 
@@ -204,10 +231,10 @@ def binorm_cdf_oracle(x, y, rho):
     if x == -np.inf or y == -np.inf:
         return 0.0
     if x == np.inf:
-        return float(ndtr(y))
+        return norm_cdf(y)
     if y == np.inf:
-        return float(ndtr(x))
-    base = float(ndtr(x) * ndtr(y))
+        return norm_cdf(x)
+    base = norm_cdf(x) * norm_cdf(y)
     if rho == 0.0:
         return base
     from scipy import integrate  # test oracle only; kept off the import path

@@ -55,6 +55,32 @@ class TestNormCdf:
         z = np.linspace(-6, 6, 200)
         assert np.all(np.diff(norm_cdf(z)) > 0)
 
+    def test_matches_scipy_ndtr(self):
+        from scipy.special import ndtr
+
+        z = np.linspace(-10.0, 8.3, 20001)
+        assert np.max(np.abs(norm_cdf(z) - ndtr(z)) / ndtr(z)) <= 1e-14
+
+    def test_matches_scipy_ndtr_in_the_lower_tail(self):
+        # erfc of a large argument amplifies the rounding of z * sqrt(1/2) by
+        # about z^2, hence the wider bound. Below z = -37.5 the result is
+        # subnormal and carries fewer than 53 bits (scipy returns 0 from
+        # z = -37.7 on), so the smallest normal float is the absolute floor
+        from scipy.special import ndtr
+
+        z = np.linspace(-38.4, -10.0, 20001)
+        tiny = np.finfo(float).tiny
+        assert np.all(np.abs(norm_cdf(z) - ndtr(z)) <= 1e-12 * ndtr(z) + tiny)
+        normal = ndtr(z) > tiny
+        assert normal.sum() > 19000
+        assert np.max(np.abs(norm_cdf(z) - ndtr(z))[normal] / ndtr(z)[normal]) <= 1e-12
+
+    def test_scalar_in_float_out(self):
+        assert type(norm_cdf(0.3)) is float
+        assert type(norm_cdf(np.float64(-1.2))) is float
+        assert norm_cdf(np.array([-np.inf, np.inf])).tolist() == [0.0, 1.0]
+        assert norm_cdf(np.zeros((2, 3))).shape == (2, 3)
+
 
 class TestNormQuantile:
     def test_median(self):
@@ -75,6 +101,25 @@ class TestNormQuantile:
     def test_out_of_range(self, p):
         with pytest.raises(OutOfRange):
             norm_quantile(p)
+
+    @pytest.mark.parametrize("p", [np.nan, [0.3, np.nan]])
+    def test_nan_rejected(self, p):
+        with pytest.raises(OutOfRange):
+            norm_quantile(p)
+
+    def test_matches_scipy_ndtri(self):
+        from scipy.special import ndtri
+
+        p = np.concatenate(
+            (
+                [1e-300, 1e-200, 1e-100, 1e-30, 1e-10, 1e-5],
+                np.linspace(1e-4, 1.0 - 1e-4, 20001),
+                [1.0 - 1e-10, 1.0 - 1e-16],
+            )
+        )
+        q = norm_quantile(p)
+        assert np.max(np.abs(q - ndtri(p)) / np.maximum(np.abs(ndtri(p)), 1e-300)) <= 2e-15
+        assert type(norm_quantile(0.3)) is float
 
 
 class TestBinormPdf:
@@ -194,6 +239,40 @@ def test_rectangle_partition_sums_to_one(use_oracle):
                 + cdf(cuts_x[i], cuts_y[j], rho)
             )
     assert total == pytest.approx(1.0, abs=1e-8)
+
+
+def test_fits_and_cli_fit_load_no_scipy(tmp_path):
+    # the normal kernels come from the standard library: importing the
+    # package, fitting by both methods and a command-line fit load no scipy
+    rng = np.random.default_rng(1)
+    y = rng.standard_normal(300)
+    x = 1 + (y + rng.standard_normal(300) > 0)
+    csv = tmp_path / "cli.csv"
+    np.savetxt(csv, np.column_stack([y, x]), delimiter=",", header="Y,X", comments="")
+    src = Path(mixedcorr.__file__).resolve().parent.parent
+    design = src.parent / "designs" / "table2_n1000.json"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = f"""
+import json
+import sys
+import mixedcorr as mc
+from mixedcorr import cli
+
+with open({str(design)!r}) as fh:
+    data = mc.generate(mc.SimDesign.from_dict(json.load(fh)), 0)
+system = mc.build_system(data.specs, mc.MAX_SET)
+for method in (mc.TWO_STEP, mc.ONE_STEP):
+    assert mc.fit(data, system, mc.FitConfig(method=method)).diagnostics.converged
+argv = ["fit", "--data", {str(csv)!r}, "--continuous", "Y", "--ordinal", "X:2",
+        "--out", {str(tmp_path / "report.json")!r}]
+assert cli.main(argv) == 0
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+    assert (tmp_path / "report.json").exists()
 
 
 def test_import_leaves_oracle_modules_unloaded():
