@@ -18,7 +18,6 @@ from .model import (
     ThresholdSet,
     VariableSpec,
     ingest,
-    param_count,
 )
 from .moments import (
     CUSTOM,
@@ -31,7 +30,6 @@ from .moments import (
     build_system,
     compute_sigma,
     eval_moments,
-    eval_u,
     weight_matrix,
 )
 from .normal import (
@@ -63,7 +61,6 @@ __all__ = [
     "ThresholdSet",
     "VariableSpec",
     "ingest",
-    "param_count",
     "CUSTOM",
     "MAX_SET",
     "MIN_SET",
@@ -74,7 +71,6 @@ __all__ = [
     "build_system",
     "compute_sigma",
     "eval_moments",
-    "eval_u",
     "weight_matrix",
     "LegendreOrder",
     "binorm_cdf_legendre",

@@ -12,14 +12,12 @@ W_c = S^-1, G'Omega_hat^-1 m = G'W_c m / (1 + m'W_c m), so a stationary
 point of the loss under W_c is already the loop's fixed point (Hansen,
 Heaton & Yaron 1996: the fixed point is the continuously updated
 estimator). ``fit`` therefore makes one quasi-Newton solve under W_c and
-reports the covariance of that solve: the GMM sandwich
-(G'W_cG)^-1 G'W_c S W_c G (G'W_cG)^-1 / n, which reduces to (G'W_cG)^-1 / n
-since W_c S W_c = W_c (Hall 2000 argues for the centred moment covariance
-in GMM inference). W_c itself is never formed: the fit's one q x q
-factorization is the Cholesky factor L of S, and the solve and the
-covariance use only the whitened moments r = K m and J = K G, with the
-whitener K = L^-1 and K'K = W_c, so that the loss is |r|^2/2, its gradient
-G'K'r and G'W_cG = J'J. Where S is rank-deficient in the data (an empty
+reports the covariance of that solve, the sandwich below (Hall 2000 argues
+for the centred moment covariance in GMM inference). W_c itself is never
+formed: the fit's one q x q factorization is the Cholesky factor L of S,
+and the solve and the covariance use only the whitened moments r = K m and
+J = K G, with the whitener K = L^-1 and K'K = W_c, so that the loss is
+|r|^2/2, its gradient G'K'r and G'W_cG = J'J. Where S is rank-deficient in the data (an empty
 cell, say) K comes from the eigendecomposition of S and W_c = K'K is a
 pseudo-inverse, the fixed-point argument fails, and the fit returns its
 one solve with converged=False. The one-step method moves thresholds and
@@ -29,13 +27,14 @@ correlation vector only.
 ``fit`` takes the method from its FitConfig.
 
 Each method's estimate is the root of stacked estimating equations
-A m_R(theta) = 0 over a row set R, and its covariance is that root's
-sandwich D^-1 A S_R A' D^-T / n with D = A G_R (Hansen 1982; Newey &
-McFadden 1994, section 6), S_R the centred covariance of the data products
-on R. One-step: R is its weighted rows and A = J'K, so the sandwich is
-(J'J)^-1 / n. Two-step: R is the threshold rows h, which the closed-form
-thresholds solve exactly, over its weighted rows g, and
-A = blockdiag(I, J'K) with K the whitener of S_gg alone; the sandwich
+A m_R(theta) = 0 over a row set R: the method's nh leading threshold rows
+h, which closed-form thresholds solve exactly, followed by its weighted
+rows g, with A = blockdiag(I, J'K) and K the whitener of S_gg alone. Its
+covariance is that root's sandwich D^-1 A S_R A' D^-T / n with D = A G_R
+(Hansen 1982; Newey & McFadden 1994, section 6), S_R the centred
+covariance of the data products on R; since K S_gg K' = I, the g block of
+A S_R A' is J'J. The method enters only through nh. One-step has nh = 0,
+so the sandwich is (J'J)^-1 / n. Two-step has nh = q_h, and the sandwich
 counts the thresholds' sampling variation and its covariance with the
 coefficient moments.
 """
@@ -55,7 +54,6 @@ from .moments import (
     MAX_SET,
     MIN_SET,
     CompiledMoments,
-    _lower_inverse,
     assemble_gradient,
     compute_sigma,
     weight_matrix,
@@ -167,14 +165,17 @@ class EstimationResult:
     """Point estimates, asymptotic covariance and fit diagnostics.
 
     Vectors and matrices follow the canonical coefficient flattening;
-    coefficients outside a custom system are NaN.
+    coefficients outside a custom system are NaN. var_theta is the
+    covariance of the whole theta layout (thresholds, then coefficients),
+    NaN outside the system's active entries; var_r is its coefficient
+    block.
     """
 
     method: str
     r_hat: CorrelationParams
     a_hat: ThresholdSet
     var_r: np.ndarray
-    var_theta: np.ndarray | None
+    var_theta: np.ndarray
     coefficients: tuple
     coefficient_names: tuple
     diagnostics: Diagnostics
@@ -334,47 +335,52 @@ def fit(data, system, cfg=None) -> EstimationResult:
     counts and continuous count, else ValueError. Thresholds start at the
     closed-form quantiles of the marginal frequencies and correlations at
     the Pearson correlations of the coded data. The method fixes which
-    parameters move, which moment rows W weights, and the covariance:
+    parameters move and which moment rows W weights:
 
-    - one-step: thresholds and correlations move jointly, W = (Cov_n u)^-1
-      weights every row but the polychoric cells the threshold rows imply,
-      and Var(theta) = (G'WG)^-1 / n at the final iterate.
-    - two-step: the thresholds stay frozen, the correlations move under the
-      gradient block G22 and W = (Cov_n g)^-1 over the correlation rows
-      but the polychoric cells that repeat an ordinal's margin. The
-      compiled rows are the q_h threshold rows h followed by those, and K
-      is [0 | K_g] with K_g the whitener of the g block of S alone, so the
-      threshold rows take no weight. Var(R_hat) = (Lambda + Lambda M
-      Lambda) / n with Lambda = (G22' W G22)^-1 = (J'J)^-1 and
-      Gamma = G22' W G21 = J'(K G21). Under the default "corrected"
-      variant this is the sandwich of the stacked equations
-      [h; J'K g] = 0 (module docstring): with F = Gamma G11^-1 and
-      T = J'(K S_gh), M = F S_hh F' - F T' - T F', since K S_gg K' = I.
-      The "paper" variant is the paper's formula, M = Gamma Sigma Gamma'
-      with Sigma = ``compute_sigma``, the model-implied Var h; it omits
-      the cross term T between the threshold and coefficient moments.
-      Where every block keeps one equation (a min set) both methods solve
-      the same just-identified equations, and the corrected covariance
-      matches the one-step one.
+    - one-step: thresholds and correlations move jointly and
+      W = (Cov_n u)^-1 weights every row but the polychoric cells the
+      threshold rows imply.
+    - two-step: the thresholds stay frozen at the closed form, the
+      correlations move and W = (Cov_n g)^-1 weights the correlation rows
+      but the polychoric cells that repeat an ordinal's margin.
+
+    The method enters only through nh, the count of leading threshold rows
+    solved in closed form (0 under one-step, q_h under two-step), and the
+    weighted rows: the free parameters are the active ones after the first
+    nh, the compiled rows are the nh threshold rows h followed by the
+    weighted rows g, and K = [0 | K_g] with K_g the whitener of the g block
+    of S alone, so the threshold rows take no weight. Every covariance is
+    the one sandwich of the module docstring over the active columns,
+    Var(theta) = D^-1 A S_R A' D^-T / n with D = [G_h; J'(K G)] and
+    A S_R A' = [[S_hh, T'], [T, J'J]], T = J'(K S_Rh); under one-step it
+    is (J'J)^-1 / n, and under two-step its threshold block is
+    G11^-1 S_hh G11^-T / n, the closed-form thresholds' own sandwich. The
+    "paper" variant (two-step only) is the paper's formula
+    Var(R_hat) = (Lambda + Lambda Gamma Sigma Gamma' Lambda) / n, with
+    Lambda = (J'J)^-1, Gamma = J'(K G21) and Sigma = ``compute_sigma``, the
+    model-implied Var h: the same sandwich with G11 Sigma G11' as the h
+    block and no cross term T, that is, Sigma taken as n Var(a_hat). Where
+    every block keeps one equation (a min set) both methods solve the same
+    just-identified equations, and the default two-step covariance matches
+    the one-step one.
 
     The fit makes one inner solve, under W_c = S^-1, the inverse centred
     covariance of the products, through its whitener K (K'K = W_c, from
     the fit's one q x q factorization). By Sherman-Morrison its stationary
     point is the fixed point of the paper's refresh loop (module
-    docstring), so no refresh solve follows. W in the covariances is W_c,
-    the weight the solve ran under, so they are the sandwich of the
-    estimator the fit computes; with J = K G, G'W_cG = J'J.
+    docstring), so no refresh solve follows. W in the covariance is W_c,
+    the weight the solve ran under, so it is the sandwich of the estimator
+    the fit computes; with J = K G, G'W_cG = J'J.
     converged is set when the solve stopped on a stationarity test rather
     than MAX_ITER and W_c is a direct inverse; a pseudo-inverse W_c (S
     rank-deficient in the data) returns the solve with converged=False.
 
     The minimizer follows the gradient of the Legendre-approximated loss,
-    but G, G11, G21 and G22 in the covariances come from the exact-CDF
-    Jacobian (``assemble_gradient(theta, system)``): the covariance targets
-    the exact model, so it changes with the CDF order only through theta.
-    Where G'WG (J'J) has no Cholesky factor, or, under the corrected
-    variant, G11 is singular at the solution, the covariance does not exist
-    and the fit raises SingularCovariance. FitConfig rejects the "paper"
+    but G in the covariance comes from the exact-CDF Jacobian
+    (``assemble_gradient(theta, system)``): the covariance targets the
+    exact model, so it changes with the CDF order only through theta.
+    Where D is singular at the solution the covariance does not exist and
+    the fit raises SingularCovariance. FitConfig rejects the "paper"
     variant under one-step, which has one covariance.
     """
     cfg = cfg or FitConfig()
@@ -386,10 +392,12 @@ def fit(data, system, cfg=None) -> EstimationResult:
         )
     start = time.perf_counter()
     one_step = cfg.method == ONE_STEP
-    free_idx = np.flatnonzero(system.active) if one_step else system.coef_cols
-    # two-step stacks the q_h threshold rows, which take no weight, on its
-    # weighted rows: K = [0 | K_g], from the g sub-block of S alone
+    # the method fixes nh, the leading threshold rows solved in closed form:
+    # none under one-step, all q_h under two-step. They take no weight:
+    # K = [0 | K_g], K_g from the g sub-block of S alone
     nh = 0 if one_step else system.q_h
+    active = np.flatnonzero(system.active)
+    free_idx = active[nh:]
     rows = np.concatenate((np.arange(nh), system.weighted_rows(one_step)))
     compiled = CompiledMoments(data, system, rows)
     S = compiled.cov
@@ -398,30 +406,26 @@ def fit(data, system, cfg=None) -> EstimationResult:
     K = np.pad(centred.whitener, ((0, 0), (nh, 0)))
     theta, info = _minimize(compiled, K, _initial_theta(data, system), free_idx, cfg)
 
-    G_full = assemble_gradient(theta, system)
-    KG = K @ G_full[rows]
-    J = KG[:, free_idx]
+    # D = A G_R and the middle A S_R A' over the active columns,
+    # A = blockdiag(I, J'K)
+    G = assemble_gradient(theta, system)[rows][:, active]
+    KG = K @ G
+    J = KG[:, nh:]
+    D = np.vstack((G[:nh], J.T @ KG))
+    if cfg.covariance == COV_PAPER:
+        S_hh = G[:nh, :nh] @ compute_sigma(theta, system, cfg.order) @ G[:nh, :nh].T
+        T = np.zeros((free_idx.size, nh))
+    else:
+        S_hh, T = S[:nh, :nh], J.T @ (K @ S[:, :nh])
+    # the g block of D, J'J, is also that of the middle
+    middle = np.vstack((np.hstack((S_hh, T.T)), np.hstack((T, D[nh:, nh:]))))
+    # Var(theta) = D^-1 (A S_R A') D^-T / n by two solves
     try:
-        # (G'WG)^-1 = (J'J)^-1 on the free columns and weighted rows, from
-        # the Cholesky factor of J'J; Lambda under two-step
-        C_inv = _lower_inverse(np.linalg.cholesky(J.T @ J))
-        lam = C_inv.T @ C_inv
-        if one_step:
-            var_theta = _expand_var(lam / compiled.n, free_idx, system.p)
-            var_r = var_theta[np.ix_(system.coef_cols, system.coef_cols)]
-        else:
-            gamma = J.T @ KG[:, system.thr_cols]
-            if cfg.covariance == COV_PAPER:
-                M = gamma @ compute_sigma(theta, system, cfg.order) @ gamma.T
-            else:
-                # F T' with F = Gamma G11^-1 and T = J'(K S_gh)
-                F = np.linalg.solve(G_full[:nh][:, system.thr_cols].T, gamma.T).T
-                FT = F @ (K @ S[:, :nh]).T @ J
-                M = F @ S[:nh, :nh] @ F.T - FT - FT.T
-            var_theta, var_r = None, lam + lam @ M @ lam
-            var_r = (var_r + var_r.T) / (2.0 * compiled.n)
+        var = np.linalg.solve(D, np.linalg.solve(D, middle).T)
     except np.linalg.LinAlgError as exc:
         raise SingularCovariance(f"the {cfg.method} covariance is singular: {exc}") from exc
+    var_theta = _expand_var((var + var.T) / (2.0 * compiled.n), active, system.p)
+    var_r = var_theta[np.ix_(system.coef_cols, system.coef_cols)]
 
     k_full = len(system.all_coefficients)
     included_pos = system.coef_cols - system.n_thr

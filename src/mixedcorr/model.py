@@ -31,7 +31,6 @@ __all__ = [
     "ThresholdSet",
     "CorrelationParams",
     "ingest",
-    "param_count",
 ]
 
 
@@ -151,16 +150,6 @@ def ingest(table, specs, standardize=True) -> MixedDataset:
     return MixedDataset(
         specs=specs, y=y, x=x, dropped_rows=dropped, standardized=standardize
     )
-
-
-def param_count(c: int, d: int, s=()) -> tuple[int, int]:
-    """(interest, nuisance) parameter counts for c continuous and d ordinal variables."""
-    if c + d < 2:
-        raise ValueError("need at least two variables")
-    s = tuple(s)
-    if len(s) != d:
-        raise ValueError("one category count per ordinal variable required")
-    return (c + d) * (c + d - 1) // 2, sum(si - 1 for si in s)
 
 
 class ThresholdSet:

@@ -145,7 +145,6 @@ __all__ = [
     "build_system",
     "data_products",
     "model_terms",
-    "eval_u",
     "eval_moments",
     "assemble_gradient",
     "compute_sigma",
@@ -615,17 +614,6 @@ def model_terms(
     return vals if include_removed else vals[system.retained]
 
 
-def eval_u(row, theta, system, order=LegendreOrder.THIRD) -> np.ndarray:
-    """Moment function u for a single sample row (length c+d, codes in the tail)."""
-    row = np.asarray(row, dtype=float).reshape(-1)
-    if row.size != system.c + system.d:
-        raise ValueError("row length does not match the variable count")
-    y = row[: system.c].reshape(1, -1)
-    x = row[system.c :].astype(np.int64).reshape(1, -1)
-    a = _products(y, x, system, system.retained)
-    return a[0] - model_terms(theta, system, order)
-
-
 def assemble_gradient(theta, system, order=None) -> np.ndarray:
     """Analytic gradient G = d m / d theta over retained rows, full theta columns.
 
@@ -695,8 +683,8 @@ class CompiledMoments:
     """Dataset-dependent pieces of the moment system, precomputed once.
 
     Covers the retained rows ``rows`` selects (all by default; a fit passes
-    ``system.weighted_rows``): ``m`` and ``omega`` return those rows only.
-    With m(theta) = a_mean - b(theta), the moment covariance is
+    ``system.weighted_rows``): ``m`` returns those rows only. With
+    m(theta) = a_mean - b(theta), the moment covariance is
     Omega_hat(theta) = E_n[(a - b)(a - b)'] = cov + m m', where cov is the
     centred covariance of the data products. Both a_mean and cov are data
     only, so repeated evaluation during optimization costs only the model
@@ -719,12 +707,6 @@ class CompiledMoments:
     def m(self, theta, order=LegendreOrder.THIRD):
         return self.a_mean - model_terms(theta, self.system, order)[self.rows]
 
-    def omega(self, theta, order=LegendreOrder.THIRD):
-        m = self.m(theta, order)
-        out = np.outer(m, m)
-        out += self.cov
-        return out
-
 
 def eval_moments(
     data, theta, system, order=LegendreOrder.THIRD, exact_cdf=False
@@ -735,10 +717,9 @@ def eval_moments(
     bit-reproducible.
     """
     compiled = CompiledMoments(data, system)
+    m = compiled.a_mean - model_terms(theta, system, order, exact_cdf=exact_cdf)
     return MomentEvaluation(
-        m=compiled.a_mean - model_terms(theta, system, order, exact_cdf=exact_cdf),
-        G=assemble_gradient(theta, system),
-        omega_hat=compiled.omega(theta, order),
+        m=m, G=assemble_gradient(theta, system), omega_hat=compiled.cov + np.outer(m, m)
     )
 
 

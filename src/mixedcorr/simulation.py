@@ -34,7 +34,7 @@ from .model import (
     ingest,
 )
 from .moments import CUSTOM, build_system
-from .normal import LegendreOrder, RHO_MAX, binorm_cdf_oracle, norm_cdf
+from .normal import LegendreOrder, RHO_MAX, binorm_cdf_oracle
 
 __all__ = ["SimDesign", "SimReport", "generate", "run_study", "ml_pair_oracle"]
 
@@ -294,6 +294,10 @@ def ml_pair_oracle(data, pair) -> float:
     Thresholds are fixed at their closed-form estimates; the bivariate
     likelihood is then maximized over rho alone. Test oracle only.
     """
+    # scipy is imported here only, off the package's import path
+    from scipy.optimize import minimize_scalar
+    from scipy.special import ndtr
+
     kind, i, j = _pair_label(data, pair)
     cuts = estimate_thresholds(data)
 
@@ -333,10 +337,8 @@ def ml_pair_oracle(data, pair) -> float:
 
         def nll(rho):
             sq = np.sqrt(1.0 - rho * rho)
-            p = norm_cdf((upper - rho * y) / sq) - norm_cdf((lower - rho * y) / sq)
+            p = ndtr((upper - rho * y) / sq) - ndtr((lower - rho * y) / sq)
             return -np.sum(np.log(np.maximum(p, 1e-300)))
-
-    from scipy.optimize import minimize_scalar  # test oracle only; kept off the import path
 
     res = minimize_scalar(nll, bounds=(-RHO_MAX, RHO_MAX), method="bounded")
     return float(res.x)

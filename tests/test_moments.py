@@ -3,7 +3,13 @@ import pytest
 
 import mixedcorr as mc
 from mixedcorr.errors import DegenerateWeight, UnknownPair
-from mixedcorr.moments import CompiledMoments, _lower_inverse, data_products, model_terms
+from mixedcorr.moments import (
+    CompiledMoments,
+    _lower_inverse,
+    _products,
+    data_products,
+    model_terms,
+)
 from mixedcorr.normal import LegendreOrder, binorm_cdf_legendre
 
 from conftest import design1, design2, design243
@@ -13,6 +19,13 @@ def _theta(system, thresholds, rhos):
     arr = np.concatenate([np.asarray(thresholds, dtype=float), np.asarray(rhos, dtype=float)])
     assert arr.size == system.p
     return arr
+
+
+def _eval_u(row, theta, system):
+    """Moment function u of one sample row (length c+d, codes in the tail)."""
+    row = np.asarray(row, dtype=float)
+    y, x = row[None, : system.c], row[None, system.c :].astype(np.int64)
+    return _products(y, x, system, system.retained)[0] - model_terms(theta, system)
 
 
 class TestBuildSystem:
@@ -127,7 +140,7 @@ class TestEvalU:
     def test_independence_row_values(self, four_var_system):
         system = four_var_system
         theta = _theta(system, [0.0, 0.0], np.zeros(6))
-        u = mc.eval_u([1.0, 1.0, 1, 1], theta, system)
+        u = _eval_u([1.0, 1.0, 1, 1], theta, system)
         # order: h1 h2 | yy | yx11k1 yx11k2 yx12k1 | yx21k1 yx21k2 yx22k1 | xx
         assert u[0] == pytest.approx(0.5)  # I1(X1) - Phi(0)
         assert u[2] == pytest.approx(1.0)  # Y1 Y2 - 0
@@ -156,7 +169,7 @@ class TestEvalU:
         data = mc.MixedDataset(specs=tuple(design1().specs), y=y, x=x)
         theta = _theta(four_var_system, [0.1, -0.2], np.full(6, 0.25))
         ev = mc.eval_moments(data, theta, four_var_system)
-        u = mc.eval_u(row, theta, four_var_system)
+        u = _eval_u(row, theta, four_var_system)
         assert np.allclose(ev.m, u, atol=1e-14)
         assert np.allclose(ev.omega_hat, np.outer(u, u), atol=1e-13)
 
@@ -246,7 +259,7 @@ class TestCompiledMoments:
         direct = U.T @ U / U.shape[0]
         m = compiled.m(theta)[rows]
         assert np.max(np.abs(m)) > 0.01
-        omega = compiled.omega(theta)[rows, rows]
+        omega = mc.eval_moments(data, theta, system).omega_hat[rows, rows]
         assert np.max(np.abs(omega - direct[rows, rows])) <= 1e-12
         S = np.cov(A[:, rows], rowvar=False, bias=True)
         assert np.max(np.abs(compiled.cov[rows, rows] - S)) <= 1e-12

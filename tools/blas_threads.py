@@ -1,11 +1,13 @@
 """Fit the fixed ``wide_c4d8s5`` benchmark dataset under 1 and under 2
-OpenBLAS threads, by both methods, and compare the estimates.
+OpenBLAS threads, by one-step and by two-step under both covariance
+variants, and compare the estimates and their covariances.
 
 The thread count changes the order of the sums inside the BLAS products, and
 so the last bits of every product a fit forms. A stop rule that sits above
 the rounding of the loss keeps that from changing where the solve ends, so
-the estimates should differ by rounding only. Prints the largest difference
-per method and exits 1 if either exceeds TOL.
+the estimates and var_r should differ by rounding only. Prints, per fit, the
+largest difference of R and that of var_r relative to its largest entry, and
+exits 1 if any exceeds TOL.
 
     python tools/blas_threads.py
 
@@ -21,13 +23,15 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 THREADS = ("1", "2")
 TOL = 1e-12
 
 
 def _fit_wide() -> dict:
-    """R of the fixed wide dataset by each method, as lists."""
+    """R and var_r of the fixed wide dataset by each fit, as lists."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     import mixedcorr as mc
     import workloads
@@ -37,10 +41,16 @@ def _fit_wide() -> dict:
     table = wide.population.draw(wide.n, workloads._rng(wide.data_seed, wide.stream))
     data = mc.ingest(table, specs)
     system = mc.build_system(specs, mc.MAX_SET)
-    return {
-        method: mc.fit(data, system, mc.FitConfig(method=method)).r_hat.values.tolist()
-        for method in (mc.TWO_STEP, mc.ONE_STEP)
-    }
+    out = {}
+    for cfg in (
+        mc.FitConfig(method=mc.TWO_STEP),
+        mc.FitConfig(method=mc.TWO_STEP, covariance=mc.COV_PAPER),
+        mc.FitConfig(method=mc.ONE_STEP),
+    ):
+        res = mc.fit(data, system, cfg)
+        label = cfg.method if cfg.method == mc.ONE_STEP else f"{cfg.method} {cfg.covariance}"
+        out[label] = {"r": res.r_hat.values.tolist(), "var_r": res.var_r.tolist()}
+    return out
 
 
 def main() -> int:
@@ -55,10 +65,16 @@ def main() -> int:
         )
         runs.append(json.loads(child.stdout))
     worst = 0.0
-    for method, values in runs[0].items():
-        gap = max(abs(a - b) for a, b in zip(values, runs[1][method]))
-        print(f"{method}: max |dR| {gap:.2g} between {' and '.join(THREADS)} OpenBLAS threads")
-        worst = max(worst, gap)
+    for label, fit in runs[0].items():
+        other = runs[1][label]
+        gap = max(abs(a - b) for a, b in zip(fit["r"], other["r"]))
+        var_a, var_b = np.array(fit["var_r"]), np.array(other["var_r"])
+        var_gap = np.max(np.abs(var_a - var_b)) / np.max(np.abs(var_a))
+        print(
+            f"{label}: max |dR| {gap:.2g}, max |d var_r| {var_gap:.2g} of its largest entry, "
+            f"between {' and '.join(THREADS)} OpenBLAS threads"
+        )
+        worst = max(worst, gap, var_gap)
     return int(worst > TOL)
 
 
