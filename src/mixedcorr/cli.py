@@ -11,6 +11,7 @@ import csv
 import json
 import os
 import sys
+import warnings
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -84,10 +85,18 @@ def build_parser() -> argparse.ArgumentParser:
 def _read_csv(path, names):
     """The named columns of a CSV file with a header row, in the order given.
 
-    Only the cells of those columns are parsed; every row must still have
-    as many cells as the header. A leading byte-order mark, as Excel writes
-    in its "CSV UTF-8" format, is skipped. A named column must appear once
-    in the header; other repeated names are allowed.
+    A leading byte-order mark, as Excel writes in its "CSV UTF-8" format,
+    is skipped. A named column must appear once in the header; other
+    repeated names are allowed.
+
+    A file of plain numbers, with as many cells in every row as in the
+    header, is read in one pass by numpy's reader, which converts a cell as
+    float() does. Every other file is read again from the start by the row
+    loop, which alone gives the error messages: a file with a missing or
+    quoted cell, a whitespace-only row, text in any column, a ragged row or
+    no data row. So is a stream that cannot seek back. The row loop parses
+    only the cells of the named columns; every row must still have as many
+    cells as the header.
     """
     try:
         fh = open(path, newline="", encoding="utf-8-sig")
@@ -107,10 +116,26 @@ def _read_csv(path, names):
             if header.count(nm) > 1:
                 raise _InputError(f"{path}: column {nm!r} appears more than once in header")
         wanted = [(nm, col_index[nm]) for nm in names]
+        if fh.seekable():
+            try:
+                with warnings.catch_warnings():
+                    # numpy warns on a file with no data row: raised, it takes the row loop
+                    warnings.simplefilter("error")
+                    table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=float)
+            except (ValueError, Warning):
+                pass
+            else:
+                if table.shape[0] and table.shape[1] == len(header):
+                    return table.take([i for _, i in wanted], axis=1)
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)
         rows = []
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row or all(not cell.strip() for cell in row):
                 continue
+            # the line the record ends on: a quoted cell may span lines
+            lineno = reader.line_num
             if len(row) != len(header):
                 raise _InputError(
                     f"{path} line {lineno}: expected {len(header)} cells, got {len(row)}"

@@ -1,6 +1,8 @@
 import csv
 import dataclasses
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -158,6 +160,107 @@ class TestFitCommand:
         code = _run(["fit", "--data", path, "--continuous", "Y", "--ordinal", "X:2"])
         assert code == 1
         assert "line 3" in capsys.readouterr().err
+
+    def test_error_line_counts_lines_not_records(self, tmp_path, capsys):
+        # the quoted note spans lines 2 and 3, so the bad cell is on line 4
+        path = tmp_path / "multiline.csv"
+        path.write_text('Y,X,Note\n0.1,1,"two\nlines"\n0.5,abc,x\n')
+        code = _run(["fit", "--data", path, "--continuous", "Y", "--ordinal", "X:2"])
+        assert code == 1
+        assert "line 4: column 'X' has non-numeric cell 'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "Y,X\n 0.1 , 1\n0.5,\t2 \n",
+            "Y,X\r\n0.1,1\r\n0.5,2\r\n",
+            "\ufeffY,X\n0.1,1\n0.5,2\n",
+            "Y,X\n+1.5,1\n1e309,2\nInfinity,-inf\n1e-400,nan\n-nan,3\n",
+            "Y,X\n1_000,1\n0.5,2\n",
+            'Y,X\n"1.5",1\n0.5,2\n',
+            "Y,X\n#1,1\n0.5,2\n",
+            "Y,X\n0.1,1\n   \n0.5,2\n",
+            "Y,X\n0.1,1\n,\n0.5,2\n",
+            "Y,X\n0.1,1,3\n0.5,2,4\n",
+            "id,Y,X\na,0.1,1\nb,0.5,2\n",
+            "Y,X\n",
+        ],
+        ids=[
+            "padded", "crlf", "byte_order_mark", "signs_and_limits", "underscore",
+            "quoted_number", "hash_cell", "whitespace_row", "empty_cells_row",
+            "extra_cells", "unrequested_text", "header_only",
+        ],
+    )
+    def test_numpy_reader_agrees_with_row_loop(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "input.csv"
+        path.write_bytes(text.encode())
+
+        def read():
+            try:
+                return cli._read_csv(path, ["Y", "X"])
+            except cli._InputError as exc:
+                return str(exc)
+
+        either = read()
+
+        def refuse(*args, **kwargs):
+            raise ValueError("not numpy's file")
+
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        row_loop = read()
+        if isinstance(row_loop, str):
+            assert either == row_loop
+        else:
+            assert either.shape == row_loop.shape
+            assert either.tobytes() == row_loop.tobytes()
+
+    def test_clean_file_skips_row_loop(self, data_csv, tmp_path, monkeypatch):
+        readers = []
+        real_reader = csv.reader
+
+        class Spy:
+            def __init__(self, fh):
+                self.reader = real_reader(fh)
+                self.records = 0
+                readers.append(self)
+
+            def __iter__(self):
+                return self
+
+            def __next__(self):
+                row = next(self.reader)
+                self.records += 1
+                return row
+
+            @property
+            def line_num(self):
+                return self.reader.line_num
+
+        monkeypatch.setattr(cli.csv, "reader", Spy)
+        argv = ["fit", "--data", data_csv, "--continuous", "Y1,Y2",
+                "--ordinal", "X1:2,X2:2", "--out", tmp_path / "report.json"]
+        assert _run(argv) == 0
+        # one reader, which yields the header only
+        assert [r.records for r in readers] == [1]
+        # a missing cell takes the row loop, which reads every record
+        readers.clear()
+        lines = data_csv.read_text().splitlines()
+        lines[1] = "NA" + lines[1][lines[1].index(","):]
+        data_csv.write_text("\n".join(lines) + "\n")
+        assert _run(argv) == 0
+        assert [r.records for r in readers] == [1, len(lines)]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
+    def test_unseekable_stream_read_by_row_loop(self, tmp_path):
+        pipe = tmp_path / "pipe.csv"
+        os.mkfifo(pipe)
+        writer = threading.Thread(
+            target=pipe.write_text, args=("Y,X\n0.1,1\nNA,2\n0.5,2\n",), daemon=True
+        )
+        writer.start()
+        table = cli._read_csv(pipe, ["Y", "X"])
+        writer.join(timeout=10)
+        np.testing.assert_array_equal(table, [[0.1, 1.0], [np.nan, 2.0], [0.5, 2.0]])
 
     def test_unrequested_text_column_ignored(self, tmp_path):
         rng = np.random.default_rng(5)
