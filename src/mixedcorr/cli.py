@@ -82,6 +82,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _records(reader, path):
+    """The records of a csv reader, with a file that is not UTF-8 text or a
+    cell over the csv module's field limit reported as an input error."""
+    try:
+        yield from reader
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise _InputError(f"{path} line {reader.line_num}: {exc}") from None
+
+
 def _read_csv(path, names):
     """The named columns of a CSV file with a header row, in the order given.
 
@@ -96,7 +107,8 @@ def _read_csv(path, names):
     quoted cell, a whitespace-only row, text in any column, a ragged row or
     no data row. So is a stream that cannot seek back. The row loop parses
     only the cells of the named columns; every row must still have as many
-    cells as the header.
+    cells as the header. A file that is not UTF-8 text, and a cell in any
+    column over the csv module's field limit, are input errors.
     """
     try:
         fh = open(path, newline="", encoding="utf-8-sig")
@@ -105,7 +117,7 @@ def _read_csv(path, names):
     with fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(_records(reader, path))
         except StopIteration:
             raise _InputError(f"{path}: empty file (header row required)") from None
         header = [h.strip() for h in header]
@@ -131,7 +143,7 @@ def _read_csv(path, names):
             reader = csv.reader(fh)
             next(reader)
         rows = []
-        for row in reader:
+        for row in _records(reader, path):
             if not row or all(not cell.strip() for cell in row):
                 continue
             # the line the record ends on: a quoted cell may span lines

@@ -160,6 +160,10 @@ CUSTOM = "custom"
 # largest one are treated as zero by the weight matrix.
 EIG_FLOOR = 1e-10
 
+# Rows per chunk of data products: CompiledMoments holds one chunk at a
+# time, and a fixed size fixes the order in which the rows are summed.
+CHUNK_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class EquationBlock:
@@ -689,18 +693,31 @@ class CompiledMoments:
     centred covariance of the data products. Both a_mean and cov are data
     only, so repeated evaluation during optimization costs only the model
     terms.
+
+    The products are formed CHUNK_ROWS data rows at a time, and each
+    chunk's column sums and scatter matrix A_c'A_c are added to running
+    totals, so the memory held beyond the data is O(CHUNK_ROWS q + q^2),
+    never n x q. The first chunk is taken as is: data of at most
+    CHUNK_ROWS rows gives exactly A.mean(axis=0) and A'A / n of the whole
+    product array, and longer data differs from those one-pass sums by
+    rounding only.
     """
 
     def __init__(self, data, system, rows=slice(None)):
-        # only the covered columns are formed: slicing a full product array
-        # would hold both at once
         columns = np.flatnonzero(system.retained)[rows]
-        A = _products(data.y, data.x, system, columns)
         self.system = system
         self.rows = rows
-        self.n = A.shape[0]
-        self.a_mean = A.mean(axis=0)
-        self.cov = A.T @ A
+        self.n = data.n
+        for lo in range(0, self.n, CHUNK_ROWS):
+            hi = lo + CHUNK_ROWS
+            A = _products(data.y[lo:hi], data.x[lo:hi], system, columns)
+            if lo == 0:
+                total, scatter = A.sum(axis=0), A.T @ A
+            else:
+                total += A.sum(axis=0)
+                scatter += A.T @ A
+        self.a_mean = total / self.n
+        self.cov = scatter
         self.cov /= self.n
         self.cov -= np.outer(self.a_mean, self.a_mean)
 
@@ -713,8 +730,10 @@ def eval_moments(
 ) -> MomentEvaluation:
     """Sample mean of u, exact-CDF analytic gradient and sample covariance E_n[uu'].
 
-    Summation order over rows is fixed, so repeated evaluation is
-    bit-reproducible.
+    The data products are summed over fixed chunks of CHUNK_ROWS rows
+    (``CompiledMoments``) in a fixed order, so repeated evaluation is
+    bit-reproducible, and how the rows are grouped does not depend on the
+    worker or BLAS thread count.
     """
     compiled = CompiledMoments(data, system)
     m = compiled.a_mean - model_terms(theta, system, order, exact_cdf=exact_cdf)

@@ -275,6 +275,29 @@ class TestFitCommand:
         code = _run(["fit", "--data", path, "--continuous", "Y", "--ordinal", "X:2"])
         assert code == 0
 
+    @pytest.mark.parametrize("rows_before", [1, 3000], ids=["in_header_read", "in_row_loop"])
+    def test_non_utf8_file_is_an_input_error(self, tmp_path, capsys, rows_before):
+        # a Latin-1 byte in an unrequested column: near the top the header
+        # read decodes it; thousands of rows down, numpy's reader fails on it
+        # and the row loop decodes it again
+        body = "".join(f"{0.001 * i},{1 + i % 2},x\n" for i in range(rows_before))
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(("Y,X,Note\n" + body).encode() + b"0.3,2,caf\xe9\n0.5,1,y\n")
+        code = _run(["fit", "--data", path, "--continuous", "Y", "--ordinal", "X:2"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not UTF-8" in err and "Traceback" not in err
+
+    def test_cell_over_field_limit_is_an_input_error(self, tmp_path, capsys):
+        # the csv module refuses a cell of more than 131072 characters, here
+        # in a column that is not requested; the limit is not raised
+        path = tmp_path / "long_cell.csv"
+        path.write_text("Y,X,Note\n0.1,1,a\n0.5,2," + "b" * 200_000 + "\n-0.3,1,c\n")
+        code = _run(["fit", "--data", path, "--continuous", "Y", "--ordinal", "X:2"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "line 3: field larger than field limit" in err
+
     def test_byte_order_mark_skipped(self, data_csv, tmp_path):
         # Excel's "CSV UTF-8" starts the file with a UTF-8 byte-order mark
         bom_csv = tmp_path / "excel.csv"

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import mixedcorr as mc
 from mixedcorr.errors import DegenerateWeight, UnknownPair
 from mixedcorr.moments import (
+    CHUNK_ROWS,
     CompiledMoments,
     _lower_inverse,
     _products,
@@ -264,6 +267,54 @@ class TestCompiledMoments:
         S = np.cov(A[:, rows], rowvar=False, bias=True)
         assert np.max(np.abs(compiled.cov[rows, rows] - S)) <= 1e-12
         assert np.max(np.abs(omega - (S + np.outer(m, m)))) <= 1e-12
+
+    @pytest.mark.parametrize("n", [500, CHUNK_ROWS])
+    @pytest.mark.parametrize("rows", ["all", "two_step"])
+    def test_one_chunk_is_the_one_pass_sum(self, c2d3_system, n, rows):
+        # data of at most CHUNK_ROWS rows is one chunk, taken as is: exactly
+        # the mean and scatter matrix of the whole product array
+        system = c2d3_system
+        rows = slice(None) if rows == "all" else system.weighted_rows(False)
+        data = mc.generate(design2(n=n, replications=2, seed=11), 0)
+        compiled = CompiledMoments(data, system, rows)
+        A = data_products(data, system)[:, rows]
+        a_mean = A.mean(axis=0)
+        cov = A.T @ A
+        cov /= n
+        cov -= np.outer(a_mean, a_mean)
+        assert np.array_equal(compiled.a_mean, a_mean)
+        assert np.array_equal(compiled.cov, cov)
+
+    @pytest.mark.parametrize("name", ["design2", "c0_s342"])
+    def test_chunks_agree_with_one_pass(self, name):
+        # two whole chunks and a partial one, with and without a continuous
+        # column
+        n = 2 * CHUNK_ROWS + 17
+        if name == "design2":
+            data = mc.generate(design2(n=n, replications=2, seed=11), 0)
+            specs = data.specs
+        else:
+            specs = _specs(0, (3, 4, 2))
+            rng = np.random.default_rng(4)
+            x = np.column_stack([rng.integers(1, s + 1, n) for s in (3, 4, 2)])
+            data = mc.MixedDataset(specs=tuple(specs), y=np.empty((n, 0)), x=x)
+        system = mc.build_system(specs, mc.MAX_SET)
+        compiled = CompiledMoments(data, system)
+        A = data_products(data, system)
+        assert np.max(np.abs(compiled.a_mean - A.mean(axis=0))) <= 1e-13
+        assert np.max(np.abs(compiled.cov - np.cov(A, rowvar=False, bias=True))) <= 1e-13
+
+    def test_memory_does_not_grow_with_n(self, c2d3_system):
+        # the whole n x q product array of 100 000 design-2 rows would be
+        # 36 MB, its factors 9.6 MB more; one chunk of each is under 2 MB
+        data = mc.generate(design2(n=100_000, replications=2, seed=11), 0)
+        tracemalloc.start()
+        try:
+            CompiledMoments(data, c2d3_system)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 def _specs(c, s):
