@@ -390,6 +390,8 @@ def cmd_fit(args) -> int:
         specs.append(VariableSpec(nm, categories=s))
 
     data = ingest(table, specs)
+    # the dataset holds its own y and x, so the fit need not keep the table
+    del table
 
     pairs = _parse_pairs(args.pairs, names, len(continuous)) if args.pairs else None
     system = build_system(specs, cfg.system_mode, pairs)

@@ -45,13 +45,16 @@ class UnknownPair(MixedCorrError):
     """A requested coefficient pair does not exist for the given variables."""
 
 
-class DegenerateWeight(MixedCorrError):
-    """Moment covariance rank below half the retained equation count."""
-
-
 class SingularCovariance(MixedCorrError):
     """The asymptotic covariance of a fit does not exist: a matrix it
     inverts, such as G'WG, is singular at the solution."""
+
+
+class DegenerateWeight(SingularCovariance):
+    """The moment rows the weight keeps leave a free parameter that none of
+    them depends on, so G'WG is singular wherever the solve goes: fewer
+    data rows than weighted rows, say, or a 2x2 table with an empty cell.
+    Raised before the solve takes a step."""
 
 
 class LineSearchFailure(MixedCorrError):

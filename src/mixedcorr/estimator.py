@@ -17,13 +17,16 @@ for the centred moment covariance in GMM inference). W_c itself is never
 formed: the fit's one q x q factorization is the Cholesky factor L of S,
 and the solve and the covariance use only the whitened moments r = K m and
 J = K G, with the whitener K = L^-1 and K'K = W_c, so that the loss is
-|r|^2/2, its gradient G'K'r and G'W_cG = J'J. Where S is rank-deficient in the data (an empty
-cell, say) K comes from the eigendecomposition of S and W_c = K'K is a
-pseudo-inverse, the fixed-point argument fails, and the fit returns its
-one solve with converged=False. The one-step method moves thresholds and
-correlations jointly; the two-step method solves the thresholds in closed
-form from the marginal frequencies, freezes them, and iterates on the
-correlation vector only.
+|r|^2/2, its gradient G'K'r and G'W_cG = J'J. Where S is rank-deficient
+in the data (an empty cell, say) ``weight_matrix`` drops each row that is
+a linear combination of the rows kept before it (Hansen 1982), and L and K
+cover the kept rows, K with a zero column at each dropped one: the solve
+is then the fixed point of the paper's loop over the kept rows, and
+W_c = K'K a generalized inverse of S. Where no kept row depends on some
+free parameter, ``_minimize`` raises DegenerateWeight before any step.
+The one-step method moves thresholds and correlations jointly; the
+two-step method solves the thresholds in closed form from the marginal
+frequencies, freezes them, and iterates on the correlation vector only.
 ``fit`` takes the method from its FitConfig.
 
 Each method's estimate is the root of stacked estimating equations
@@ -47,7 +50,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyCategory, LineSearchFailure, NonFiniteLoss, SingularCovariance
+from .errors import DegenerateWeight, EmptyCategory, LineSearchFailure
+from .errors import NonFiniteLoss, SingularCovariance
 from .model import CorrelationParams, ThresholdSet
 from .moments import (
     CUSTOM,
@@ -128,21 +132,19 @@ class Diagnostics:
     """The record of the fit's one solve under the centred weight W_c.
 
     converged is set when the solve stopped on a stationarity test
-    (STOP_DECREMENT or STOP_STEP_FLOOR, not STOP_MAX_ITER) and W_c is a
-    direct inverse, so that its stationary point is the IGMM fixed point.
-    stop is the solve's STOP_* reason. final_loss, final_grad_norm and
+    (STOP_DECREMENT or STOP_STEP_FLOOR, not STOP_MAX_ITER), so that it
+    ended at the IGMM fixed point over the rows the weight keeps. stop is
+    the solve's STOP_* reason. final_loss, final_grad_norm and
     final_decrement are, where it stopped, the loss under W_c, its max
     |gradient| and the Newton decrement n g'Hg: the squared length of the
     remaining quasi-Newton step in standard errors. inner_iterations counts
     the steps taken and loss_evaluations every evaluation of the GMM loss
-    in the fit. weight_condition bounds the condition number of S from
-    above: it is |S|_1 |K|_1 |K|_inf >= cond_1(S) for a direct whitener
-    K = L^-1, and the ratio of the extreme eigenvalues where
-    ``weight_matrix`` fell back to its eigendecomposition.
-    weight_pseudo_inverse is set when W_c dropped a direction under the
-    eigenvalue floor. r_matrix_psd is None when a custom system leaves a
-    coefficient of R out. The class constant outer_iterations counts the
-    solves, 1.
+    in the fit. weight_condition bounds the 1-norm condition number of S
+    over the kept rows from above: it is |S|_1 |K|_1 |K|_inf.
+    weight_pseudo_inverse is set when the weight dropped a row whose pivot
+    fell under the floor, so that W_c = K'K is a generalized inverse of
+    S. r_matrix_psd is None when a custom system leaves a coefficient of R
+    out. The class constant outer_iterations counts the solves, 1.
     """
 
     converged: bool
@@ -257,6 +259,12 @@ def _minimize(compiled, K, x0, free_idx, cfg):
     # acceptable immediately
     nfree = free_idx.size
     J = K @ G0
+    # a free parameter that no kept row depends on (too few data rows, or
+    # an empty cell) leaves J'J singular wherever the solve goes
+    unweighted = free_idx[~J.any(axis=0)].tolist()
+    if unweighted:
+        raise DegenerateWeight(f"the {cfg.method} covariance is singular: no moment row "
+                               f"the weight keeps depends on theta{unweighted}")
     B = J.T @ J
     ridge = 1e-10 * max(float(np.trace(B)) / max(nfree, 1), 1e-30)
     try:
@@ -371,9 +379,11 @@ def fit(data, system, cfg=None) -> EstimationResult:
     docstring), so no refresh solve follows. W in the covariance is W_c,
     the weight the solve ran under, so it is the sandwich of the estimator
     the fit computes; with J = K G, G'W_cG = J'J.
-    converged is set when the solve stopped on a stationarity test rather
-    than MAX_ITER and W_c is a direct inverse; a pseudo-inverse W_c (S
-    rank-deficient in the data) returns the solve with converged=False.
+    Where S is rank-deficient in the data, W_c = K'K over the rows
+    ``weight_matrix`` keeps, each dropped row a linear combination of the
+    kept rows before it; a free parameter no kept row depends on raises
+    DegenerateWeight. converged is set when the solve stopped on a
+    stationarity test rather than MAX_ITER.
 
     The minimizer follows the gradient of the Legendre-approximated loss,
     but G in the covariance comes from the exact-CDF Jacobian
@@ -444,7 +454,7 @@ def fit(data, system, cfg=None) -> EstimationResult:
         coefficients=tuple(system.included_coefficients),
         coefficient_names=tuple(system.coefficient_names()),
         diagnostics=Diagnostics(
-            converged=info.stop != STOP_MAX_ITER and not centred.pseudo_inverse,
+            converged=info.stop != STOP_MAX_ITER,
             stop=info.stop,
             final_loss=info.loss,
             final_grad_norm=info.grad_norm,

@@ -112,7 +112,7 @@ def ingest(table, specs, standardize=True) -> MixedDataset:
         raise NonFiniteCell("table contains infinite cells")
     keep = ~np.isnan(raw).any(axis=1)
     dropped = int(raw.shape[0] - keep.sum())
-    raw = raw[keep]
+    raw = raw[keep] if dropped else raw  # no copy of a complete table
     n = raw.shape[0]
     if n < 2:
         raise TooFewRows(f"need at least 2 complete rows, have {n}")

@@ -31,11 +31,12 @@ On a table in which every pair of codes occurs, the rows each method
 keeps are independent and span all the rows it could weight. The weight
 W = S^-1 of their covariance S is never formed: GMM under W is least
 squares on the whitened moments K m, with K'K = W (Hansen 1982), and
-``weight_matrix`` returns K. On such a table K = L^-1, the inverse of the
-one Cholesky factor of S, certified by a bound on the 1-norm condition
-number of S below 1/EIG_FLOOR; the eigendecomposition, whose K has a row
-per eigenvalue above the floor, remains for covariances that are singular
-in the data, such as those of a table with an empty cell.
+``weight_matrix`` returns K. On such a table every Cholesky pivot of S
+clears the floor EIG_FLOOR S_ii and K = L^-1, the inverse of the one
+Cholesky factor of S. A covariance that is singular in the data, such as
+that of a table with an empty cell, keeps the rows in layout order while
+each pivot clears the floor: K is then L^-1 over the kept rows, with a
+zero column at each dropped row.
 
 The moment vector is linear in per-row data products, so sample moments
 factor as m(theta) = mean(A) - b(theta) with A data-only and b(theta)
@@ -114,7 +115,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateWeight, UnknownPair
+from .errors import UnknownPair
 from .model import (
     KIND_PEARSON,
     KIND_POLYCHORIC,
@@ -156,8 +157,9 @@ MAX_SET = "max"
 MIN_SET = "min"
 CUSTOM = "custom"
 
-# Eigenvalues of the moment covariance at or below EIG_FLOOR times the
-# largest one are treated as zero by the weight matrix.
+# The pivot floor of the weight matrix: a moment row whose residual
+# variance, given the rows kept before it, is at or below EIG_FLOOR times
+# its own variance counts as a linear combination of them and is dropped.
 EIG_FLOOR = 1e-10
 
 # Rows per chunk of data products: CompiledMoments holds one chunk at a
@@ -744,14 +746,15 @@ def eval_moments(
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """The whitener K of a moment covariance S, K'K = S^-1 (a pseudo-inverse
-    where S is singular), with conditioning diagnostics: the GMM loss
-    m'S^-1 m / 2 is |K m|^2 / 2."""
+    """The whitener K of a moment covariance S over the rows it keeps, with
+    K S K' = I there and a zero column at each dropped row, and the
+    conditioning diagnostic of the kept rows: the GMM loss m'K'Km / 2 is
+    |K m|^2 / 2. pseudo_inverse is set when a row was dropped; K'K is then
+    a generalized inverse of S (S K'K S = S), and S^-1 otherwise."""
 
     whitener: np.ndarray
     condition: float
     pseudo_inverse: bool
-    rank: int
 
 
 def _lower_inverse(L):
@@ -770,40 +773,46 @@ def _lower_inverse(L):
     return X
 
 
+def _kept_whitener(S, floor):
+    """The inverse K = L^-1 of the Cholesky factor L of the symmetric S
+    over the rows kept in order while each one's pivot, its residual
+    variance given the rows kept before it, exceeds its ``floor``; K has a
+    row per kept row and a zero column at each dropped one. S is factored
+    whole when every pivot clears the floor, else by halves like
+    ``_lower_inverse``: with W = S_ba K_a', the second half's rows in the
+    first half's factor, the second half is the Schur complement
+    S_bb - W W' and K = [[K_a, 0], [-K_b W K_a, K_b]]."""
+    try:
+        L = np.linalg.cholesky(S)
+        if np.all(np.diagonal(L) ** 2 > floor):
+            return _lower_inverse(L)
+    except np.linalg.LinAlgError:
+        pass
+    if len(S) == 1:
+        return np.empty((0, 1))
+    h = len(S) // 2
+    K_a = _kept_whitener(S[:h, :h], floor[:h])
+    W = S[h:, :h] @ K_a.T
+    K_b = _kept_whitener(S[h:, h:] - W @ W.T, floor[h:])
+    return np.block([[K_a, np.zeros((len(K_a), len(S) - h))], [-(K_b @ W) @ K_a, K_b]])
+
+
 def weight_matrix(omega_hat) -> WeightMatrix:
-    """The whitener K of the symmetric moment covariance S, K'K = S^-1.
+    """The whitener K of the symmetric moment covariance S over the rows
+    it keeps: the rows in order while each pivot, the row's residual
+    variance given the rows kept before it, exceeds EIG_FLOOR times its
+    variance S_ii (``_kept_whitener``). A dropped row is, to that
+    precision, a linear combination of the rows kept before it (Hansen
+    1982 drops such redundant moments), so K is L^-1 of the Cholesky
+    factor L of S over the kept rows, with a zero column at each dropped
+    row, and K S K' = I. Where no row is dropped, K = L^-1 of the one
+    Cholesky factor of S, lower-triangular.
 
-    Where S has a Cholesky factor L (S = LL') and the bound
-    |S|_1 |K|_1 |K|_inf on its 1-norm condition number is below
-    1/EIG_FLOOR, K = L^-1, lower-triangular, and ``condition`` is that
-    bound. Since |S^-1|_1 = |K'K|_1 <= |K|_inf |K|_1, the bound is at least
-    cond_1(S), and the 2-norm condition number of a symmetric matrix is at
-    most cond_1, so no eigenvalue then sits at or below the floor.
-
-    Otherwise K = Lambda^-1/2 V' over the eigenpairs (Lambda, V) of S whose
-    eigenvalue is above EIG_FLOOR times the largest, and ``condition`` is
-    the ratio of the extreme eigenvalues. The eigenvalues at or below the
-    floor count as zero: they set ``rank``, K has ``rank`` rows, and K'K is
-    then a pseudo-inverse.
+    ``condition`` is |S|_1 |K|_1 |K|_inf. With S_k the covariance of the
+    kept rows, |S_k|_1 <= |S|_1 and |S_k^-1|_1 = |K'K|_1 <= |K|_inf |K|_1,
+    so it bounds the 1-norm condition number of S_k from above.
     """
     omega = np.asarray(omega_hat, dtype=float)
-    q = omega.shape[0]
-    try:
-        K = _lower_inverse(np.linalg.cholesky(omega))
-        bound = np.linalg.norm(omega, 1) * np.linalg.norm(K, 1) * np.linalg.norm(K, np.inf)
-    except np.linalg.LinAlgError:
-        bound = np.inf
-    if bound < 1.0 / EIG_FLOOR:
-        return WeightMatrix(whitener=K, condition=float(bound), pseudo_inverse=False, rank=q)
-    evals, vecs = np.linalg.eigh(omega)
-    if evals[-1] <= 0.0:
-        raise DegenerateWeight("moment covariance has no positive eigenvalue")
-    keep = evals > EIG_FLOOR * evals[-1]
-    rank = int(np.count_nonzero(keep))
-    if rank < q / 2.0:
-        raise DegenerateWeight(
-            f"moment covariance rank {rank} below half of q={q}; system mis-specified?"
-        )
-    cond = np.inf if evals[0] <= 0.0 else evals[-1] / evals[0]
-    K = (vecs[:, keep] / np.sqrt(evals[keep])).T
-    return WeightMatrix(whitener=K, condition=float(cond), pseudo_inverse=rank < q, rank=rank)
+    K = _kept_whitener(omega, EIG_FLOOR * np.diagonal(omega))
+    bound = np.linalg.norm(omega, 1) * np.linalg.norm(K, 1) * np.linalg.norm(K, np.inf)
+    return WeightMatrix(whitener=K, condition=float(bound), pseudo_inverse=len(K) < len(omega))

@@ -79,6 +79,23 @@ def design243(n=1000, replications=2, seed=ACCEPT_SEED, fit=None):
     )
 
 
+def wide_design(n=2000, replications=2, seed=11):
+    """c=4 continuous and d=8 five-category ordinals with one-factor
+    correlations: 618 weighted rows under either method."""
+    loadings = np.array([0.8, 0.7, -0.6, 0.5, 0.7, 0.6, 0.5, -0.4, 0.6, 0.7, 0.5, 0.4])
+    r_true = np.outer(loadings, loadings)
+    np.fill_diagonal(r_true, 1.0)
+    base = np.array([-1.3, -0.5, 0.2, 0.9])
+    return mc.SimDesign(
+        continuous=tuple(f"Y{i + 1}" for i in range(4)),
+        ordinal=tuple((f"X{j + 1}", base + 0.1 * (j % 3 - 1)) for j in range(8)),
+        r_true=r_true,
+        n=n,
+        replications=replications,
+        seed=seed,
+    )
+
+
 @pytest.fixture(scope="session")
 def four_var_system():
     return mc.build_system(design1().specs, mc.MAX_SET)
@@ -105,3 +122,4 @@ def study1_n1000():
 def study2_n1000():
     """Design-2 two-step study, n=1000, N=500 (acceptance criterion 3)."""
     return mc.run_study(design2(n=1000, replications=500), workers=1)
+

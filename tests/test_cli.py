@@ -11,7 +11,7 @@ import mixedcorr as mc
 from mixedcorr import cli, estimator
 from mixedcorr.errors import EmptyCategory
 
-from conftest import design1
+from conftest import design1, wide_design
 
 
 def _write_csv(path, header, rows):
@@ -444,6 +444,20 @@ class TestFitCommand:
         argv = ["fit", "--data", path, "--ordinal", "X1:2,X2:2", "--method", "one-step"]
         assert _run(argv) == 1
         assert capsys.readouterr().err.startswith("error: the one-step covariance is singular")
+
+    def test_fewer_rows_than_weighted_rows(self, tmp_path, capsys):
+        # 500 rows of the wide design: S has rank at most 499 over 618
+        # weighted rows, so the weight drops the last blocks' rows whole and
+        # no kept row depends on their coefficients
+        data = mc.generate(wide_design(n=500), 0)
+        path = tmp_path / "wide.csv"
+        _write_csv(path, data.names, np.column_stack([data.y, data.x]).tolist())
+        argv = ["fit", "--data", path, "--continuous", ",".join(data.names[:4]),
+                "--ordinal", ",".join(f"{nm}:5" for nm in data.names[4:])]
+        assert _run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the two-step covariance is singular: no moment row")
+        assert "Traceback" not in err
 
     def test_min_system(self, data_csv, tmp_path):
         out = tmp_path / "report.json"

@@ -6,7 +6,7 @@ from mixedcorr import estimator, moments
 from mixedcorr.estimator import _initial_theta, _minimize
 from mixedcorr.moments import CompiledMoments, weight_matrix
 
-from conftest import TRUE1, design1, design2, design243
+from conftest import TRUE1, design1, design2, design243, wide_design
 
 ONE_STEP = mc.FitConfig(method=mc.ONE_STEP)
 TWO_STEP = mc.FitConfig(method=mc.TWO_STEP)
@@ -317,8 +317,9 @@ class TestErrorPaths:
     @pytest.mark.parametrize("counts", [[[0, 30], [30, 40]], [[30, 0], [30, 40]]],
                              ids=["empty_11", "empty_12"])
     def test_singular_covariance_is_typed(self, counts, mode):
-        # a 2x2 table with an empty cell drives the one-step solve to a
-        # solution where G'WG is singular: no covariance exists there
+        # a 2x2 table with an empty cell leaves the one-step weight no row
+        # that depends on rho, so G'WG is singular wherever the solve goes:
+        # no covariance exists, and the fit says so before any step
         data = _binary_dataset(counts)
         with pytest.raises(mc.errors.SingularCovariance, match="singular"):
             mc.fit(data, mc.build_system(data.specs, mode), ONE_STEP)
@@ -455,22 +456,6 @@ class TestModelEvaluations:
         assert calls == []
 
 
-def _wide_design():
-    """c=4 continuous and d=8 five-category ordinals with one-factor correlations."""
-    loadings = np.array([0.8, 0.7, -0.6, 0.5, 0.7, 0.6, 0.5, -0.4, 0.6, 0.7, 0.5, 0.4])
-    r_true = np.outer(loadings, loadings)
-    np.fill_diagonal(r_true, 1.0)
-    base = np.array([-1.3, -0.5, 0.2, 0.9])
-    return mc.SimDesign(
-        continuous=tuple(f"Y{i + 1}" for i in range(4)),
-        ordinal=tuple((f"X{j + 1}", base + 0.1 * (j % 3 - 1)) for j in range(8)),
-        r_true=r_true,
-        n=2000,
-        replications=2,
-        seed=11,
-    )
-
-
 def _empty_cell_data():
     """A design-2/4/3 dataset at n=300 whose (X2=1, X3=3) cell is empty."""
     return mc.generate(design243(n=300, replications=300), 136)
@@ -497,14 +482,14 @@ class TestRankOneRefresh:
         calls = self._count_weight_matrix(monkeypatch)
         cfg = mc.FitConfig(method=method)
         fits = [(mc.generate(design2(), rep), False) for rep in range(2)]
-        fits.append((mc.generate(_wide_design(), 0), False))
-        # an empty cell makes W_c a pseudo-inverse, still one weight_matrix call
+        fits.append((mc.generate(wide_design(), 0), False))
+        # an empty cell makes the weight drop rows, still one weight_matrix call
         fits.append((_empty_cell_data(), True))
         for data, pseudo in fits:
             system = mc.build_system(data.specs, mc.MAX_SET)
             calls.clear()
             d = mc.fit(data, system, cfg).diagnostics
-            assert d.weight_pseudo_inverse is pseudo and d.converged is not pseudo
+            assert d.weight_pseudo_inverse is pseudo and d.converged
             assert d.outer_iterations == 1
             assert calls == [system.weighted_rows(method == mc.ONE_STEP).size]
 
@@ -635,22 +620,42 @@ class TestCentredStart:
 
 class TestEmptyCell:
     @pytest.mark.parametrize("method", [mc.TWO_STEP, mc.ONE_STEP])
-    def test_pseudo_inverse_centred_weight_is_not_converged(self, method):
+    def test_empty_cell_weight_drops_rows_and_converges(self, method):
         # a design-2/4/3 dataset at n=300 whose (X2=1, X3=3) cell is empty:
-        # S is singular and W_c a pseudo-inverse, so the solve under W_c is
-        # not the IGMM fixed point, yet it stays near pairwise ML
+        # S is singular, the weight drops the rows that depend on the rows
+        # before them, and the solve under the rest converges near
+        # pairwise ML
         data = _empty_cell_data()
         x2, x3 = data.x[:, 1], data.x[:, 2]
         assert not np.any((x2 == 1) & (x3 == 3))
         system = mc.build_system(data.specs, mc.MAX_SET)
         res = mc.fit(data, system, mc.FitConfig(method=method))
         d = res.diagnostics
-        assert d.converged is False
+        assert d.converged is True
         assert d.weight_pseudo_inverse
         assert d.outer_iterations == 1
         for lab, pos in zip(res.coefficients, system.coef_cols - system.n_thr):
             if lab[0] == "polychoric":
                 assert abs(res.r_hat.values[pos] - mc.ml_pair_oracle(data, lab)) <= 0.1
+
+    @pytest.mark.parametrize("method", [mc.TWO_STEP, mc.ONE_STEP])
+    def test_fewer_rows_than_weighted_rows_is_degenerate(self, method, monkeypatch):
+        # n = 500 data rows give S rank at most 499 over 618 weighted rows,
+        # so the last blocks' rows are all dropped and no kept row depends
+        # on their coefficients: the fit raises before any step
+        data = mc.generate(wide_design(n=500), 0)
+        system = mc.build_system(data.specs, mc.MAX_SET)
+        assert system.weighted_rows(method == mc.ONE_STEP).size > data.n
+        gradients = []
+
+        def counted(*args, **kwargs):
+            gradients.append(1)
+            return moments.assemble_gradient(*args, **kwargs)
+
+        monkeypatch.setattr(estimator, "assemble_gradient", counted)
+        with pytest.raises(mc.errors.DegenerateWeight, match="covariance is singular"):
+            mc.fit(data, system, mc.FitConfig(method=method))
+        assert gradients == [1]  # the start's only
 
 
 class TestFitConfigValidation:

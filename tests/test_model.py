@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,21 @@ class TestIngest:
         data = mc.ingest(table, _specs22())
         assert data.n == 98
         assert data.dropped_rows == 2
+
+    def test_complete_table_is_not_copied(self):
+        # with no row dropped the table is read in place: besides the y and
+        # x it returns (0.4 and 0.6 of the table's bytes here), ingest holds
+        # masks and one column at a time, not a copy of the table
+        table = _table22(n=100_000)
+        tracemalloc.start()
+        data = mc.ingest(table, _specs22())
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 1.5 * table.nbytes
+        # the same dataset as the copy a dropped row takes
+        gappy = mc.ingest(np.vstack([table, np.full((1, 4), np.nan)]), _specs22())
+        assert (data.dropped_rows, gappy.dropped_rows) == (0, 1)
+        assert np.array_equal(data.y, gappy.y) and np.array_equal(data.x, gappy.x)
 
     def test_infinite_cell_is_error(self):
         table = _table22()

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import mixedcorr as mc
-from mixedcorr.errors import DegenerateWeight, UnknownPair
+from mixedcorr.errors import UnknownPair
 from mixedcorr.moments import (
     CHUNK_ROWS,
+    EIG_FLOOR,
     CompiledMoments,
     _lower_inverse,
     _products,
@@ -15,7 +16,7 @@ from mixedcorr.moments import (
 )
 from mixedcorr.normal import LegendreOrder, binorm_cdf_legendre
 
-from conftest import design1, design2, design243
+from conftest import design1, design2, design243, wide_design
 
 
 def _theta(system, thresholds, rhos):
@@ -548,30 +549,32 @@ class TestWeightMatrix:
     def test_pruned_one_step_omega_needs_pseudo_inverse(self, four_var_system):
         # retained polychoric cells that complete a margin row stay linearly
         # dependent with the threshold equations, so even the pruned
-        # full-theta moment covariance is singular
+        # full-theta moment covariance is singular: the weight drops exactly
+        # the 2 dependent rows and whitens the rest
         system = four_var_system
         data = mc.generate(design1(n=300, replications=2, seed=21), 0)
         theta = _theta(system, [0.0, 0.0], np.full(6, 0.3))
         ev = mc.eval_moments(data, theta, system)
         w = mc.weight_matrix(ev.omega_hat)
+        K = w.whitener
         assert w.pseudo_inverse
-        assert w.rank == system.q - 2
+        assert K.shape == (system.q - 2, system.q)
+        assert np.count_nonzero(~K.any(axis=0)) == 2
+        assert np.allclose(K @ ev.omega_hat @ K.T, np.eye(system.q - 2), atol=1e-8)
 
-    def test_floor_sets_rank_and_inverse(self):
-        # 1e-11 is below the eigenvalue floor (1e-10 of the largest) while
-        # the condition number 1e11 is moderate: the direction counts as
-        # zero for the rank and gets no weight
+    def test_pivot_floor_is_scale_invariant(self):
+        # each pivot is compared with EIG_FLOOR times its own row's
+        # variance, so a row 1e-11 the size of another is kept
         w = mc.weight_matrix(np.diag([1.0, 1e-11]))
-        assert w.pseudo_inverse
-        assert w.rank == 1
-        assert np.array_equal(_weight(w), np.diag([1.0, 0.0]))
+        assert not w.pseudo_inverse
+        assert np.allclose(_weight(w), np.diag([1.0, 1e11]), rtol=1e-14, atol=0)
 
     def test_positive_definite_takes_the_direct_inverse(self):
         omega = _spd(5, 9)
         w = mc.weight_matrix(omega)
         inv = np.linalg.inv(omega)
         assert not w.pseudo_inverse
-        assert w.rank == 5
+        assert w.whitener.shape == (5, 5)
         assert np.allclose(_weight(w), inv, rtol=1e-12, atol=0)
         # the direct path reports a bound on the 1-norm condition number
         cond_1 = np.linalg.norm(omega, 1) * np.linalg.norm(inv, 1)
@@ -588,26 +591,74 @@ class TestWeightMatrix:
         assert np.max(np.abs(K.T @ K - inv)) <= 1e-12 * np.max(np.abs(inv))
         assert w.condition >= np.linalg.cond(omega, 1) * (1 - 1e-12)
 
-    def test_large_norm_condition_falls_back_to_eigh(self):
+    @pytest.mark.parametrize("name", ["design2", "wide"])
+    def test_certified_weight_is_the_whole_factor(self, name):
+        # every pivot clears the floor: K is the inverse of the one Cholesky
+        # factor of S, bit for bit, and its bound is the reported condition
+        design = design2() if name == "design2" else wide_design()
+        data = mc.generate(design, 0)
+        system = mc.build_system(data.specs, mc.MAX_SET)
+        S = CompiledMoments(data, system, system.weighted_rows(False)).cov
+        w = mc.weight_matrix(S)
+        K = _lower_inverse(np.linalg.cholesky(S))
+        assert np.array_equal(w.whitener, K)
+        assert not w.pseudo_inverse
+        bound = np.linalg.norm(S, 1) * np.linalg.norm(K, 1) * np.linalg.norm(K, np.inf)
+        assert w.condition == bound
+
+    def test_large_norm_condition_keeps_the_whole_factor(self):
         # eigenvalues 1 (along the diagonal direction) and lam three times:
-        # the 2-norm condition 1/lam is under 1/EIG_FLOOR, the 1-norm one
-        # 1.5/lam is over it, so W comes from the eigendecomposition, which
-        # keeps every direction
+        # the 1-norm condition 1.5/lam is over 1e10, yet every pivot clears
+        # the floor, so K is the whole inverse Cholesky factor and its
+        # bound the reported condition
         lam = 1.2e-10
         v = np.full(4, 0.5)
         omega = lam * np.eye(4) + (1 - lam) * np.outer(v, v)
         assert np.linalg.norm(omega, 1) * np.linalg.norm(np.linalg.inv(omega), 1) > 1e10
         w = mc.weight_matrix(omega)
         assert not w.pseudo_inverse
-        assert w.rank == 4
-        assert w.condition == pytest.approx(1 / lam, rel=1e-4)
+        assert np.array_equal(w.whitener, _lower_inverse(np.linalg.cholesky(omega)))
+        assert w.condition >= 1.5 / lam * (1 - 1e-4)
         expected = (np.eye(4) - np.outer(v, v)) / lam + np.outer(v, v)
         assert np.allclose(_weight(w), expected, rtol=1e-4, atol=0)
 
     def test_degenerate_weight(self):
+        # a rank-one S keeps its first row: each later row is a multiple of it
         v = np.array([1.0, 2.0, 3.0, 4.0])
-        with pytest.raises(DegenerateWeight):
-            mc.weight_matrix(np.outer(v, v))
+        w = mc.weight_matrix(np.outer(v, v))
+        assert w.pseudo_inverse
+        assert np.array_equal(w.whitener, [[1.0, 0.0, 0.0, 0.0]])
+
+    @pytest.mark.parametrize("dependent", [[5], [3, 70], [0, 64, 65, 129], [40, 41, 42, 100, 101]])
+    def test_drops_the_rows_an_in_order_walk_drops(self, dependent):
+        # 130 rows (halved twice, and 64-row blocks factored whole), each
+        # listed row made a combination of the rows before it, or zero.
+        # The kept rows are those whose residual variance given the rows
+        # kept before them clears the floor, one row at a time
+        rng = np.random.default_rng(sum(dependent))
+        A = rng.standard_normal((400, 130))
+        for j in dependent:
+            A[:, j] = A[:, :j] @ rng.standard_normal(j) if j else 0.0
+        S = np.cov(A, rowvar=False)
+        kept = []
+        for j in range(130):
+            b = S[kept, j]
+            pivot = S[j, j] - b @ np.linalg.solve(S[np.ix_(kept, kept)], b) if kept else S[j, j]
+            if pivot > EIG_FLOOR * S[j, j]:
+                kept.append(j)
+        w = mc.weight_matrix(S)
+        K = w.whitener
+        assert kept == sorted(set(range(130)) - set(dependent))
+        assert w.pseudo_inverse
+        assert np.array_equal(np.flatnonzero(K.any(axis=0)), kept)
+        assert np.allclose(K @ S @ K.T, np.eye(len(kept)), atol=1e-10)
+        # K is the inverse Cholesky factor of the kept rows' covariance
+        S_k = S[np.ix_(kept, kept)]
+        assert np.allclose(K[:, kept], np.linalg.inv(np.linalg.cholesky(S_k)), atol=1e-10)
+
+    def test_empty_covariance_keeps_no_row(self):
+        w = mc.weight_matrix(np.zeros((3, 3)))
+        assert w.pseudo_inverse and w.whitener.shape == (0, 3)
 
 
 class TestOrderParameter:
