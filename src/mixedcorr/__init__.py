@@ -11,6 +11,7 @@ from .estimator import (
     FitConfig,
     estimate_thresholds,
     fit,
+    fit_batch,
 )
 from .model import (
     CorrelationParams,
@@ -56,6 +57,7 @@ __all__ = [
     "FitConfig",
     "estimate_thresholds",
     "fit",
+    "fit_batch",
     "CorrelationParams",
     "MixedDataset",
     "ThresholdSet",

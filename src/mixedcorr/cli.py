@@ -77,7 +77,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo study from a design file")
     p_sim.add_argument("--design", required=True, help="study design JSON")
     p_sim.add_argument("--out", required=True, help="output directory")
-    p_sim.add_argument("--threads", type=int, default=None)
+    p_sim.add_argument(
+        "--threads",
+        type=int,
+        default=None,
+        help="worker processes (default: one per usable core, at most one per batch of "
+        "replications)",
+    )
     p_sim.add_argument("--seed", type=int, default=None)
     return parser
 
@@ -405,9 +411,12 @@ def _format_table(design, report) -> str:
     labels = ["rho_%s[%d,%d]" % ("yy" if k == KIND_PEARSON else "yx" if k == KIND_POLYSERIAL else "xx", i, j)
               for k, i, j in report.labels]
     width = max(7, max(len(s) for s in labels) + 1)
+    kinds = ""
+    if report.failure_kinds:
+        kinds = " (" + ", ".join(f"{kind} {count}" for kind, count in report.failure_kinds) + ")"
     lines = [
         f"study: {design.name}   method: {design.fit.method} IGMM   "
-        f"n={design.n}  N={design.replications}  failures={report.failures}  "
+        f"n={design.n}  N={design.replications}  failures={report.failures}{kinds}  "
         f"time={report.wall_time:.2f}s",
         "MEAN x 1e-4; COVR, MCOV x 1e-6",
         "      " + "".join(s.rjust(width) for s in labels),
@@ -427,6 +436,8 @@ def _format_table(design, report) -> str:
 
 
 def cmd_simulate(args) -> int:
+    if args.threads is not None and args.threads < 1:
+        raise _InputError(f"--threads must be at least 1, not {args.threads}")
     try:
         with open(args.design, encoding="utf-8") as fh:
             doc = json.load(fh)

@@ -27,7 +27,9 @@ free parameter, ``_minimize`` raises DegenerateWeight before any step.
 The one-step method moves thresholds and correlations jointly; the
 two-step method solves the thresholds in closed form from the marginal
 frequencies, freezes them, and iterates on the correlation vector only.
-``fit`` takes the method from its FitConfig.
+``fit`` takes the method from its FitConfig. ``fit_batch`` fits many
+datasets of one system with one solve, the datasets' quasi-Newton solves
+run in lockstep, and ``fit`` is its batch of one.
 
 Each method's estimate is the root of stacked estimating equations
 A m_R(theta) = 0 over a row set R: the method's nh leading threshold rows
@@ -50,13 +52,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateWeight, EmptyCategory, LineSearchFailure
+from .errors import DegenerateWeight, EmptyCategory, LineSearchFailure, MixedCorrError
 from .errors import NonFiniteLoss, SingularCovariance
 from .model import CorrelationParams, ThresholdSet
 from .moments import (
     CUSTOM,
     MAX_SET,
     MIN_SET,
+    CHUNK_ROWS,
     CompiledMoments,
     assemble_gradient,
     compute_sigma,
@@ -74,6 +77,7 @@ __all__ = [
     "EstimationResult",
     "estimate_thresholds",
     "fit",
+    "fit_batch",
 ]
 
 ONE_STEP = "one-step"
@@ -202,10 +206,20 @@ def estimate_thresholds(data) -> ThresholdSet:
 
 
 def _pearson_init(data, system) -> np.ndarray:
-    """Pearson correlations of the coded data for every coefficient, clamped."""
-    cols = np.column_stack([data.y, data.x.astype(float)])
-    corr = np.clip(np.corrcoef(cols, rowvar=False), -RHO_MAX, RHO_MAX)
-    # corrcoef is symmetric only up to rounding: from_matrix reads the lower triangle
+    """Pearson correlations of the coded data for every coefficient, clamped.
+
+    The column means come from the column sums, and the centred
+    (c+d) x (c+d) scatter is summed over CHUNK_ROWS rows at a time, so no
+    n-row copy of the data is made."""
+    mean = np.concatenate([data.y.sum(axis=0), data.x.sum(axis=0)]) / data.n
+    scatter = np.zeros((mean.size, mean.size))
+    for lo in range(0, data.n, CHUNK_ROWS):
+        hi = lo + CHUNK_ROWS
+        cols = np.column_stack([data.y[lo:hi], data.x[lo:hi]]) - mean
+        scatter += cols.T @ cols
+    sd = np.sqrt(np.diagonal(scatter))
+    corr = np.clip(scatter / sd[:, None] / sd, -RHO_MAX, RHO_MAX)
+    # the scatter is symmetric only up to rounding: from_matrix reads the lower triangle
     return CorrelationParams.from_matrix(corr, system.c, system.d).values
 
 
@@ -230,104 +244,205 @@ def _minimize(compiled, K, x0, free_idx, cfg):
     approximation of order cfg.order that the moments are evaluated with.
     The solve ends on the first STOP_* test (module comment); the decrement
     is taken after a non-descent direction has reset H to the identity.
+
+    A batch of B datasets is solved in lockstep: x0 is (B, p), K is
+    (B, rows_K, rows) and ``compiled`` holds the B datasets. Each keeps its
+    own x, H, line-search step, stop and counts. On each pass the trial
+    points of every dataset still searching go through one loss
+    evaluation, and where any of them is accepted the gradient is taken at
+    that same batch of points, which reads the model point the loss
+    evaluation left. Returns per dataset (x, _InnerInfo) or the typed
+    exception that ended its solve. Every product is a stacked matmul or
+    vecdot and every other step elementwise, so a dataset's arithmetic does
+    not depend on the other datasets in its batch. With a single x0 (p,)
+    the solve is the batch of one, and it returns (x, _InnerInfo) or
+    raises.
     """
+    if x0.ndim == 1:
+        (out,) = _minimize(compiled, K[None], x0[None], free_idx, cfg)
+        if isinstance(out, Exception):
+            raise out
+        return out
     system = compiled.system
     # the thresholds are unbounded, the correlations within +-RHO_MAX
     hi = np.full(system.p, RHO_MAX)
     hi[: system.n_thr] = np.inf
-    lo = -hi
-    evaluations = 0
+    nb, nfree = len(x0), free_idx.size
+    # G' over the free columns and the compiled rows, gathered row-major
+    gather = (free_idx[:, None] + compiled.rows * system.p).ravel()
+    out = [None] * nb
 
-    def loss_at(x):
-        nonlocal evaluations
-        evaluations += 1
-        r = K @ compiled.m(x, cfg.order)
-        return 0.5 * float(r @ r), r
+    def loss_at(x, ids, K):
+        # the loss and whitened moments of the datasets ``ids`` at x
+        index = ... if len(ids) == nb else ids
+        r = (K @ compiled.m(x, cfg.order, index)[..., None])[..., 0]
+        return 0.5 * np.vecdot(r, r), r
 
-    def free_grad(x, r):
-        G = assemble_gradient(x, system, cfg.order)[compiled.rows][:, free_idx]
-        return G, G.T @ (K.T @ r)
+    def free_grad(x, r, K):
+        # the free gradient G'K'r, with G' laid out row by row
+        G = assemble_gradient(x, system, cfg.order).reshape(len(x), -1)
+        Gt = G.take(gather, axis=1).reshape(len(x), nfree, -1)
+        return Gt, (Gt @ (K.mT @ r[..., None]))[..., 0]
 
-    x = np.clip(x0, lo, hi)
-    f, r = loss_at(x)
-    G0, g = free_grad(x, r)
-    if not (np.isfinite(f) and np.all(np.isfinite(g))):
-        raise NonFiniteLoss("loss or gradient non-finite at the starting point")
+    def newton(H, g):
+        # the quasi-Newton direction -Hg and g'd, H reset to the identity
+        # where that is no descent direction, or no number: an H that
+        # overflowed would send the trial point to NaN
+        d = (-H @ g[..., None])[..., 0]
+        gd = np.vecdot(g, d)
+        descent = gd < 0.0
+        if not descent.all():
+            for i in np.flatnonzero(~descent).tolist():
+                H[i] = np.eye(nfree)
+                d[i] = -g[i]
+                gd[i] = -np.vecdot(g[i], g[i])
+        return d, gd
 
+    x = np.minimum(np.maximum(x0, -hi), hi)
+    f, r = loss_at(x, np.arange(nb), K)
+    G0t, g = free_grad(x, r, K)
     # the loss is nearly quadratic with Hessian ~ J'J, J = K G on the free
     # columns; seeding the inverse Hessian with it makes unit steps
     # acceptable immediately
-    nfree = free_idx.size
-    J = K @ G0
+    J = K @ G0t.mT
     # a free parameter that no kept row depends on (too few data rows, or
     # an empty cell) leaves J'J singular wherever the solve goes
-    unweighted = free_idx[~J.any(axis=0)].tolist()
-    if unweighted:
-        raise DegenerateWeight(f"the {cfg.method} covariance is singular: no moment row "
-                               f"the weight keeps depends on theta{unweighted}")
-    B = J.T @ J
-    ridge = 1e-10 * max(float(np.trace(B)) / max(nfree, 1), 1e-30)
-    try:
-        H = np.linalg.inv(B + ridge * np.eye(nfree))
-    except np.linalg.LinAlgError:
-        H = np.eye(nfree)
-    iterations = 0
-    while True:
-        direction = -H @ g
-        gd = float(g @ direction)
-        if gd >= 0.0:
-            H = np.eye(nfree)
-            direction = -g
-            gd = -float(g @ g)
-        decrement = -compiled.n * gd
-        if decrement <= DECREMENT_TOL:
-            stop = STOP_DECREMENT
-            break
-        if iterations == MAX_ITER:
-            stop = STOP_MAX_ITER
-            break
-
-        step = 1.0
-        for _halving in range(61):
-            xn = x.copy()
-            xn[free_idx] = x[free_idx] + step * direction
-            np.clip(xn, lo, hi, out=xn)
-            fn, rn = loss_at(xn)
-            if np.isfinite(fn) and fn <= f + 1e-4 * step * gd + LOSS_RTOL * abs(f):
-                break
-            step *= 0.5
-            # below the loss's resolution no shorter step can show the decrease
-            if -1e-4 * step * gd < LOSS_RTOL * abs(f):
-                step = 0.0
-                break
+    weighted = J.any(axis=1)
+    JJ = J.mT @ J
+    H = np.empty((nb, nfree, nfree))
+    solving = np.ones(nb, dtype=bool)
+    for b in range(nb):
+        if not (np.isfinite(f[b]) and np.all(np.isfinite(g[b]))):
+            out[b] = NonFiniteLoss("loss or gradient non-finite at the starting point")
+            solving[b] = False
+        elif not weighted[b].all():
+            out[b] = DegenerateWeight(
+                f"the {cfg.method} covariance is singular: no moment row the weight keeps "
+                f"depends on theta{free_idx[~weighted[b]].tolist()}")
+            solving[b] = False
         else:
-            raise LineSearchFailure(
-                f"no decreasing step after 60 halvings (loss {f:.3e}, |grad| "
-                f"{np.max(np.abs(g)):.3e})"
-            )
-        if step == 0.0:
-            stop = STOP_STEP_FLOOR
-            break
+            ridge = 1e-10 * max(float(np.trace(JJ[b])) / max(nfree, 1), 1e-30)
+            try:
+                H[b] = np.linalg.inv(JJ[b] + ridge * np.eye(nfree))
+            except np.linalg.LinAlgError:
+                H[b] = np.eye(nfree)
 
-        iterations += 1
-        _, gn = free_grad(xn, rn)
-        if not np.all(np.isfinite(gn)):
-            raise NonFiniteLoss("gradient non-finite at an accepted step")
-        s = xn[free_idx] - x[free_idx]
+    # the state of the datasets still solving, one row each (ids maps a row
+    # to its dataset). Every row takes one trial point per pass, so after
+    # ``passes`` passes a row has made 1 + passes loss evaluations and
+    # passes - rejected steps; its step is 0.5^k after k rejected trials in
+    # a row. x stays within the bounds: a trial clips its free entries xf
+    ids = np.flatnonzero(solving)
+    if not len(ids):
+        return out
+    n = np.full(nb, compiled.n)
+    if not solving.all():
+        x, f, g, H, K, n = x[ids], f[ids], g[ids], H[ids], K[ids], n[ids]
+    hi = hi[free_idx]
+    lo = -hi
+    minus_n = -n
+    xf = x[:, free_idx]
+    rejected = np.zeros(len(ids), dtype=int)
+    step = np.ones(len(ids))
+    passes = 0
+    d, gd = newton(H, g)
+    decrement = minus_n * gd
+    ended = {}  # row -> its STOP_* reason, or None where it failed
+    while True:
+        # the stationarity and iteration tests: a row that took no step
+        # passed them at its direction already
+        tested = decrement <= DECREMENT_TOL
+        if passes >= MAX_ITER:
+            tested |= passes - rejected == MAX_ITER
+        if tested.any():
+            for i in np.flatnonzero(tested).tolist():
+                # a row that failed in the last pass keeps its error
+                ended.setdefault(i, STOP_DECREMENT if decrement[i] <= DECREMENT_TOL
+                                 else STOP_MAX_ITER)
+        if ended:
+            for i, stop in ended.items():
+                if stop is not None:
+                    info = _InnerInfo(float(f[i]), float(np.max(np.abs(g[i]), initial=0.0)),
+                                      float(decrement[i]), passes - int(rejected[i]), 1 + passes,
+                                      stop)
+                    out[ids[i]] = (x[i].copy(), info)
+            if len(ended) == len(ids):
+                break
+            keep = np.ones(len(ids), dtype=bool)
+            keep[list(ended)] = False
+            ended = {}
+            ids, x, xf, f, g, H, d, gd, decrement, step, rejected, minus_n, K = (
+                v[keep]
+                for v in (ids, x, xf, f, g, H, d, gd, decrement, step, rejected, minus_n, K)
+            )
+
+        passes += 1
+        xnf = np.minimum(np.maximum(xf + step[:, None] * d, lo), hi)
+        xn = x.copy()
+        xn[:, free_idx] = xnf
+        fn, rn = loss_at(xn, ids, K)
+        # False where the loss is not finite
+        accept = fn <= f + 1e-4 * step * gd + LOSS_RTOL * np.abs(f)
+        taken = np.count_nonzero(accept)
+        every = taken == len(accept)
+        if not every:
+            missed = ~accept
+            rejected += missed
+            step[missed] *= 0.5
+            # below the loss's resolution no shorter step can show the decrease
+            floor = missed & (-1e-4 * step * gd < LOSS_RTOL * np.abs(f))
+            for i in np.flatnonzero(floor).tolist():
+                ended[i] = STOP_STEP_FLOOR
+            for i in np.flatnonzero(missed & ~floor & (step == 0.5**61)).tolist():
+                ended[i] = None
+                out[ids[i]] = LineSearchFailure(
+                    f"no decreasing step after 60 halvings (loss {f[i]:.3e}, |grad| "
+                    f"{np.max(np.abs(g[i])):.3e})"
+                )
+            if not taken:
+                continue
+
+        # the gradient at every trial point of the pass: the model point
+        # the loss evaluation left
+        _, gn = free_grad(xn, rn, K)
+        if not np.isfinite(gn).all():
+            for i in np.flatnonzero(accept & ~np.isfinite(gn).all(axis=1)).tolist():
+                ended[i] = None
+                out[ids[i]] = NonFiniteLoss("gradient non-finite at an accepted step")
+                accept[i] = every = False
+        s = xnf - xf
         yv = gn - g
-        sy = float(s @ yv)
-        if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(yv):
-            rho_up = 1.0 / sy
-            Hy = H @ yv
-            H = (
+        if not every:
+            # no update from a rejected trial
+            s, yv = np.where(accept[:, None], s, 0.0), np.where(accept[:, None], yv, 0.0)
+        sy = np.vecdot(s, yv)
+        curved = sy > 1e-12 * np.sqrt(np.vecdot(s, s)) * np.sqrt(np.vecdot(yv, yv))
+        curves = np.count_nonzero(curved)
+        if curves:
+            bent = curves == len(curved)
+            rho_up = (1.0 / (sy if bent else np.where(curved, sy, 1.0)))[:, None, None]
+            Hy = (H @ yv[..., None])[..., 0]
+            s_col = s[:, :, None]
+            sHy = s_col * Hy[:, None, :]
+            updated = (
                 H
-                - rho_up * (np.outer(s, Hy) + np.outer(Hy, s))
-                + rho_up * (rho_up * float(yv @ Hy) + 1.0) * np.outer(s, s)
+                - rho_up * (sHy + sHy.mT)
+                + rho_up * (rho_up * np.vecdot(yv, Hy)[:, None, None] + 1.0)
+                * (s_col * s[:, None, :])
             )
-        x, f, g = xn, fn, gn
-
-    grad_norm = float(np.max(np.abs(g), initial=0.0))
-    return x, _InnerInfo(f, grad_norm, decrement, iterations, evaluations, stop)
+            H = updated if bent else np.where(curved[:, None, None], updated, H)
+        if every:
+            x, xf, f, g = xn, xnf, fn, gn
+            step.fill(1.0)
+        else:
+            x, xf, g = (np.where(accept[:, None], a, b) for a, b in ((xn, x), (xnf, xf), (gn, g)))
+            f = np.where(accept, fn, f)
+            step[accept] = 1.0
+        # a row that took no step keeps its H and g, so this recomputes its
+        # direction as it was
+        d, gd = newton(H, g)
+        decrement = minus_n * gd
+    return out
 
 
 def _expand_var(var_active, positions, size):
@@ -392,14 +507,38 @@ def fit(data, system, cfg=None) -> EstimationResult:
     Where D is singular at the solution the covariance does not exist and
     the fit raises SingularCovariance. FitConfig rejects the "paper"
     variant under one-step, which has one covariance.
+
+    Returns one EstimationResult, or raises the typed exception that
+    ended the fit: ``fit`` is ``fit_batch`` of one dataset.
+    """
+    (res,) = fit_batch([data], system, cfg)
+    if isinstance(res, Exception):
+        raise res
+    return res
+
+
+def fit_batch(datasets, system, cfg=None) -> list:
+    """``fit`` of each dataset in ``datasets`` to ``system``, with one solve
+    over the batch: the datasets' solves run in lockstep through one loss
+    evaluation and one gradient per pass (``_minimize``), and their starts,
+    weights and covariances are those ``fit`` describes, each dataset's
+    own. A dataset's results do not depend on the other datasets in the
+    batch, bit for bit.
+
+    Returns, per dataset in order, its EstimationResult or the typed
+    exception (a MixedCorrError, or a LinAlgError) that ended its fit; a
+    dataset whose variables do not match the system raises ValueError for
+    the whole batch. Each result's wall_time is the batch's wall time over
+    its size.
     """
     cfg = cfg or FitConfig()
-    if (data.names, data.s, data.c) != (system.names, system.s, system.c):
-        raise ValueError(
-            f"dataset variables {data.names} (categories {data.s}, {data.c} continuous) "
-            f"do not match the system's {system.names} (categories {system.s}, "
-            f"{system.c} continuous)"
-        )
+    for data in datasets:
+        if (data.names, data.s, data.c) != (system.names, system.s, system.c):
+            raise ValueError(
+                f"dataset variables {data.names} (categories {data.s}, {data.c} continuous) "
+                f"do not match the system's {system.names} (categories {system.s}, "
+                f"{system.c} continuous)"
+            )
     start = time.perf_counter()
     one_step = cfg.method == ONE_STEP
     # the method fixes nh, the leading threshold rows solved in closed form:
@@ -409,34 +548,65 @@ def fit(data, system, cfg=None) -> EstimationResult:
     active = np.flatnonzero(system.active)
     free_idx = active[nh:]
     rows = np.concatenate((np.arange(nh), system.weighted_rows(one_step)))
-    compiled = CompiledMoments(data, system, rows)
-    S = compiled.cov
+    out = [None] * len(datasets)
+    starts, members = [], []
+    for b, data in enumerate(datasets):
+        try:
+            starts.append(_initial_theta(data, system))
+            members.append(b)
+        except (MixedCorrError, np.linalg.LinAlgError) as exc:
+            out[b] = exc
+    solved = []
+    if members:
+        compiled = CompiledMoments([datasets[b] for b in members], system, rows)
+        weights = [weight_matrix(S[nh:, nh:]) for S in compiled.cov]
+        # each K = [0 | K_g] zero-padded to a common shape, for the batch
+        K = np.zeros((len(members), rows.size - nh, rows.size))
+        for K_b, centred in zip(K, weights):
+            K_b[: len(centred.whitener), nh:] = centred.whitener
+        for i, res in enumerate(_minimize(compiled, K, np.array(starts), free_idx, cfg)):
+            if isinstance(res, Exception):
+                out[members[i]] = res
+            else:
+                solved.append((i, *res))
+    # the exact G at every solution, in one call
+    G_all = assemble_gradient(np.array([s[1] for s in solved]), system) if solved else ()
+    for (i, theta, info), G in zip(solved, G_all):
+        centred = weights[i]
+        S, n = compiled.cov[i], compiled.n[i]
+        # D = A G_R and the middle A S_R A' over the active columns,
+        # A = blockdiag(I, J'K), with K over the rows the weight keeps
+        G = G[rows][:, active]
+        K_b = K[i, : len(centred.whitener)]
+        KG = K_b @ G
+        J = KG[:, nh:]
+        D = np.vstack((G[:nh], J.T @ KG))
+        if cfg.covariance == COV_PAPER:
+            S_hh = G[:nh, :nh] @ compute_sigma(theta, system, cfg.order) @ G[:nh, :nh].T
+            T = np.zeros((free_idx.size, nh))
+        else:
+            S_hh, T = S[:nh, :nh], J.T @ (K_b @ S[:, :nh])
+        # the g block of D, J'J, is also that of the middle
+        middle = np.vstack((np.hstack((S_hh, T.T)), np.hstack((T, D[nh:, nh:]))))
+        # Var(theta) = D^-1 (A S_R A') D^-T / n by two solves
+        try:
+            var = np.linalg.solve(D, np.linalg.solve(D, middle).T)
+        except np.linalg.LinAlgError as exc:
+            error = SingularCovariance(f"the {cfg.method} covariance is singular: {exc}")
+            error.__cause__ = exc
+            out[members[i]] = error
+            continue
+        var_theta = _expand_var((var + var.T) / (2.0 * n), active, system.p)
+        out[members[i]] = (theta, info, var_theta, centred)
 
-    centred = weight_matrix(S[nh:, nh:])
-    K = np.pad(centred.whitener, ((0, 0), (nh, 0)))
-    theta, info = _minimize(compiled, K, _initial_theta(data, system), free_idx, cfg)
+    wall_time = (time.perf_counter() - start) / max(len(datasets), 1)
+    return [res if isinstance(res, Exception) else _result(system, cfg, *res, wall_time)
+            for res in out]
 
-    # D = A G_R and the middle A S_R A' over the active columns,
-    # A = blockdiag(I, J'K)
-    G = assemble_gradient(theta, system)[rows][:, active]
-    KG = K @ G
-    J = KG[:, nh:]
-    D = np.vstack((G[:nh], J.T @ KG))
-    if cfg.covariance == COV_PAPER:
-        S_hh = G[:nh, :nh] @ compute_sigma(theta, system, cfg.order) @ G[:nh, :nh].T
-        T = np.zeros((free_idx.size, nh))
-    else:
-        S_hh, T = S[:nh, :nh], J.T @ (K @ S[:, :nh])
-    # the g block of D, J'J, is also that of the middle
-    middle = np.vstack((np.hstack((S_hh, T.T)), np.hstack((T, D[nh:, nh:]))))
-    # Var(theta) = D^-1 (A S_R A') D^-T / n by two solves
-    try:
-        var = np.linalg.solve(D, np.linalg.solve(D, middle).T)
-    except np.linalg.LinAlgError as exc:
-        raise SingularCovariance(f"the {cfg.method} covariance is singular: {exc}") from exc
-    var_theta = _expand_var((var + var.T) / (2.0 * compiled.n), active, system.p)
+
+def _result(system, cfg, theta, info, var_theta, centred, wall_time) -> EstimationResult:
+    """The EstimationResult of a solve that ended at ``theta``."""
     var_r = var_theta[np.ix_(system.coef_cols, system.coef_cols)]
-
     k_full = len(system.all_coefficients)
     included_pos = system.coef_cols - system.n_thr
     r_values = np.full(k_full, np.nan)
@@ -464,6 +634,6 @@ def fit(data, system, cfg=None) -> EstimationResult:
             weight_condition=centred.condition,
             weight_pseudo_inverse=centred.pseudo_inverse,
             r_matrix_psd=psd,
-            wall_time=time.perf_counter() - start,
+            wall_time=wall_time,
         ),
     )

@@ -56,9 +56,13 @@ The model at one theta has fields that do not depend on the Legendre order
 coordinates x, y and rho) and the Legendre fields at one order (the node
 densities at the corners and the corner CDF). ``_point`` memoizes both for
 the last (theta, order) seen, each kernel evaluated over all bounds or
-corners at once. Phi is evaluated on the bounds only (``norm_cdf`` is a
-per-value standard-library kernel) and the corner CDF gathers its
-Phi(x)Phi(y) from there. The minimizer's gradient at an accepted step
+corners at once. theta may be a batch (B, p), one theta per dataset of a
+batched fit: every field then carries the batch axis, each kernel runs
+once over the bounds or corners of the whole batch, and every value of a
+dataset is computed as for its theta alone, bit for bit. Phi is
+evaluated on the bounds only (``norm_cdf`` is a per-value
+standard-library kernel) and the corner CDF gathers its Phi(x)Phi(y)
+from there. The minimizer's gradient at an accepted step
 reads the point its last loss evaluation left, and ``compute_sigma`` (the
 "paper" two-step covariance) the point at a fit's solution, evaluated anew
 only when the solve's last loss evaluation was a rejected trial step. The exact kinds
@@ -232,6 +236,7 @@ class EquationSystem:
             [r for b in self.blocks for r in b.retained], dtype=bool
         )
         self.retained.setflags(write=False)
+        self.retained_rows = np.flatnonzero(self.retained)
         self.q_full = len(self.equations)
         self.q = int(self.retained.sum())
         self.retained_equations = tuple(
@@ -259,10 +264,12 @@ class EquationSystem:
 class _Tables:
     """Index tables of one equation system (see the module docstring)."""
 
-    bound_src: np.ndarray  # bound -> slot in (-inf, +inf, thresholds)
+    bound_col: np.ndarray  # bound -> theta column of its cut, 0 at an end
+    bound_end: np.ndarray  # bound -> -inf or +inf at an end, 0 at a cut
+    corner_pair: np.ndarray  # corner -> 1.0 where its pair has a coefficient, else 0.0
     corner_x: np.ndarray  # corner -> bound of the lower-indexed ordinal
     corner_y: np.ndarray  # corner -> bound of the higher-indexed ordinal
-    corner_rho: np.ndarray  # corner -> theta column of its coefficient, -1 if none
+    corner_rho: np.ndarray  # corner -> theta column of its coefficient, 0 if none
     ind_var: np.ndarray  # indicator factor -> column of x
     ind_code: np.ndarray  # indicator factor -> category code
     factors: np.ndarray  # (2, q_full) factor rows whose product is the data term
@@ -287,15 +294,15 @@ def _compile(system, full_partner):
     c, s = system.c, system.s
     minimal = system.mode == MIN_SET
 
-    bound, bound_src, bound_col = {}, [], []
+    bound, bound_col = {}, []
     for v in system.included_ordinals:
         for a in range(s[v - 1] + 1):
-            bound[v, a] = len(bound_src)
+            bound[v, a] = len(bound_col)
             cut = system.thr_offsets[v] + a - 1  # theta column of a finite bound
-            finite = 0 < a < s[v - 1]
-            bound_src.append(2 + cut if finite else 0 if a == 0 else 1)
-            bound_col.append(cut if finite else -1)
-    nb = len(bound_src)
+            bound_col.append(cut if 0 < a < s[v - 1] else -1)
+    nb = len(bound_col)
+    bound_end = [0.0 if col >= 0 else -np.inf if a == 0 else np.inf
+                 for col, (_, a) in zip(bound_col, bound)]
 
     corner, corner_x, corner_y, corner_rho = {}, [], [], []
     for i, lo in enumerate(system.included_ordinals):
@@ -422,10 +429,12 @@ def _compile(system, full_partner):
     nh = len(h_rows)
     grad_rows = list(zip(*grad))
     tables = _Tables(
-        bound_src=ints(bound_src),
+        bound_col=ints(np.maximum(bound_col, 0)),
+        bound_end=np.array(bound_end),
+        corner_pair=np.greater_equal(corner_rho, 0).astype(float),
         corner_x=ints(corner_x),
         corner_y=ints(corner_y),
-        corner_rho=ints(corner_rho),
+        corner_rho=ints(np.maximum(corner_rho, 0)),
         ind_var=ints([v - 1 for v, _ in ind]),
         ind_code=ints([k for _, k in ind]),
         factors=ints(factors, (-1, 2)).T,
@@ -506,14 +515,15 @@ def build_system(specs, mode=MAX_SET, pairs=None) -> EquationSystem:
 
 def _theta_array(theta, system):
     arr = np.asarray(theta, dtype=float)
-    if arr.size != system.p:
-        raise ValueError(f"theta has length {arr.size}, expected {system.p}")
+    if arr.ndim == 0 or arr.shape[-1] != system.p:
+        raise ValueError(f"theta has shape {arr.shape}, expected (..., {system.p})")
     return arr
 
 
 class _Bounds(NamedTuple):
     """The fields of the model at one theta that do not depend on the
-    Legendre order: all the exact kinds read (module docstring)."""
+    Legendre order: all the exact kinds read (module docstring). Each has
+    theta's leading batch axes."""
 
     finite: np.ndarray  # bounds with +-inf replaced by 0
     cdf: np.ndarray  # Phi(bounds)
@@ -524,45 +534,77 @@ class _Bounds(NamedTuple):
     rho: np.ndarray  # correlation of the corner's pair, 0 if none
 
 
-# the fields of _Bounds, then the Legendre node densities at the corners and
-# the Legendre corner CDF F(x, y; rho) at one order
+# the fields of _Bounds, then the Legendre node densities at the corners
+# (nodes, corners of the whole batch) and the Legendre corner CDF
+# F(x, y; rho) at one order
 _Point = NamedTuple(
     "_Point", [(f, np.ndarray) for f in _Bounds._fields + ("densities", "corners")]
 )
 
 
 def _bounds(system, theta):
-    """The order-free fields of the model at ``theta``."""
+    """The order-free fields of the model at ``theta`` (..., p)."""
     t = system._tables
-    b = np.concatenate(([-np.inf, np.inf], theta[: system.n_thr]))[t.bound_src]
-    # the appended 0 is the correlation of pairs without a coefficient
-    rho = np.append(theta, 0.0)[t.corner_rho]
+    b = theta.take(t.bound_col, axis=-1) + t.bound_end
+    # a pair without a coefficient has correlation 0
+    rho = theta.take(t.corner_rho, axis=-1) * t.corner_pair
     finite = np.where(np.isinf(b), 0.0, b)
     pdf = norm_pdf(b)
     # phi is exactly 0 at +-inf, where finite holds 0: b phi(b) -> 0 there
-    return _Bounds(finite, norm_cdf(b), pdf, finite * pdf, b[t.corner_x], b[t.corner_y], rho)
+    return _Bounds(
+        finite,
+        norm_cdf(b),
+        pdf,
+        finite * pdf,
+        b.take(t.corner_x, axis=-1),
+        b.take(t.corner_y, axis=-1),
+        rho,
+    )
 
 
 @functools.lru_cache(maxsize=1)
-def _point(system, theta_bytes, order):
-    """The model at the theta whose bytes are ``theta_bytes``, for ``order``,
-    kept for the last (theta, order) seen (module docstring)."""
+def _point(system, theta_bytes, shape, order):
+    """The model at the theta of ``shape`` whose bytes are ``theta_bytes``,
+    for ``order``, kept for the last (theta, order) seen (module
+    docstring)."""
     t = system._tables
-    pt = _bounds(system, np.frombuffer(theta_bytes, dtype=float))
-    densities = legendre_densities(pt.x, pt.y, pt.rho, order)
-    marginals = pt.cdf[t.corner_x], pt.cdf[t.corner_y]
-    corners = binorm_cdf_legendre(pt.x, pt.y, pt.rho, order, densities, marginals)
-    return _Point(*pt, densities, corners)
+    pt = _bounds(system, np.frombuffer(theta_bytes, dtype=float).reshape(shape))
+    # the corners of the whole batch along one axis
+    x, y, rho = pt.x.ravel(), pt.y.ravel(), pt.rho.ravel()
+    densities = legendre_densities(x, y, rho, order)
+    marginals = (
+        pt.cdf.take(t.corner_x, axis=-1).ravel(),
+        pt.cdf.take(t.corner_y, axis=-1).ravel(),
+    )
+    corners = binorm_cdf_legendre(x, y, rho, order, densities, marginals)
+    return _Point(*pt, densities, corners.reshape(pt.x.shape))
+
+
+@functools.lru_cache(maxsize=8)
+def _constants(lead, values):
+    """``values`` along a last axis, for each index of the leading axes."""
+    out = np.empty(lead + (len(values),))
+    out[...] = values
+    out.setflags(write=False)
+    return out
 
 
 def _scales(theta):
-    return np.concatenate(([1.0], theta))
+    """1 followed by theta, along the last axis: the scale slots."""
+    return np.concatenate((_constants(theta.shape[:-1], (1.0,)), theta), axis=-1)
+
+
+def _pool(*parts):
+    """0 and 1 followed by ``parts``, along the last axis: a value pool."""
+    return np.concatenate((_constants(parts[0].shape[:-1], (0.0, 1.0)),) + parts, axis=-1)
 
 
 def _rect(pool, idx):
-    """pool[v11] - pool[v10] - pool[v01] + pool[v00] per column of idx."""
-    v11, v10, v01, v00 = pool[idx]
-    return v11 - v10 - v01 + v00
+    """pool[v11] - pool[v10] - pool[v01] + pool[v00] per column of idx,
+    gathered along the last axis of pool."""
+    k = idx.shape[1]
+    v = pool.take(idx.ravel(), axis=-1)
+    return v[..., :k] - v[..., k : 2 * k] - v[..., 2 * k : 3 * k] + v[..., 3 * k :]
 
 
 def _products(y, x, system, columns):
@@ -593,11 +635,13 @@ def _model_pool(theta, system, order=LegendreOrder.THIRD, exact_cdf=False):
     """The model pool at theta (see the module docstring)."""
     if exact_cdf:
         pt = _bounds(system, theta)
-        corners = [binorm_cdf_oracle(*xyr) for xyr in zip(pt.x, pt.y, pt.rho)]
+        corners = np.reshape(
+            [binorm_cdf_oracle(*xyr) for xyr in zip(*(v.ravel() for v in pt[4:]))], pt.x.shape
+        )
     else:
-        pt = _point(system, theta.tobytes(), order)
+        pt = _point(system, theta.tobytes(), theta.shape, order)
         corners = pt.corners
-    return np.concatenate(([0.0, 1.0], pt.pdf, pt.cdf, corners))
+    return _pool(pt.pdf, pt.cdf, corners)
 
 
 def model_terms(
@@ -609,6 +653,8 @@ def model_terms(
 ) -> np.ndarray:
     """Model-implied means b(theta), one entry per equation.
 
+    theta may carry leading batch axes, (..., p): the terms then carry the
+    same axes, each slice computed as for that theta alone, bit for bit.
     exact_cdf swaps the Legendre approximation for the slow quadrature
     oracle; used when verifying the analytic gradient against finite
     differences of the moments.
@@ -616,8 +662,16 @@ def model_terms(
     theta = _theta_array(theta, system)
     t = system._tables
     pool = _model_pool(theta, system, order, exact_cdf)
-    vals = _scales(theta)[t.b_scale] * _rect(pool, t.b_idx)
-    return vals if include_removed else vals[system.retained]
+    vals = _scales(theta).take(t.b_scale, axis=-1) * _rect(pool, t.b_idx)
+    return vals if include_removed else vals.take(system.retained_rows, axis=-1)
+
+
+@functools.lru_cache(maxsize=4)
+def _batch_positions(system, batch):
+    """The gradient entries' flat positions in a (batch, q, p) array."""
+    t = system._tables
+    offsets = np.arange(batch)[:, None] * (system.q * system.p)
+    return (offsets + t.g_pos).ravel()
 
 
 def assemble_gradient(theta, system, order=None) -> np.ndarray:
@@ -628,30 +682,48 @@ def assemble_gradient(theta, system, order=None) -> np.ndarray:
     evaluates at that order, which is the Jacobian of the minimized loss's
     moments (see the module docstring for which kind is used where).
 
+    theta is (p,) or a batch (B, p); G is then (q, p) or (B, q, p), each
+    slice computed as for that theta alone, bit for bit.
+
     The moments are linear in the data products, so G carries no data
     dependence; rows of removed equations are absent by construction.
     """
     theta = _theta_array(theta, system)
     t = system._tables
-    pt = _bounds(system, theta) if order is None else _point(system, theta.tobytes(), order)
-    xf, yf = pt.finite[t.corner_x], pt.finite[t.corner_y]
+    if order is None:
+        pt = _bounds(system, theta)
+    else:
+        pt = _point(system, theta.tobytes(), theta.shape, order)
+    xf, yf = pt.finite.take(t.corner_x, axis=-1), pt.finite.take(t.corner_y, axis=-1)
     if order is None:
         sq = np.sqrt(1.0 - pt.rho * pt.rho)
         partials = (
             binorm_pdf(pt.x, pt.y, pt.rho),
-            pt.pdf[t.corner_x] * norm_cdf((pt.y - pt.rho * xf) / sq),
-            pt.pdf[t.corner_y] * norm_cdf((pt.x - pt.rho * yf) / sq),
+            pt.pdf.take(t.corner_x, axis=-1) * norm_cdf((pt.y - pt.rho * xf) / sq),
+            pt.pdf.take(t.corner_y, axis=-1) * norm_cdf((pt.x - pt.rho * yf) / sq),
         )
     else:
-        d_rho, d_x, d_y = legendre_term_grad(xf, yf, pt.rho, pt.densities, order)
-        partials = (
-            d_rho,
-            d_x + pt.pdf[t.corner_x] * pt.cdf[t.corner_y],
-            d_y + pt.pdf[t.corner_y] * pt.cdf[t.corner_x],
+        # over the corners of the whole batch along one axis, as the point
+        # holds the densities
+        d_rho, d_x, d_y = legendre_term_grad(
+            xf.ravel(), yf.ravel(), pt.rho.ravel(), pt.densities, order
         )
-    pool = np.concatenate(([0.0, 1.0], pt.pdf, pt.zphi) + tuple(partials))
-    weights = t.g_sign * (_scales(theta)[t.g_scale] * pool[t.g_idx])
-    return np.bincount(t.g_pos, weights, system.q * system.p).reshape(system.q, system.p)
+        pdf_x, pdf_y = pt.pdf.take(t.corner_x, axis=-1), pt.pdf.take(t.corner_y, axis=-1)
+        cdf_x, cdf_y = pt.cdf.take(t.corner_x, axis=-1), pt.cdf.take(t.corner_y, axis=-1)
+        partials = (
+            d_rho.reshape(xf.shape),
+            d_x.reshape(xf.shape) + pdf_x * cdf_y,
+            d_y.reshape(xf.shape) + pdf_y * cdf_x,
+        )
+    pool = _pool(pt.pdf, pt.zphi, *partials)
+    weights = t.g_sign * (_scales(theta).take(t.g_scale, axis=-1) * pool.take(t.g_idx, axis=-1))
+    size = system.q * system.p
+    if theta.ndim == 1:
+        return np.bincount(t.g_pos, weights, size).reshape(system.q, system.p)
+    # one bincount over the batch: dataset b's entries are offset by b q p
+    batch = len(theta)
+    G = np.bincount(_batch_positions(system, batch), weights.ravel(), batch * size)
+    return G.reshape(batch, system.q, system.p)
 
 
 def compute_sigma(theta, system, order=LegendreOrder.THIRD) -> np.ndarray:
@@ -696,6 +768,10 @@ class CompiledMoments:
     only, so repeated evaluation during optimization costs only the model
     terms.
 
+    ``data`` is one dataset, or a list of datasets: then n, a_mean and cov
+    carry a leading batch axis, one slice per dataset, each equal bit for
+    bit to that dataset's own.
+
     The products are formed CHUNK_ROWS data rows at a time, and each
     chunk's column sums and scatter matrix A_c'A_c are added to running
     totals, so the memory held beyond the data is O(CHUNK_ROWS q + q^2),
@@ -706,25 +782,37 @@ class CompiledMoments:
     """
 
     def __init__(self, data, system, rows=slice(None)):
-        columns = np.flatnonzero(system.retained)[rows]
+        self.rows = np.arange(system.q)[rows]
+        # the equations of the rows, out of all q_full
+        self.columns = system.retained_rows[self.rows]
         self.system = system
-        self.rows = rows
-        self.n = data.n
-        for lo in range(0, self.n, CHUNK_ROWS):
-            hi = lo + CHUNK_ROWS
-            A = _products(data.y[lo:hi], data.x[lo:hi], system, columns)
-            if lo == 0:
-                total, scatter = A.sum(axis=0), A.T @ A
-            else:
-                total += A.sum(axis=0)
-                scatter += A.T @ A
-        self.a_mean = total / self.n
-        self.cov = scatter
-        self.cov /= self.n
-        self.cov -= np.outer(self.a_mean, self.a_mean)
+        batch = isinstance(data, list)
+        datasets = data if batch else [data]
+        q = self.columns.size
+        self.n = np.array([d.n for d in datasets]) if batch else data.n
+        self.a_mean = np.empty((len(datasets), q))
+        self.cov = np.empty((len(datasets), q, q))
+        for d, total, scatter in zip(datasets, self.a_mean, self.cov):
+            for lo in range(0, d.n, CHUNK_ROWS):
+                hi = lo + CHUNK_ROWS
+                A = _products(d.y[lo:hi], d.x[lo:hi], system, self.columns)
+                if lo == 0:
+                    np.sum(A, axis=0, out=total)
+                    np.matmul(A.T, A, out=scatter)
+                else:
+                    total += A.sum(axis=0)
+                    scatter += A.T @ A
+            total /= d.n
+            scatter /= d.n
+            scatter -= np.outer(total, total)
+        if not batch:
+            self.a_mean, self.cov = self.a_mean[0], self.cov[0]
 
-    def m(self, theta, order=LegendreOrder.THIRD):
-        return self.a_mean - model_terms(theta, self.system, order)[self.rows]
+    def m(self, theta, order=LegendreOrder.THIRD, index=...):
+        """The moments at theta: (..., rows). With a batch, theta is (B', p)
+        and ``index`` picks the B' datasets it belongs to (all by default)."""
+        terms = model_terms(theta, self.system, order, include_removed=True)
+        return self.a_mean[index] - terms.take(self.columns, axis=-1)
 
 
 def eval_moments(

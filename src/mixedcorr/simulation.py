@@ -9,7 +9,13 @@ replication, and aggregates
     MCOV  mean of the per-replication estimated Var(R_hat).
 
 Per-replication RNG streams are derived from (master seed, replication
-index), so any parallel schedule reproduces the serial results bit for bit.
+index). The replications are fitted in fixed batches by replication index
+(0..B-1, then the next B, ..., with B = STUDY_BATCH but for a system too
+large for it), each batch by one ``estimator.fit_batch`` solve, and a
+worker process takes whole batches. A replication's fit does not depend
+on the other datasets in its batch, bit for bit, so neither the batches
+nor the worker count change any result, and any parallel schedule
+reproduces the serial results bit for bit.
 """
 
 from __future__ import annotations
@@ -17,13 +23,16 @@ from __future__ import annotations
 import numbers
 import os
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import AllReplicationsFailed, MixedCorrError, NotPositiveDefinite, UnknownPair
-from .estimator import FitConfig, estimate_thresholds, fit
+# fit is not called here: it stays a module attribute for code that swaps
+# it, as the benchmark's tracer does (bench/workloads.py)
+from .estimator import FitConfig, estimate_thresholds, fit, fit_batch  # noqa: F401
 from .model import (
     KIND_POLYCHORIC,
     KIND_POLYSERIAL,
@@ -37,6 +46,19 @@ from .moments import CUSTOM, build_system
 from .normal import LegendreOrder, RHO_MAX, binorm_cdf_oracle
 
 __all__ = ["SimDesign", "SimReport", "generate", "run_study", "ml_pair_oracle"]
+
+# Replications per fit_batch solve. On the table-1 and table-2 designs a
+# fit in a batch of 64 takes a fifth and a third of the time of a fit
+# alone, and a batch of 256 gains under a tenth more (tools/batch_sweep.py).
+# A batch holds two q x q matrices per dataset (the moment covariance and
+# the whitener), so a system with many moment rows takes fewer datasets
+# per batch, at most BATCH_BYTES of them together.
+STUDY_BATCH = 64
+BATCH_BYTES = 64 * 2**20
+
+# the label under which SimReport.failure_kinds counts a fit that stopped
+# at MAX_ITER (converged False)
+MAX_ITER_FAILURE = "max_iter"
 
 
 def _integer(name, value):
@@ -161,6 +183,9 @@ class SimReport:
     failures: int
     n_used: int
     wall_time: float
+    # (exception class name, count) of the failed replications, sorted by
+    # name, with MAX_ITER_FAILURE for a fit that did not converge
+    failure_kinds: tuple = ()
     estimates: np.ndarray | None = None  # (n_used, k) when kept
     se_estimates: np.ndarray | None = None  # matching per-replication SEs
 
@@ -204,53 +229,74 @@ def generate(design: SimDesign, replication: int) -> MixedDataset:
 
 
 def _run_block(design: SimDesign, start: int, stop: int):
-    """Fit replications start..stop-1; returns per-replication outcomes."""
+    """Fit replications start..stop-1 in one batch; returns per replication
+    (index, estimates, variances, failure kind), the estimates None and the
+    kind named where it failed."""
     system = build_system(design.specs, design.fit.system_mode)
-    out = []
+    reps, datasets, out = [], [], []
     for rep in range(start, stop):
         try:
-            data = generate(design, rep)
-            res = fit(data, system, design.fit)
+            datasets.append(generate(design, rep))
+            reps.append(rep)
         except NotPositiveDefinite:
             raise
-        except (MixedCorrError, np.linalg.LinAlgError):
-            out.append((rep, None, None))
-            continue
-        if not res.diagnostics.converged:
-            out.append((rep, None, None))
-            continue
-        out.append((rep, res.r_hat.values.copy(), res.var_r.copy()))
+        except (MixedCorrError, np.linalg.LinAlgError) as exc:
+            out.append((rep, None, None, type(exc).__name__))
+    for rep, res in zip(reps, fit_batch(datasets, system, design.fit)):
+        if isinstance(res, Exception):
+            out.append((rep, None, None, type(res).__name__))
+        elif not res.diagnostics.converged:
+            out.append((rep, None, None, MAX_ITER_FAILURE))
+        else:
+            out.append((rep, res.r_hat.values.copy(), res.var_r.copy(), None))
     return out
+
+
+def _usable_cores() -> int:
+    """The CPU cores this process may run on (its affinity mask, where the
+    platform has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def run_study(design: SimDesign, workers=None, keep_estimates=False) -> SimReport:
     """Run every replication, aggregate MEAN / COVR / MCOV.
 
-    Replications that fail to converge (or to produce a valid dataset) are
-    counted and excluded. Results are reduced in replication order, so any
-    worker count yields identical output.
+    The replications are fitted in batches of STUDY_BATCH by replication
+    index (module docstring), fewer for a system whose q x q matrices would
+    pass BATCH_BYTES. ``workers`` processes take whole batches: by default
+    one per usable core, never more than the batches; fewer than 1 is a
+    ValueError. Replications that fail to converge (or to
+    produce a valid dataset) are counted and excluded, by kind in
+    failure_kinds. Results are reduced in replication order, so any worker
+    count yields identical output.
     """
     start_time = time.perf_counter()
     N = design.replications
     if workers is None:
-        workers = os.cpu_count() or 1
-    workers = max(1, min(int(workers), N))
+        workers = _usable_cores()
+    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
+        raise ValueError(f"workers must be an integer of at least 1, not {workers!r}")
+    q = build_system(design.specs, design.fit.system_mode).q
+    size = max(1, min(STUDY_BATCH, BATCH_BYTES // (2 * 8 * q * q)))
+    batches = [(s, min(s + size, N)) for s in range(0, N, size)]
+    workers = min(workers, len(batches))
 
+    outcomes = []
     if workers == 1:
-        outcomes = _run_block(design, 0, N)
+        for batch in batches:
+            outcomes.extend(_run_block(design, *batch))
     else:
-        chunk = max(1, -(-N // (4 * workers)))
-        ranges = [(s, min(s + chunk, N)) for s in range(0, N, chunk)]
-        outcomes = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for block in pool.map(
-                _run_block, [design] * len(ranges), *zip(*ranges)
-            ):
+            for block in pool.map(_run_block, [design] * len(batches), *zip(*batches)):
                 outcomes.extend(block)
     outcomes.sort(key=lambda t: t[0])
 
-    estimates = [r for _, r, _ in outcomes if r is not None]
-    variances = [v for _, _, v in outcomes if v is not None]
+    estimates = [r for _, r, _, _ in outcomes if r is not None]
+    variances = [v for _, _, v, _ in outcomes if v is not None]
+    kinds = Counter(kind for _, _, _, kind in outcomes if kind is not None)
     failures = N - len(estimates)
     if not estimates:
         raise AllReplicationsFailed(f"all {N} replications failed")
@@ -274,6 +320,7 @@ def run_study(design: SimDesign, workers=None, keep_estimates=False) -> SimRepor
         failures=failures,
         n_used=len(estimates),
         wall_time=time.perf_counter() - start_time,
+        failure_kinds=tuple(sorted(kinds.items())),
         estimates=series if keep_estimates else None,
         se_estimates=se_series,
     )

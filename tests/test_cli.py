@@ -673,6 +673,40 @@ class TestSimulateCommand:
         assert _run(["simulate", "--design", tmp_path / "no.json",
                      "--out", tmp_path / "x"]) == 1
 
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one(self, tmp_path, capsys, monkeypatch, threads):
+        started = []
+        monkeypatch.setattr(cli, "run_study", lambda *args, **kwargs: started.append(1))
+        dpath = tmp_path / "design.json"
+        dpath.write_text(json.dumps(design1(n=50, replications=2).to_dict()))
+        assert _run(["simulate", "--design", dpath, "--out", tmp_path / "x",
+                     "--threads", threads]) == 1
+        assert capsys.readouterr().err == f"error: --threads must be at least 1, not {threads}\n"
+        assert not started
+        assert not (tmp_path / "x").exists()
+
+    def test_table_names_the_failure_kinds(self, tmp_path):
+        # at n=40 the top category (P = 0.029) of X1 is often unobserved
+        doc = {
+            "name": "sparse",
+            "continuous": ["Y1"],
+            "ordinal": [{"name": "X1", "thresholds": [-0.3, 1.9]}],
+            "r_true": [[1.0, 0.4], [0.4, 1.0]],
+            "n": 40,
+            "replications": 12,
+            "seed": 5,
+        }
+        dpath = tmp_path / "design.json"
+        dpath.write_text(json.dumps(doc))
+        assert _run(["simulate", "--design", dpath, "--out", tmp_path / "s",
+                     "--threads", "1"]) == 0
+        report = json.loads((tmp_path / "s" / "report.json").read_text())["report"]
+        failures = report["failures"]
+        assert 0 < failures < 12
+        assert "failure_kinds" not in report  # report.json stays at schema 5
+        header = (tmp_path / "s" / "table.txt").read_text().splitlines()[0]
+        assert f"failures={failures} (EmptyCategory {failures})  " in header
+
 
 def test_shipped_design_files_parse():
     import pathlib

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,31 @@ class TestEstimateThresholds:
         cuts = mc.estimate_thresholds(data)
         for j in range(3):
             assert np.all(np.diff(cuts[j]) > 0)
+
+
+class TestPearsonStart:
+    @pytest.mark.parametrize("n", [1000, 2 * moments.CHUNK_ROWS + 17])
+    def test_equals_corrcoef(self, n):
+        # the chunked sums give the correlations of the stacked coded data
+        data = mc.generate(design2(n=n, replications=2, seed=4), 0)
+        system = mc.build_system(data.specs, mc.MAX_SET)
+        corr = np.corrcoef(np.column_stack([data.y, data.x.astype(float)]), rowvar=False)
+        want = mc.CorrelationParams.from_matrix(corr, system.c, system.d).values
+        got = estimator._pearson_init(data, system)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_holds_no_row_copy(self):
+        import tracemalloc
+
+        data = mc.generate(design2(n=50_000, replications=2, seed=4), 0)
+        system = mc.build_system(data.specs, mc.MAX_SET)
+        tracemalloc.start()
+        estimator._pearson_init(data, system)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        # a few copies of one chunk of the c + d = 5 columns (the stacked
+        # chunk and its centred copy), far below the 2 MB of one n-row copy
+        assert peak < 4 * moments.CHUNK_ROWS * 5 * 8
 
 
 class TestMinimizeLoss:
@@ -656,6 +683,107 @@ class TestEmptyCell:
         with pytest.raises(mc.errors.DegenerateWeight, match="covariance is singular"):
             mc.fit(data, system, mc.FitConfig(method=method))
         assert gradients == [1]  # the start's only
+
+
+def _fit_record(res):
+    """Every output of a fit but its wall time."""
+    diag = dataclasses.asdict(res.diagnostics)
+    del diag["wall_time"]
+    return res.r_hat.values, res.var_r, res.a_hat.to_array(), res.var_theta, diag
+
+
+class TestFitBatch:
+    @pytest.mark.parametrize("method", [mc.TWO_STEP, mc.ONE_STEP])
+    @pytest.mark.parametrize("design", [design1, design2], ids=["design1", "design2"])
+    def test_batch_equals_each_fit(self, design, method):
+        # one lockstep solve over 40 datasets gives each dataset its own
+        # fit, bit for bit
+        datasets = [mc.generate(design(n=400, replications=2, seed=21), rep) for rep in range(40)]
+        system = mc.build_system(datasets[0].specs, mc.MAX_SET)
+        cfg = mc.FitConfig(method=method)
+        batch = estimator.fit_batch(datasets, system, cfg)
+        for data, res in zip(datasets, batch):
+            alone = _fit_record(mc.fit(data, system, cfg))
+            for a, b in zip(_fit_record(res), alone):
+                if isinstance(a, dict):
+                    assert a == b
+                else:
+                    assert np.array_equal(a, b, equal_nan=True)
+
+    def test_failures_leave_the_batch_unchanged(self, monkeypatch):
+        # one-step fits of 2x2 tables: one with an empty cell, which leaves
+        # the weight no row that depends on rho (DegenerateWeight before any
+        # step), and one that takes 7 steps, cut at 6. The other datasets,
+        # which take 6, 4 and 3 steps, get the results they get alone
+        good = [_binary_dataset(t) for t in ([[40, 10], [10, 40]], [[30, 20], [15, 35]],
+                                             [[25, 25], [20, 30]])]
+        slow = _binary_dataset([[45, 5], [12, 38]])
+        empty = _binary_dataset([[40, 0], [10, 40]])
+        system = mc.build_system(slow.specs, mc.MAX_SET)
+        expected = [_fit_record(mc.fit(data, system, ONE_STEP)) for data in good]
+        assert mc.fit(slow, system, ONE_STEP).diagnostics.inner_iterations == 7
+        monkeypatch.setattr(estimator, "MAX_ITER", 6)
+        out = estimator.fit_batch([good[0], empty, good[1], slow, good[2]], system, ONE_STEP)
+        assert isinstance(out[1], mc.errors.DegenerateWeight)
+        assert (out[3].diagnostics.stop, out[3].diagnostics.converged) == ("max_iter", False)
+        for res, want in zip((out[0], out[2], out[4]), expected):
+            for a, b in zip(_fit_record(res), want):
+                if isinstance(a, dict):
+                    assert a == b
+                else:
+                    assert np.array_equal(a, b, equal_nan=True)
+
+    def test_nan_direction_resets_its_dataset_only(self, monkeypatch):
+        # an inverse Hessian seed of NaNs, as an overflowed H would be,
+        # gives the first dataset a NaN direction: its H is reset to the
+        # identity and its solve converges from the steepest descent, and
+        # the other dataset gets the fit it gets alone
+        data = [mc.generate(design1(n=400, replications=2, seed=5), rep) for rep in (0, 1)]
+        system = mc.build_system(data[0].specs, mc.MAX_SET)
+        alone = _fit_record(mc.fit(data[1], system))
+        inv, calls = np.linalg.inv, []
+
+        def seeded(a):
+            # the first 6 x 6 inverse is the first dataset's seed of H
+            calls.append(a.shape)
+            if calls.count((6, 6)) == 1 and a.shape == (6, 6):
+                return np.full(a.shape, np.nan)
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", seeded)
+        out = estimator.fit_batch(data, system)
+        assert out[0].diagnostics.converged
+        for a, b in zip(_fit_record(out[1]), alone):
+            if isinstance(a, dict):
+                assert a == b
+            else:
+                assert np.array_equal(a, b, equal_nan=True)
+
+    def test_fit_raises_the_batch_exception(self):
+        data = _binary_dataset([[40, 0], [10, 40]])
+        system = mc.build_system(data.specs, mc.MAX_SET)
+        (res,) = estimator.fit_batch([data], system, ONE_STEP)
+        assert isinstance(res, mc.errors.DegenerateWeight)
+        with pytest.raises(mc.errors.DegenerateWeight):
+            mc.fit(data, system, ONE_STEP)
+
+    def test_datasets_of_different_sizes(self):
+        # each dataset's own n scales its decrement and covariance
+        system = mc.build_system(design1().specs, mc.MAX_SET)
+        data = [mc.generate(design1(n=n, replications=2, seed=8), 0) for n in (300, 900)]
+        assert estimator.fit_batch([], system) == []
+        for res, one in zip(estimator.fit_batch(data, system), data):
+            for a, b in zip(_fit_record(res), _fit_record(mc.fit(one, system))):
+                if isinstance(a, dict):
+                    assert a == b
+                else:
+                    assert np.array_equal(a, b, equal_nan=True)
+
+    def test_mismatched_dataset_rejects_the_batch(self):
+        data = mc.generate(design1(n=150, replications=2, seed=3), 0)
+        other = mc.build_system(design2().specs, mc.MAX_SET)
+        with pytest.raises(ValueError, match="do not match"):
+            estimator.fit_batch([data], other)
 
 
 class TestFitConfigValidation:

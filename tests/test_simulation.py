@@ -133,14 +133,99 @@ class TestRunStudy:
         assert 0 < empty < design.replications
         assert report.failures == empty
         assert report.n_used == design.replications - empty
+        assert report.failure_kinds == (("EmptyCategory", empty),)
 
     def test_programming_error_propagates(self, monkeypatch):
-        def broken_fit(data, system, cfg):
+        def broken_fit(datasets, system, cfg):
             raise TypeError("broken")
 
-        monkeypatch.setattr(simulation, "fit", broken_fit)
+        monkeypatch.setattr(simulation, "fit_batch", broken_fit)
         with pytest.raises(TypeError, match="broken"):
             mc.run_study(design1(n=150, replications=2, seed=7), workers=1)
+
+    def test_reports_do_not_depend_on_the_worker_count(self):
+        # 70 replications: one full batch and a short one, split over 1, 2
+        # or 3 workers (capped at the 2 batches)
+        d = design1(n=150, replications=simulation.STUDY_BATCH + 6, seed=12)
+        reports = [mc.run_study(d, workers=w, keep_estimates=True) for w in (1, 2, 3)]
+        for other in reports[1:]:
+            assert np.array_equal(other.estimates, reports[0].estimates)
+            assert np.array_equal(other.se_estimates, reports[0].se_estimates)
+            assert np.array_equal(other.mcov, reports[0].mcov)
+            assert np.array_equal(other.covr, reports[0].covr)
+            assert (other.failures, other.failure_kinds) == (
+                reports[0].failures, reports[0].failure_kinds)
+
+    def test_batch_size_does_not_change_the_report(self, monkeypatch):
+        # a byte budget that allows 3 datasets per batch: 5 batches in
+        # place of 1, the same report
+        d = design1(n=150, replications=14, seed=14)
+        default = mc.run_study(d, workers=1, keep_estimates=True)
+        q = mc.build_system(d.specs, d.fit.system_mode).q
+        monkeypatch.setattr(simulation, "BATCH_BYTES", 3 * 2 * 8 * q * q)
+        sizes = []
+        fit_batch = simulation.fit_batch
+
+        def recorded(datasets, system, cfg):
+            sizes.append(len(datasets))
+            return fit_batch(datasets, system, cfg)
+
+        monkeypatch.setattr(simulation, "fit_batch", recorded)
+        small = mc.run_study(d, workers=1, keep_estimates=True)
+        assert sizes == [3, 3, 3, 3, 2]
+        assert np.array_equal(small.estimates, default.estimates)
+        assert np.array_equal(small.mcov, default.mcov)
+
+    def test_a_replication_does_not_depend_on_its_batch(self):
+        # replication 70 is fitted in the second batch by the study and
+        # alone by fit: the same estimate and variance, bit for bit
+        d = design1(n=150, replications=simulation.STUDY_BATCH + 8, seed=13)
+        report = mc.run_study(d, workers=1, keep_estimates=True)
+        system = mc.build_system(d.specs, d.fit.system_mode)
+        rep = simulation.STUDY_BATCH + 6
+        res = mc.fit(mc.generate(d, rep), system, d.fit)
+        assert report.failures == 0
+        assert np.array_equal(report.estimates[rep], res.r_hat.values)
+        assert np.array_equal(report.se_estimates[rep], res.se())
+
+    def test_non_convergence_is_a_failure_kind(self, monkeypatch):
+        # these replications take 5 to 8 steps: a 6-step cap stops 3 of 6
+        monkeypatch.setattr(estimator, "MAX_ITER", 6)
+        report = mc.run_study(design1(n=150, replications=6, seed=11), workers=1)
+        assert report.failures == 3
+        assert report.failure_kinds == (("max_iter", 3),)
+
+    @pytest.mark.parametrize("workers", [0, -1, 1.5, True])
+    def test_worker_count_below_one_is_rejected(self, workers, monkeypatch):
+        monkeypatch.setattr(simulation, "fit_batch", None)  # no fit may run
+        with pytest.raises(ValueError, match="workers"):
+            mc.run_study(design1(n=150, replications=2, seed=7), workers=workers)
+
+    def test_default_workers_use_the_usable_cores(self, monkeypatch):
+        seen = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *args):
+                return map(fn, *args)
+
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(simulation.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        monkeypatch.setattr(simulation.os, "cpu_count", lambda: 64)
+        mc.run_study(design1(n=150, replications=2 * simulation.STUDY_BATCH + 1, seed=7))
+        assert seen == [3]  # 3 usable cores, 3 batches
+        seen.clear()
+        mc.run_study(design1(n=150, replications=simulation.STUDY_BATCH + 1, seed=7))
+        assert seen == [2]  # capped at the 2 batches
 
     def test_needs_two_replications(self):
         with pytest.raises(ValueError):
