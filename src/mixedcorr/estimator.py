@@ -14,15 +14,15 @@ Heaton & Yaron 1996: the fixed point is the continuously updated
 estimator). ``fit`` therefore makes one quasi-Newton solve under W_c and
 reports the covariance of that solve, the sandwich below (Hall 2000 argues
 for the centred moment covariance in GMM inference). W_c itself is never
-formed: the fit's one q x q factorization is the Cholesky factor L of S,
-and the solve and the covariance use only the whitened moments r = K m and
-J = K G, with the whitener K = L^-1 and K'K = W_c, so that the loss is
-|r|^2/2, its gradient G'K'r and G'W_cG = J'J. Where S is rank-deficient
-in the data (an empty cell, say) ``weight_matrix`` drops each row that is
-a linear combination of the rows kept before it (Hansen 1982), and L and K
-cover the kept rows, K with a zero column at each dropped one: the solve
-is then the fixed point of the paper's loop over the kept rows, and
-W_c = K'K a generalized inverse of S. Where no kept row depends on some
+formed: the solve and the covariance use only the whitened moments r = K m
+and J = K G, with K = ``weight_matrix(S).whitener`` over the rows it keeps
+(K S K' = I, K'K = W_c; ``moments`` describes how K is reached), so that
+the loss is |r|^2/2, its gradient G'K'r and G'W_cG = J'J. Where S is
+rank-deficient in the data (an empty cell, say) ``weight_matrix`` drops
+each row that is a linear combination of the rows kept before it (Hansen
+1982), and K has a zero column at each dropped one: the solve is then the
+fixed point of the paper's loop over the kept rows, and W_c = K'K a
+generalized inverse of S. Where no kept row depends on some
 free parameter, ``_minimize`` raises DegenerateWeight before any step.
 The one-step method moves thresholds and correlations jointly; the
 two-step method solves the thresholds in closed form from the marginal
@@ -254,15 +254,8 @@ def _minimize(compiled, K, x0, free_idx, cfg):
     evaluation left. Returns per dataset (x, _InnerInfo) or the typed
     exception that ended its solve. Every product is a stacked matmul or
     vecdot and every other step elementwise, so a dataset's arithmetic does
-    not depend on the other datasets in its batch. With a single x0 (p,)
-    the solve is the batch of one, and it returns (x, _InnerInfo) or
-    raises.
+    not depend on the other datasets in its batch.
     """
-    if x0.ndim == 1:
-        (out,) = _minimize(compiled, K[None], x0[None], free_idx, cfg)
-        if isinstance(out, Exception):
-            raise out
-        return out
     system = compiled.system
     # the thresholds are unbounded, the correlations within +-RHO_MAX
     hi = np.full(system.p, RHO_MAX)
@@ -488,12 +481,13 @@ def fit(data, system, cfg=None) -> EstimationResult:
     the one-step one.
 
     The fit makes one inner solve, under W_c = S^-1, the inverse centred
-    covariance of the products, through its whitener K (K'K = W_c, from
-    the fit's one q x q factorization). By Sherman-Morrison its stationary
-    point is the fixed point of the paper's refresh loop (module
-    docstring), so no refresh solve follows. W in the covariance is W_c,
-    the weight the solve ran under, so it is the sandwich of the estimator
-    the fit computes; with J = K G, G'W_cG = J'J.
+    covariance of the products, through its whitener
+    K = ``weight_matrix(S).whitener`` over the kept rows (K'K = W_c). By
+    Sherman-Morrison its stationary point is the fixed point of the
+    paper's refresh loop (module docstring), so no refresh solve follows.
+    W in the covariance is W_c, the weight the solve ran under, so it is
+    the sandwich of the estimator the fit computes; with J = K G,
+    G'W_cG = J'J.
     Where S is rank-deficient in the data, W_c = K'K over the rows
     ``weight_matrix`` keeps, each dropped row a linear combination of the
     kept rows before it; a free parameter no kept row depends on raises

@@ -134,11 +134,12 @@ def ingest(table, specs, standardize=True) -> MixedDataset:
         col = xraw[:, j]
         if np.any(col != np.round(col)):
             raise CodeOutOfRange(f"ordinal column {sp.name!r} has non-integer cells")
-        col = col.astype(np.int64)
+        # the range is checked on the floats: a code beyond int64 has no cast
         if col.min(initial=1) < 1 or col.max(initial=1) > sp.categories:
             raise CodeOutOfRange(
                 f"ordinal column {sp.name!r} has codes outside 1..{sp.categories}"
             )
+        col = col.astype(np.int64)
         counts = np.bincount(col, minlength=sp.categories + 1)[1:]
         for k, cnt in enumerate(counts, start=1):
             if cnt == 0:

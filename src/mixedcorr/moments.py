@@ -31,12 +31,14 @@ On a table in which every pair of codes occurs, the rows each method
 keeps are independent and span all the rows it could weight. The weight
 W = S^-1 of their covariance S is never formed: GMM under W is least
 squares on the whitened moments K m, with K'K = W (Hansen 1982), and
-``weight_matrix`` returns K. On such a table every Cholesky pivot of S
-clears the floor EIG_FLOOR S_ii and K = L^-1, the inverse of the one
-Cholesky factor of S. A covariance that is singular in the data, such as
-that of a table with an empty cell, keeps the rows in layout order while
-each pivot clears the floor: K is then L^-1 over the kept rows, with a
-zero column at each dropped row.
+``weight_matrix`` returns K = L^-1, the inverse Cholesky factor of S over
+the rows kept in layout order while each pivot clears the floor
+PIVOT_FLOOR S_ii, with a zero column at each dropped row. On such a table
+every pivot clears it. A covariance that is singular in the data, such as
+that of a table with an empty cell, drops a row. One recursion reaches K
+(``_kept_whitener``): S is halved on its Schur complement until a block of
+at most 64 rows has every pivot above the floor, which LAPACK factors and
+inverts; a single row under the floor is dropped.
 
 The moment vector is linear in per-row data products, so sample moments
 factor as m(theta) = mean(A) - b(theta) with A data-only and b(theta)
@@ -162,9 +164,9 @@ MIN_SET = "min"
 CUSTOM = "custom"
 
 # The pivot floor of the weight matrix: a moment row whose residual
-# variance, given the rows kept before it, is at or below EIG_FLOOR times
+# variance, given the rows kept before it, is at or below PIVOT_FLOOR times
 # its own variance counts as a linear combination of them and is dropped.
-EIG_FLOOR = 1e-10
+PIVOT_FLOOR = 1e-10
 
 # Rows per chunk of data products: CompiledMoments holds one chunk at a
 # time, and a fixed size fixes the order in which the rows are summed.
@@ -717,13 +719,11 @@ def assemble_gradient(theta, system, order=None) -> np.ndarray:
         )
     pool = _pool(pt.pdf, pt.zphi, *partials)
     weights = t.g_sign * (_scales(theta).take(t.g_scale, axis=-1) * pool.take(t.g_idx, axis=-1))
-    size = system.q * system.p
-    if theta.ndim == 1:
-        return np.bincount(t.g_pos, weights, size).reshape(system.q, system.p)
-    # one bincount over the batch: dataset b's entries are offset by b q p
-    batch = len(theta)
-    G = np.bincount(_batch_positions(system, batch), weights.ravel(), batch * size)
-    return G.reshape(batch, system.q, system.p)
+    # one bincount over the batch, a single theta its batch of one: dataset
+    # b's entries are offset by b q p
+    batch = theta[..., 0].size
+    G = np.bincount(_batch_positions(system, batch), weights.ravel(), batch * system.q * system.p)
+    return G.reshape(theta.shape[:-1] + (system.q, system.p))
 
 
 def compute_sigma(theta, system, order=LegendreOrder.THIRD) -> np.ndarray:
@@ -845,39 +845,25 @@ class WeightMatrix:
     pseudo_inverse: bool
 
 
-def _lower_inverse(L):
-    """Inverse of a nonsingular lower-triangular L by recursive halving (Du
-    Croz & Higham 1992): with L = [[A, 0], [B, C]], the inverse is
-    [[A^-1, 0], [-C^-1 B A^-1, C^-1]]. A block of at most 64 rows is
-    inverted whole by LAPACK, its rounding above the diagonal dropped."""
-    n = L.shape[0]
-    if n <= 64:
-        return np.tril(np.linalg.inv(L))
-    X = np.eye(n)
-    h = n // 2
-    X[:h, :h] = _lower_inverse(L[:h, :h])
-    X[h:, h:] = _lower_inverse(L[h:, h:])
-    X[h:, :h] = -X[h:, h:] @ (L[h:, :h] @ X[:h, :h])
-    return X
-
-
 def _kept_whitener(S, floor):
     """The inverse K = L^-1 of the Cholesky factor L of the symmetric S
     over the rows kept in order while each one's pivot, its residual
     variance given the rows kept before it, exceeds its ``floor``; K has a
-    row per kept row and a zero column at each dropped one. S is factored
-    whole when every pivot clears the floor, else by halves like
-    ``_lower_inverse``: with W = S_ba K_a', the second half's rows in the
-    first half's factor, the second half is the Schur complement
-    S_bb - W W' and K = [[K_a, 0], [-K_b W K_a, K_b]]."""
-    try:
-        L = np.linalg.cholesky(S)
-        if np.all(np.diagonal(L) ** 2 > floor):
-            return _lower_inverse(L)
-    except np.linalg.LinAlgError:
-        pass
-    if len(S) == 1:
-        return np.empty((0, 1))
+    row per kept row and a zero column at each dropped one. A block of at
+    most 64 rows whose pivots all clear the floor is factored and inverted
+    by LAPACK, its rounding above the diagonal dropped. Any other block is
+    halved (Du Croz & Higham 1992): with W = S_ba K_a', the second half's
+    rows in the first half's factor, the second half is the Schur
+    complement S_bb - W W' and K = [[K_a, 0], [-K_b W K_a, K_b]]."""
+    if len(S) <= 64:
+        try:
+            L = np.linalg.cholesky(S)
+            if np.all(np.diagonal(L) ** 2 > floor):
+                return np.tril(np.linalg.inv(L))
+        except np.linalg.LinAlgError:
+            pass
+        if len(S) == 1:
+            return np.empty((0, 1))
     h = len(S) // 2
     K_a = _kept_whitener(S[:h, :h], floor[:h])
     W = S[h:, :h] @ K_a.T
@@ -888,19 +874,20 @@ def _kept_whitener(S, floor):
 def weight_matrix(omega_hat) -> WeightMatrix:
     """The whitener K of the symmetric moment covariance S over the rows
     it keeps: the rows in order while each pivot, the row's residual
-    variance given the rows kept before it, exceeds EIG_FLOOR times its
-    variance S_ii (``_kept_whitener``). A dropped row is, to that
-    precision, a linear combination of the rows kept before it (Hansen
-    1982 drops such redundant moments), so K is L^-1 of the Cholesky
-    factor L of S over the kept rows, with a zero column at each dropped
-    row, and K S K' = I. Where no row is dropped, K = L^-1 of the one
-    Cholesky factor of S, lower-triangular.
+    variance given the rows kept before it, exceeds PIVOT_FLOOR times its
+    variance S_ii. A dropped row is, to that precision, a linear
+    combination of the rows kept before it (Hansen 1982 drops such
+    redundant moments), so K is L^-1 of the Cholesky factor L of S over the
+    kept rows, with a zero column at each dropped row, and K S K' = I.
+    ``_kept_whitener`` is the one recursion that reaches K (module
+    docstring). Where no row is dropped, K is lower-triangular, and on at
+    most 64 rows it is the LAPACK inverse of the one Cholesky factor of S.
 
     ``condition`` is |S|_1 |K|_1 |K|_inf. With S_k the covariance of the
     kept rows, |S_k|_1 <= |S|_1 and |S_k^-1|_1 = |K'K|_1 <= |K|_inf |K|_1,
     so it bounds the 1-norm condition number of S_k from above.
     """
     omega = np.asarray(omega_hat, dtype=float)
-    K = _kept_whitener(omega, EIG_FLOOR * np.diagonal(omega))
+    K = _kept_whitener(omega, PIVOT_FLOOR * np.diagonal(omega))
     bound = np.linalg.norm(omega, 1) * np.linalg.norm(K, 1) * np.linalg.norm(K, np.inf)
     return WeightMatrix(whitener=K, condition=float(bound), pseudo_inverse=len(K) < len(omega))

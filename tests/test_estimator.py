@@ -14,9 +14,19 @@ ONE_STEP = mc.FitConfig(method=mc.ONE_STEP)
 TWO_STEP = mc.FitConfig(method=mc.TWO_STEP)
 
 
+def _minimize_one(compiled, K, x0, free_idx, cfg):
+    """``_minimize`` of the one dataset ``compiled`` holds, as a batch of
+    one: its (x, _InnerInfo), or the exception that ended its solve raised."""
+    (out,) = _minimize(compiled, K[None], x0[None], free_idx, cfg)
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
 def _solve(data, system, W, theta0, free):
     """Minimize the loss under a fixed W over the parameters flagged in ``free``."""
-    x, _ = _minimize(CompiledMoments(data, system), W, theta0, np.flatnonzero(free), mc.FitConfig())
+    compiled = CompiledMoments([data], system)
+    x, _ = _minimize_one(compiled, W, theta0, np.flatnonzero(free), mc.FitConfig())
     return x
 
 
@@ -103,12 +113,12 @@ class TestMinimizeLoss:
     def test_start_at_optimum_stops_immediately(self, design1_data, four_var_system):
         data = design1_data
         system = four_var_system
-        compiled = CompiledMoments(data, system)
+        compiled = CompiledMoments([data], system)
         cfg = mc.FitConfig()
         W = np.eye(system.q)
         free = np.flatnonzero(system.active)
-        x1, info1 = _minimize(compiled, W, _initial_theta(data, system), free, cfg)
-        x2, info2 = _minimize(compiled, W, x1, free, cfg)
+        x1, info1 = _minimize_one(compiled, W, _initial_theta(data, system), free, cfg)
+        x2, info2 = _minimize_one(compiled, W, x1, free, cfg)
         assert info2.iterations <= 2
         assert np.allclose(x1, x2, atol=1e-9)
 
@@ -407,11 +417,11 @@ class TestDiagnostics:
         free = np.flatnonzero(c2d3_system.active) if one_step else c2d3_system.coef_cols
         for rep in range(10):
             data = mc.generate(design2(), rep)
-            compiled = CompiledMoments(data, c2d3_system, c2d3_system.weighted_rows(one_step))
-            K = weight_matrix(compiled.cov).whitener
+            compiled = CompiledMoments([data], c2d3_system, c2d3_system.weighted_rows(one_step))
+            K = weight_matrix(compiled.cov[0]).whitener
             x0 = _initial_theta(data, c2d3_system)
-            x, info = _minimize(compiled, K, x0, free, cfg)
-            xu, info_u = _minimize(compiled, K, np.nextafter(x0, np.inf), free, cfg)
+            x, info = _minimize_one(compiled, K, x0, free, cfg)
+            xu, info_u = _minimize_one(compiled, K, np.nextafter(x0, np.inf), free, cfg)
             assert (info_u.stop, info_u.iterations) == (info.stop, info.iterations)
             assert np.max(np.abs(xu - x)) <= 1e-12
 
@@ -610,16 +620,16 @@ def _paper_loop(compiled, cfg, theta0, free_idx):
     then the refresh W = Omega_hat(theta)^-1, until a solve under a refresh
     moves theta by less than 1e-8 (at most 100 solves). Returns theta and
     whether it stopped on that test."""
-    K = np.eye(compiled.a_mean.size)
+    K = np.eye(compiled.a_mean.shape[-1])
     theta = theta0.copy()
     for solve in range(100):
-        theta_new, _ = _minimize(compiled, K, theta, free_idx, cfg)
+        theta_new, _ = _minimize_one(compiled, K, theta, free_idx, cfg)
         diff = np.linalg.norm(theta_new[free_idx] - theta[free_idx])
         theta = theta_new
         if solve > 0 and diff < 1e-8:
             return theta, True
-        m = compiled.m(theta, cfg.order)
-        K = weight_matrix(compiled.cov + np.outer(m, m)).whitener
+        (m,) = compiled.m(theta[None], cfg.order)
+        K = weight_matrix(compiled.cov[0] + np.outer(m, m)).whitener
     return theta, False
 
 
@@ -638,7 +648,7 @@ class TestCentredStart:
             assert res.diagnostics.outer_iterations == 1
             one_step = method == mc.ONE_STEP
             free_idx = np.flatnonzero(system.active) if one_step else system.coef_cols
-            compiled = CompiledMoments(data, system, system.weighted_rows(one_step))
+            compiled = CompiledMoments([data], system, system.weighted_rows(one_step))
             theta0 = _initial_theta(data, system)
             theta, settled = _paper_loop(compiled, cfg, theta0, free_idx)
             assert settled

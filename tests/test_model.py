@@ -61,6 +61,13 @@ class TestIngest:
         with pytest.raises(CodeOutOfRange):
             mc.ingest(table, _specs22())
 
+    def test_code_beyond_int64_is_out_of_range(self):
+        # checked before the cast to int64, which would warn on 1e20
+        table = _table22()
+        table[3, 2] = 1e20
+        with pytest.raises(CodeOutOfRange):
+            mc.ingest(table, _specs22())
+
     def test_non_integer_code(self):
         table = _table22()
         table[3, 2] = 1.5

@@ -7,9 +7,8 @@ import mixedcorr as mc
 from mixedcorr.errors import UnknownPair
 from mixedcorr.moments import (
     CHUNK_ROWS,
-    EIG_FLOOR,
+    PIVOT_FLOOR,
     CompiledMoments,
-    _lower_inverse,
     _products,
     data_products,
     model_terms,
@@ -524,15 +523,27 @@ def _spd(q, seed):
     return a @ a.T + 0.5 * np.eye(q)
 
 
-class TestLowerInverse:
+def _inverse_factor(S):
+    """The LAPACK inverse of the whole Cholesky factor of S, with its rounding
+    above the diagonal dropped."""
+    return np.tril(np.linalg.inv(np.linalg.cholesky(S)))
+
+
+class TestWhitenerRecursion:
     @pytest.mark.parametrize("q", [63, 64, 65, 200, 618])
-    def test_matches_the_inverse(self, q):
-        # blocks of more than 64 rows are halved, so 65 and up recurse
-        L = np.linalg.cholesky(_spd(q, q))
-        expected = np.linalg.inv(L)
-        got = _lower_inverse(L)
-        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
-        assert not np.any(np.triu(got, 1))
+    def test_matches_the_inverse_factor(self, q):
+        # blocks of more than 64 rows are halved on their Schur complement,
+        # so 65 and up recurse; 64 and below are the LAPACK inverse itself
+        S = _spd(q, q)
+        expected = np.linalg.inv(np.linalg.cholesky(S))
+        w = mc.weight_matrix(S)
+        K = w.whitener
+        assert not w.pseudo_inverse
+        assert K.shape == (q, q)
+        assert not np.any(np.triu(K, 1))
+        assert np.max(np.abs(K - expected)) <= 1e-12 * np.max(np.abs(expected))
+        if q <= 64:
+            assert np.array_equal(K, _inverse_factor(S))
 
 
 class TestWeightMatrix:
@@ -563,7 +574,7 @@ class TestWeightMatrix:
         assert np.allclose(K @ ev.omega_hat @ K.T, np.eye(system.q - 2), atol=1e-8)
 
     def test_pivot_floor_is_scale_invariant(self):
-        # each pivot is compared with EIG_FLOOR times its own row's
+        # each pivot is compared with PIVOT_FLOOR times its own row's
         # variance, so a row 1e-11 the size of another is kept
         w = mc.weight_matrix(np.diag([1.0, 1e-11]))
         assert not w.pseudo_inverse
@@ -581,7 +592,7 @@ class TestWeightMatrix:
         assert w.condition >= cond_1 * (1 - 1e-12)
 
     def test_direct_whitener_is_the_inverse_cholesky_factor(self):
-        # 200 rows: _lower_inverse recurses
+        # 200 rows: the whitener recursion halves S
         omega = _spd(200, 3)
         w = mc.weight_matrix(omega)
         K = w.whitener
@@ -593,16 +604,23 @@ class TestWeightMatrix:
 
     @pytest.mark.parametrize("name", ["design2", "wide"])
     def test_certified_weight_is_the_whole_factor(self, name):
-        # every pivot clears the floor: K is the inverse of the one Cholesky
-        # factor of S, bit for bit, and its bound is the reported condition
+        # every pivot clears the floor: K is the inverse of the Cholesky
+        # factor of S, bit for bit that of the whole factor where S has at
+        # most 64 rows (design 2), and its bound is the reported condition
         design = design2() if name == "design2" else wide_design()
         data = mc.generate(design, 0)
         system = mc.build_system(data.specs, mc.MAX_SET)
         S = CompiledMoments(data, system, system.weighted_rows(False)).cov
         w = mc.weight_matrix(S)
-        K = _lower_inverse(np.linalg.cholesky(S))
-        assert np.array_equal(w.whitener, K)
+        K = w.whitener
         assert not w.pseudo_inverse
+        if name == "design2":
+            assert len(S) <= 64
+            assert np.array_equal(K, _inverse_factor(S))
+        else:
+            expected = np.linalg.inv(np.linalg.cholesky(S))
+            assert not np.any(np.triu(K, 1))
+            assert np.max(np.abs(K - expected)) <= 1e-12 * np.max(np.abs(expected))
         bound = np.linalg.norm(S, 1) * np.linalg.norm(K, 1) * np.linalg.norm(K, np.inf)
         assert w.condition == bound
 
@@ -617,7 +635,7 @@ class TestWeightMatrix:
         assert np.linalg.norm(omega, 1) * np.linalg.norm(np.linalg.inv(omega), 1) > 1e10
         w = mc.weight_matrix(omega)
         assert not w.pseudo_inverse
-        assert np.array_equal(w.whitener, _lower_inverse(np.linalg.cholesky(omega)))
+        assert np.array_equal(w.whitener, _inverse_factor(omega))
         assert w.condition >= 1.5 / lam * (1 - 1e-4)
         expected = (np.eye(4) - np.outer(v, v)) / lam + np.outer(v, v)
         assert np.allclose(_weight(w), expected, rtol=1e-4, atol=0)
@@ -644,7 +662,7 @@ class TestWeightMatrix:
         for j in range(130):
             b = S[kept, j]
             pivot = S[j, j] - b @ np.linalg.solve(S[np.ix_(kept, kept)], b) if kept else S[j, j]
-            if pivot > EIG_FLOOR * S[j, j]:
+            if pivot > PIVOT_FLOOR * S[j, j]:
                 kept.append(j)
         w = mc.weight_matrix(S)
         K = w.whitener

@@ -4,7 +4,8 @@
 
 For the table-1 and table-2 designs (n = 1000, two-step, max set) this fits
 the same datasets with ``estimator.fit_batch`` in batches of B = 1, 4, 16,
-64 and 256 and prints, per dataset, the best of ``--repeats`` wall times of
+64 and 256, each B no larger than ``--datasets``, and prints, per dataset,
+the best of ``--repeats`` wall times of
 
 - ``kernels``: one ``model_terms`` call and one Legendre
   ``assemble_gradient`` call at the batch's start points, which reads the
@@ -49,7 +50,8 @@ def sweep(design, datasets, repeats):
     starts = np.array([estimator._initial_theta(d, system) for d in data])
     order = design.fit.order
     rows = {}
-    for size in SIZES:
+    # a size above the dataset count would time the whole set under its label
+    for size in (size for size in SIZES if size <= datasets):
         batches = [slice(lo, lo + size) for lo in range(0, datasets, size)]
 
         def kernels():
