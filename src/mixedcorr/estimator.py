@@ -52,9 +52,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateWeight, EmptyCategory, LineSearchFailure, MixedCorrError
+from .errors import DegenerateWeight, EmptyCategory, LineSearchFailure
 from .errors import NonFiniteLoss, SingularCovariance
-from .model import CorrelationParams, ThresholdSet
+from .model import CorrelationParams, ThresholdSet, coefficient_order, coefficient_variables
 from .moments import (
     CUSTOM,
     MAX_SET,
@@ -191,41 +191,102 @@ class EstimationResult:
             return np.sqrt(np.diag(self.var_r))
 
 
+def _empty_category(data):
+    """The EmptyCategory of the first category ``data`` never takes."""
+    k = int(np.flatnonzero(data.counts == 0)[0])
+    ends = np.cumsum(data.s)
+    j = int(np.searchsorted(ends, k, side="right"))
+    return EmptyCategory(data.names[data.c + j], k - int(ends[j] - data.s[j]) + 1)
+
+
 def estimate_thresholds(data) -> ThresholdSet:
     """Closed-form thresholds: normal quantiles of cumulative category proportions."""
-    cuts = []
-    ordinal_specs = [sp for sp in data.specs if sp.is_ordinal]
-    for j, sp in enumerate(ordinal_specs):
-        counts = np.bincount(data.x[:, j], minlength=sp.categories + 1)[1:]
-        for k, cnt in enumerate(counts, start=1):
-            if cnt == 0:
-                raise EmptyCategory(sp.name, k)
-        cum = np.cumsum(counts[:-1]) / data.n
-        cuts.append(norm_quantile(cum) if cum.size else np.empty(0))
-    return ThresholdSet(cuts)
+    if not data.counts.all():
+        raise _empty_category(data)
+    return ThresholdSet.from_array(_thresholds([data])[0], [s - 1 for s in data.s])
 
 
-def _pearson_init(data, system) -> np.ndarray:
-    """Pearson correlations of the coded data for every coefficient, clamped.
+def _thresholds(datasets) -> np.ndarray:
+    """The closed-form thresholds of each dataset, (B, n_thr), from the
+    category counts ``ingest`` made, in one ``norm_quantile`` call; every
+    category of every dataset must be observed."""
+    counts = np.array([data.counts for data in datasets])
+    n = np.array([data.n for data in datasets])
+    s = np.array(datasets[0].s, dtype=int)
+    first = np.cumsum(s) - s
+    cum = np.cumsum(counts, axis=1)
+    # each ordinal's cumulative counts, less the counts of the ordinals before it
+    cum -= np.repeat(cum[:, first] - counts[:, first], s, axis=1)
+    return norm_quantile(np.delete(cum, first + s - 1, axis=1) / n[:, None])
 
-    The column means come from the column sums, and the centred
-    (c+d) x (c+d) scatter is summed over CHUNK_ROWS rows at a time, so no
-    n-row copy of the data is made."""
-    mean = np.concatenate([data.y.sum(axis=0), data.x.sum(axis=0)]) / data.n
-    scatter = np.zeros((mean.size, mean.size))
-    for lo in range(0, data.n, CHUNK_ROWS):
-        hi = lo + CHUNK_ROWS
-        cols = np.column_stack([data.y[lo:hi], data.x[lo:hi]]) - mean
-        scatter += cols.T @ cols
-    sd = np.sqrt(np.diagonal(scatter))
-    corr = np.clip(scatter / sd[:, None] / sd, -RHO_MAX, RHO_MAX)
-    # the scatter is symmetric only up to rounding: from_matrix reads the lower triangle
-    return CorrelationParams.from_matrix(corr, system.c, system.d).values
+
+def _lower_triangle(c, d):
+    """The (row, column) of each coefficient of R, in the coefficient
+    order, in the lower triangle of the (c+d) x (c+d) matrix."""
+    pos = np.array([coefficient_variables(c, *lab) for lab in coefficient_order(c, d)],
+                   dtype=int).reshape(-1, 2)
+    return pos.max(axis=1), pos.min(axis=1)
+
+
+def _stacked_columns(datasets, lo, c):
+    """Rows lo.. (at most CHUNK_ROWS) of each dataset's coded data, column
+    by column (y, then x as floats): (B, c + d, rows)."""
+    hi = lo + CHUNK_ROWS
+    first = datasets[0]
+    cols = np.empty((len(datasets), c + first.d, min(hi, first.n) - lo))
+    np.stack([data.y[lo:hi].T for data in datasets], out=cols[:, :c])
+    np.stack([data.x[lo:hi].T for data in datasets], out=cols[:, c:])
+    return cols
+
+
+def _pearson_init(datasets, system) -> np.ndarray:
+    """Pearson correlations of the coded data of each dataset for every
+    coefficient, clamped: (B, k) in the coefficient order.
+
+    The datasets of one n are stacked CHUNK_ROWS rows at a time, column by
+    column. The column means come from the column sums: each continuous
+    column is summed in row order, as one running sum over the chunks (a
+    chunk's first row carries the sum before it), and the sums of the
+    integer codes are exact in any order. The centred (c+d) x (c+d)
+    scatters are summed over the chunks. No n-row copy of the data is
+    made."""
+    c, k = system.c, system.c + system.d
+    # the lower triangle: the scatter is symmetric only up to rounding
+    rows, cols = _lower_triangle(system.c, system.d)
+    ns = np.array([data.n for data in datasets])
+    out = np.empty((len(datasets), rows.size))
+    for n in np.unique(ns).tolist():
+        members = np.flatnonzero(ns == n)
+        group = [datasets[b] for b in members]
+        starts = range(0, n, CHUNK_ROWS)
+        head = _stacked_columns(group, 0, c)
+        y_sum, x_sum = 0.0, 0.0
+        for lo in starts:
+            chunk = head if lo == 0 else _stacked_columns(group, lo, c)
+            if lo:
+                chunk[:, :c, 0] += y_sum
+            y_sum = np.cumsum(chunk[:, :c], axis=2)[:, :, -1]
+            x_sum = x_sum + chunk[:, c:].sum(axis=2)
+        mean = np.concatenate([y_sum, x_sum], axis=1) / n
+        scatter = np.zeros((len(group), k, k))
+        for lo in starts:
+            chunk = head if lo == 0 else _stacked_columns(group, lo, c)
+            chunk -= mean[:, :, None]
+            scatter += chunk @ chunk.mT
+        sd = np.sqrt(np.diagonal(scatter, axis1=1, axis2=2))
+        corr = np.clip(scatter / sd[:, :, None] / sd[:, None, :], -RHO_MAX, RHO_MAX)
+        out[members] = corr[:, rows, cols]
+    return out
+
+
+def _initial_thetas(datasets, system) -> np.ndarray:
+    """The starting theta of each dataset, (B, p): the closed-form
+    thresholds, then the Pearson correlations of every coefficient."""
+    return np.concatenate([_thresholds(datasets), _pearson_init(datasets, system)], axis=1)
 
 
 def _initial_theta(data, system) -> np.ndarray:
-    a0 = estimate_thresholds(data)
-    return np.concatenate([a0.to_array(), _pearson_init(data, system)])
+    return _initial_thetas([data], system)[0]
 
 
 # where the solve ended: the loss, its max |gradient| and Newton decrement
@@ -438,12 +499,6 @@ def _minimize(compiled, K, x0, free_idx, cfg):
     return out
 
 
-def _expand_var(var_active, positions, size):
-    out = np.full((size, size), np.nan)
-    out[np.ix_(positions, positions)] = var_active
-    return out
-
-
 def fit(data, system, cfg=None) -> EstimationResult:
     """Iterative GMM fit of ``system`` to ``data`` by the method cfg.method.
 
@@ -516,8 +571,11 @@ def fit_batch(datasets, system, cfg=None) -> list:
     over the batch: the datasets' solves run in lockstep through one loss
     evaluation and one gradient per pass (``_minimize``), and their starts,
     weights and covariances are those ``fit`` describes, each dataset's
-    own. A dataset's results do not depend on the other datasets in the
-    batch, bit for bit.
+    own. The starts (from the category counts ``ingest`` made, and stacked
+    column sums and scatters) and the covariances are computed over the
+    batch in stacked calls; each weight is one ``weight_matrix`` call. A
+    dataset's results do not depend on the other datasets in the batch,
+    bit for bit.
 
     Returns, per dataset in order, its EstimationResult or the typed
     exception (a MixedCorrError, or a LinAlgError) that ended its fit; a
@@ -542,92 +600,125 @@ def fit_batch(datasets, system, cfg=None) -> list:
     active = np.flatnonzero(system.active)
     free_idx = active[nh:]
     rows = np.concatenate((np.arange(nh), system.weighted_rows(one_step)))
-    out = [None] * len(datasets)
-    starts, members = [], []
-    for b, data in enumerate(datasets):
-        try:
-            starts.append(_initial_theta(data, system))
-            members.append(b)
-        except (MixedCorrError, np.linalg.LinAlgError) as exc:
-            out[b] = exc
+    out = [None if data.counts.all() else _empty_category(data) for data in datasets]
+    members = [b for b, res in enumerate(out) if res is None]
     solved = []
     if members:
-        compiled = CompiledMoments([datasets[b] for b in members], system, rows)
+        batch = [datasets[b] for b in members]
+        starts = _initial_thetas(batch, system)
+        compiled = CompiledMoments(batch, system, rows)
         weights = [weight_matrix(S[nh:, nh:]) for S in compiled.cov]
         # each K = [0 | K_g] zero-padded to a common shape, for the batch
         K = np.zeros((len(members), rows.size - nh, rows.size))
         for K_b, centred in zip(K, weights):
             K_b[: len(centred.whitener), nh:] = centred.whitener
-        for i, res in enumerate(_minimize(compiled, K, np.array(starts), free_idx, cfg)):
+        for i, res in enumerate(_minimize(compiled, K, starts, free_idx, cfg)):
             if isinstance(res, Exception):
                 out[members[i]] = res
             else:
                 solved.append((i, *res))
+    if solved:
+        ids = [i for i, _, _ in solved]
+        theta = np.array([x for _, x, _ in solved])
+        # no copy of K where every dataset solved
+        var, singular = _sandwiches(theta, compiled, K if len(ids) == len(K) else K[ids], ids,
+                                    rows, nh, cfg)
+        wall_time = (time.perf_counter() - start) / len(datasets)
+        results = _results(system, cfg, theta, [info for _, _, info in solved], var,
+                           [weights[i] for i in ids], wall_time)
+        for (i, _, _), error, res in zip(solved, singular, results):
+            out[members[i]] = res if error is None else error
+    return out
+
+
+def _sandwiches(theta, compiled, K, ids, rows, nh, cfg):
+    """Var(theta) over the active columns of the solves that ended at
+    ``theta`` (B, p), the datasets ``ids`` of ``compiled`` with whiteners K,
+    stacked: the sandwich D^-1 (A S_R A') D^-T / n of ``fit`` by two solves,
+    with D = A G_R and A = blockdiag(I, J'K). K is zero past the rows its
+    weight keeps, which adds nothing to a product. Returns the (B, a, a)
+    covariances and, per solve, None or the SingularCovariance of a
+    singular D (whose covariance is then left unset)."""
+    system = compiled.system
+    active = np.flatnonzero(system.active)
     # the exact G at every solution, in one call
-    G_all = assemble_gradient(np.array([s[1] for s in solved]), system) if solved else ()
-    for (i, theta, info), G in zip(solved, G_all):
-        centred = weights[i]
-        S, n = compiled.cov[i], compiled.n[i]
-        # D = A G_R and the middle A S_R A' over the active columns,
-        # A = blockdiag(I, J'K), with K over the rows the weight keeps
-        G = G[rows][:, active]
-        K_b = K[i, : len(centred.whitener)]
-        KG = K_b @ G
-        J = KG[:, nh:]
-        D = np.vstack((G[:nh], J.T @ KG))
-        if cfg.covariance == COV_PAPER:
-            S_hh = G[:nh, :nh] @ compute_sigma(theta, system, cfg.order) @ G[:nh, :nh].T
-            T = np.zeros((free_idx.size, nh))
-        else:
-            S_hh, T = S[:nh, :nh], J.T @ (K_b @ S[:, :nh])
-        # the g block of D, J'J, is also that of the middle
-        middle = np.vstack((np.hstack((S_hh, T.T)), np.hstack((T, D[nh:, nh:]))))
-        # Var(theta) = D^-1 (A S_R A') D^-T / n by two solves
-        try:
-            var = np.linalg.solve(D, np.linalg.solve(D, middle).T)
-        except np.linalg.LinAlgError as exc:
-            error = SingularCovariance(f"the {cfg.method} covariance is singular: {exc}")
-            error.__cause__ = exc
-            out[members[i]] = error
-            continue
-        var_theta = _expand_var((var + var.T) / (2.0 * n), active, system.p)
-        out[members[i]] = (theta, info, var_theta, centred)
+    G = assemble_gradient(theta, system)[:, rows][:, :, active]
+    # the threshold columns of each S, and no copy of the rest
+    S_h, n = compiled.cov[ids, :, :nh], compiled.n[ids]
+    KG = K @ G
+    J = KG[:, :, nh:]
+    D = np.concatenate((G[:, :nh], J.mT @ KG), axis=1)
+    if cfg.covariance == COV_PAPER:
+        sigma = np.array([compute_sigma(x, system, cfg.order) for x in theta])
+        S_hh = G[:, :nh, :nh] @ sigma @ G[:, :nh, :nh].mT
+        T = np.zeros((len(ids), len(active) - nh, nh))
+    else:
+        S_hh, T = S_h[:, :nh], J.mT @ (K @ S_h)
+    # the g block of D, J'J, is also that of the middle
+    middle = np.concatenate((np.concatenate((S_hh, T.mT), axis=2),
+                             np.concatenate((T, D[:, nh:, nh:]), axis=2)), axis=1)
 
-    wall_time = (time.perf_counter() - start) / max(len(datasets), 1)
-    return [res if isinstance(res, Exception) else _result(system, cfg, *res, wall_time)
-            for res in out]
+    def sandwich(b):
+        return np.linalg.solve(D[b], np.linalg.solve(D[b], middle[b]).mT)
+
+    singular = [None] * len(ids)
+    try:
+        var = sandwich(slice(None))
+    except np.linalg.LinAlgError:
+        # one singular D fails the stack: solve each, each as a stack of one
+        var = np.zeros_like(middle)
+        for b in range(len(ids)):
+            try:
+                var[b] = sandwich(slice(b, b + 1))[0]
+            except np.linalg.LinAlgError as exc:
+                singular[b] = SingularCovariance(f"the {cfg.method} covariance is singular: {exc}")
+                singular[b].__cause__ = exc
+    return (var + var.mT) / (2.0 * n[:, None, None]), singular
 
 
-def _result(system, cfg, theta, info, var_theta, centred, wall_time) -> EstimationResult:
-    """The EstimationResult of a solve that ended at ``theta``."""
-    var_r = var_theta[np.ix_(system.coef_cols, system.coef_cols)]
+def _results(system, cfg, theta, infos, var, weights, wall_time) -> list:
+    """The EstimationResult of each solve that ended at ``theta`` (B, p),
+    with the covariances ``var`` over the active columns."""
+    active = np.flatnonzero(system.active)
+    B, p = len(theta), system.p
+    var_theta = np.full((B, p, p), np.nan)
+    var_theta[:, active[:, None], active] = var
+    cols = system.coef_cols
     k_full = len(system.all_coefficients)
-    included_pos = system.coef_cols - system.n_thr
-    r_values = np.full(k_full, np.nan)
-    r_values[included_pos] = theta[system.coef_cols]
-    r_hat = CorrelationParams(system.c, system.d, r_values)
-    psd = None
-    if not np.any(np.isnan(r_values)):
-        psd = bool(np.linalg.eigvalsh(r_hat.to_matrix()).min() >= -1e-10)
-    return EstimationResult(
-        method=cfg.method,
-        r_hat=r_hat,
-        a_hat=ThresholdSet.from_array(theta[: system.n_thr], [si - 1 for si in system.s]),
-        var_r=_expand_var(var_r, included_pos, k_full),
-        var_theta=var_theta,
-        coefficients=tuple(system.included_coefficients),
-        coefficient_names=tuple(system.coefficient_names()),
-        diagnostics=Diagnostics(
-            converged=info.stop != STOP_MAX_ITER,
-            stop=info.stop,
-            final_loss=info.loss,
-            final_grad_norm=info.grad_norm,
-            final_decrement=info.decrement,
-            inner_iterations=info.iterations,
-            loss_evaluations=info.loss_evaluations,
-            weight_condition=centred.condition,
-            weight_pseudo_inverse=centred.pseudo_inverse,
-            r_matrix_psd=psd,
-            wall_time=wall_time,
-        ),
-    )
+    included = cols - system.n_thr
+    var_r = np.full((B, k_full, k_full), np.nan)
+    var_r[:, included[:, None], included] = var_theta[:, cols[:, None], cols]
+    r_values = np.full((B, k_full), np.nan)
+    r_values[:, included] = theta[:, cols]
+    psd = [None] * B
+    if included.size == k_full:
+        lower, upper = _lower_triangle(system.c, system.d)
+        mats = np.tile(np.eye(system.c + system.d), (B, 1, 1))
+        mats[:, lower, upper] = mats[:, upper, lower] = r_values
+        psd = (np.linalg.eigvalsh(mats).min(axis=1) >= -1e-10).tolist()
+    sizes = [si - 1 for si in system.s]
+    return [
+        EstimationResult(
+            method=cfg.method,
+            r_hat=CorrelationParams(system.c, system.d, r_values[b]),
+            a_hat=ThresholdSet.from_array(theta[b, : system.n_thr], sizes),
+            var_r=var_r[b],
+            var_theta=var_theta[b],
+            coefficients=tuple(system.included_coefficients),
+            coefficient_names=tuple(system.coefficient_names()),
+            diagnostics=Diagnostics(
+                converged=info.stop != STOP_MAX_ITER,
+                stop=info.stop,
+                final_loss=info.loss,
+                final_grad_norm=info.grad_norm,
+                final_decrement=info.decrement,
+                inner_iterations=info.iterations,
+                loss_evaluations=info.loss_evaluations,
+                weight_condition=centred.condition,
+                weight_pseudo_inverse=centred.pseudo_inverse,
+                r_matrix_psd=psd[b],
+                wall_time=wall_time,
+            ),
+        )
+        for b, (info, centred) in enumerate(zip(infos, weights))
+    ]

@@ -31,6 +31,7 @@ __all__ = [
     "ThresholdSet",
     "CorrelationParams",
     "ingest",
+    "ingest_batch",
 ]
 
 
@@ -64,13 +65,23 @@ def _split_specs(specs):
 
 @dataclass(frozen=True)
 class MixedDataset:
-    """Validated n x (c+d) sample: standardized continuous block, coded ordinal block."""
+    """Validated n x (c+d) sample: standardized continuous block, coded ordinal block.
+
+    counts holds, ordinal by ordinal, the number of rows in each category
+    1..s_i; ``ingest`` passes the counts its checks made, and a dataset
+    built without them counts its own codes.
+    """
 
     specs: tuple
     y: np.ndarray  # (n, c) float, standardized
     x: np.ndarray  # (n, d) int codes in 1..s_i
     dropped_rows: int = 0
     standardized: bool = True
+    counts: np.ndarray | None = None  # (sum of s_i,) int
+
+    def __post_init__(self):
+        if self.counts is None:
+            object.__setattr__(self, "counts", _category_counts(self.x[None], self.s)[0])
 
     @property
     def n(self) -> int:
@@ -93,6 +104,19 @@ class MixedDataset:
         return tuple(sp.name for sp in self.specs)
 
 
+def _category_counts(x, s):
+    """(B, sum of s) counts of the codes 1..s_j in each column j of the
+    (B, n, d) codes x, column by column: one bincount per column over the
+    whole stack, table b's codes offset by b (s_j + 1)."""
+    B = len(x)
+    per_column = [
+        np.bincount((x[:, :, j] + (np.arange(B) * (sj + 1))[:, None]).ravel(),
+                    minlength=B * (sj + 1)).reshape(B, sj + 1)[:, 1:]
+        for j, sj in enumerate(s)
+    ]
+    return np.concatenate(per_column, axis=1) if per_column else np.zeros((B, 0), np.int64)
+
+
 def ingest(table, specs, standardize=True) -> MixedDataset:
     """Validate raw rows against specs and standardize continuous columns.
 
@@ -102,55 +126,109 @@ def ingest(table, specs, standardize=True) -> MixedDataset:
     are standardized to sample mean 0 and sd 1 (divisor n-1); pass
     standardize=False only for inputs already standardized by construction
     (the Monte Carlo generator draws from a unit-variance population).
+
+    ``ingest`` is ``ingest_batch`` of one table.
+    """
+    (data,) = ingest_batch(np.asarray(table, dtype=float)[None], specs, standardize)
+    if isinstance(data, Exception):
+        raise data
+    return data
+
+
+def ingest_batch(tables, specs, standardize=True) -> list:
+    """``ingest`` of each table of the (B, n, c + d) stack ``tables``, with
+    each check made once over the stack.
+
+    Returns, per table in order, its MixedDataset or the typed error (a
+    MixedCorrError) that ``ingest`` raises on that table alone: the checks
+    are those of ``ingest``, in its order, and a table's first failed check
+    names its error. A stack of the wrong shape raises ValueError. The
+    complete tables' datasets are views of one stacked y and x, with the
+    category counts the checks made; a table with a NaN cell is ingested
+    on its own complete rows.
     """
     specs = tuple(specs)
     c, d = _split_specs(specs)
-    raw = np.asarray(table, dtype=float)
-    if raw.ndim != 2 or raw.shape[1] != c + d:
+    raw = np.asarray(tables, dtype=float)
+    if raw.ndim != 3 or raw.shape[2] != c + d:
         raise ValueError(f"table must be 2-D with {c + d} columns")
-    if np.any(np.isinf(raw)):
-        raise NonFiniteCell("table contains infinite cells")
-    keep = ~np.isnan(raw).any(axis=1)
-    dropped = int(raw.shape[0] - keep.sum())
-    raw = raw[keep] if dropped else raw  # no copy of a complete table
-    n = raw.shape[0]
+    out = [None] * len(raw)
+    complete = np.isfinite(raw).all(axis=(1, 2))
+    for b in np.flatnonzero(~complete).tolist():
+        if np.isinf(raw[b]).any():
+            out[b] = NonFiniteCell("table contains infinite cells")
+        else:
+            keep = ~np.isnan(raw[b]).any(axis=1)
+            dropped = int(raw.shape[1] - keep.sum())
+            (out[b],) = _ingest_complete(raw[b][keep][None], specs, c, standardize, dropped)
+    ids = np.flatnonzero(complete)
+    if len(ids):
+        # no copy of an all-complete stack
+        whole = raw if len(ids) == len(raw) else raw[ids]
+        for b, data in zip(ids.tolist(), _ingest_complete(whole, specs, c, standardize, 0)):
+            out[b] = data
+    return out
+
+
+def _ingest_complete(raw, specs, c, standardize, dropped):
+    """``ingest_batch`` of a stack of tables with finite cells only."""
+    B, n = raw.shape[:2]
     if n < 2:
-        raise TooFewRows(f"need at least 2 complete rows, have {n}")
+        return [TooFewRows(f"need at least 2 complete rows, have {n}") for _ in range(B)]
+    # each check's failed mask over the stack and its error for table i,
+    # in the order ingest makes them
+    checks = []
 
-    y = raw[:, :c].copy()
+    y = raw[:, :, :c].copy()
     for j in range(c):
-        sd = y[:, j].std(ddof=1)
-        if sd == 0.0 or not np.isfinite(sd):
-            raise NonFiniteCell(
-                f"continuous column {specs[j].name!r} cannot be standardized (sd={sd})"
-            )
+        col = y[:, :, j]
+        sd = col.std(axis=1, ddof=1)
+        bad = (sd == 0.0) | ~np.isfinite(sd)
+        checks.append((bad, lambda i, j=j, sd=sd: NonFiniteCell(
+            f"continuous column {specs[j].name!r} cannot be standardized (sd={sd[i]})")))
         if standardize:
-            y[:, j] = (y[:, j] - y[:, j].mean()) / sd
+            # a failed table's sd of 0 divides without a warning
+            with np.errstate(divide="ignore", invalid="ignore"):
+                y[:, :, j] = (col - col.mean(axis=1)[:, None]) / sd[:, None]
 
-    xraw = raw[:, c:]
-    x = np.empty((n, d), dtype=np.int64)
-    for j in range(d):
-        sp = specs[c + j]
-        col = xraw[:, j]
-        if np.any(col != np.round(col)):
-            raise CodeOutOfRange(f"ordinal column {sp.name!r} has non-integer cells")
+    ordinal = specs[c:]
+    x = np.empty((B, n, len(ordinal)), dtype=np.int64)
+    code_checks = []
+    for j, sp in enumerate(ordinal):
+        col = raw[:, :, c + j]
         # the range is checked on the floats: a code beyond int64 has no cast
-        if col.min(initial=1) < 1 or col.max(initial=1) > sp.categories:
-            raise CodeOutOfRange(
-                f"ordinal column {sp.name!r} has codes outside 1..{sp.categories}"
-            )
-        col = col.astype(np.int64)
-        counts = np.bincount(col, minlength=sp.categories + 1)[1:]
-        for k, cnt in enumerate(counts, start=1):
-            if cnt == 0:
-                raise EmptyCategory(sp.name, k)
-        x[:, j] = col
+        outside = (col.min(axis=1, initial=1) < 1) | (col.max(axis=1, initial=1) > sp.categories)
+        # a code in range is an integer where its cast equals it; the codes
+        # of a table out of range are counted as 1s
+        x[:, :, j] = np.where(outside[:, None], 1.0, col) if outside.any() else col
+        fraction = (x[:, :, j] != col).any(axis=1)
+        fraction[outside] = (col[outside] != np.round(col[outside])).any(axis=1)
+        code_checks.append((fraction, outside))
+    s = [sp.categories for sp in ordinal]
+    counts = _category_counts(x, s)
+    first = 0
+    for sp, sj, (fraction, outside) in zip(ordinal, s, code_checks):
+        empty = counts[:, first : first + sj] == 0
+        first += sj
+        checks += [
+            (fraction, lambda i, sp=sp: CodeOutOfRange(
+                f"ordinal column {sp.name!r} has non-integer cells")),
+            (outside, lambda i, sp=sp: CodeOutOfRange(
+                f"ordinal column {sp.name!r} has codes outside 1..{sp.categories}")),
+            (empty.any(axis=1), lambda i, sp=sp, empty=empty: EmptyCategory(
+                sp.name, int(np.argmax(empty[i])) + 1)),
+        ]
 
-    y.setflags(write=False)
-    x.setflags(write=False)
-    return MixedDataset(
-        specs=specs, y=y, x=x, dropped_rows=dropped, standardized=standardize
-    )
+    for a in (y, x, counts):
+        a.setflags(write=False)
+    failed = np.column_stack([bad for bad, _ in checks] or [np.zeros(B, dtype=bool)])
+    first = np.where(failed.any(axis=1), failed.argmax(axis=1), -1).tolist()
+    return [
+        checks[k][1](i) if k >= 0 else MixedDataset(
+            specs=specs, y=y[i], x=x[i], dropped_rows=dropped, standardized=standardize,
+            counts=counts[i])
+        for i, k in enumerate(first)
+    ]
 
 
 class ThresholdSet:

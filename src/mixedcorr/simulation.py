@@ -8,18 +8,28 @@ replication, and aggregates
     COVR  empirical covariance of the estimate series,
     MCOV  mean of the per-replication estimated Var(R_hat).
 
-Per-replication RNG streams are derived from (master seed, replication
-index). The replications are fitted in fixed batches by replication index
-(0..B-1, then the next B, ..., with B = STUDY_BATCH but for a system too
-large for it), each batch by one ``estimator.fit_batch`` solve, and a
-worker process takes whole batches. A replication's fit does not depend
-on the other datasets in its batch, bit for bit, so neither the batches
-nor the worker count change any result, and any parallel schedule
-reproduces the serial results bit for bit.
+The replications are run in fixed batches by replication index (0..B-1,
+then the next B, ..., with B = STUDY_BATCH but for a system or a design
+too large for it), and a worker process takes whole batches. Per
+replication only the draw is its own: its standard normals come from its
+own stream, ``SeedSequence([seed, replication])``, into its slice of one
+(B, n, c + d) array. The rest is done once per batch: one stacked matmul
+with the Cholesky factor of R_true and one searchsorted per ordinal make
+the tables (``_draw``), ``ingest_batch`` makes ``ingest``'s checks over
+the stack and gives a replication that fails one its own typed error,
+the starts come from the category counts those checks made and from
+stacked column sums and scatters, and one ``estimator.fit_batch`` solve
+fits the batch. No result depends on the batch: a replication's table,
+dataset and fit equal, bit for bit, those of ``generate`` and ``fit`` on
+that replication alone, which run the same code as a batch of one. So
+neither the batches nor the worker count change any result, and any
+parallel schedule reproduces the serial results bit for bit. The
+equation system is built once per process (``_system``).
 """
 
 from __future__ import annotations
 
+import functools
 import numbers
 import os
 import time
@@ -29,9 +39,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AllReplicationsFailed, MixedCorrError, NotPositiveDefinite, UnknownPair
-# fit is not called here: it stays a module attribute for code that swaps
-# it, as the benchmark's tracer does (bench/workloads.py)
+from .errors import AllReplicationsFailed, NotPositiveDefinite, UnknownPair
+# fit and ingest are not called here: they stay module attributes for code
+# that swaps them, as the benchmark's tracer does (bench/workloads.py)
 from .estimator import FitConfig, estimate_thresholds, fit, fit_batch  # noqa: F401
 from .model import (
     KIND_POLYCHORIC,
@@ -40,7 +50,8 @@ from .model import (
     VariableSpec,
     _split_specs,
     coefficient_order,
-    ingest,
+    ingest,  # noqa: F401
+    ingest_batch,
 )
 from .moments import CUSTOM, build_system
 from .normal import LegendreOrder, RHO_MAX, binorm_cdf_oracle
@@ -50,11 +61,17 @@ __all__ = ["SimDesign", "SimReport", "generate", "run_study", "ml_pair_oracle"]
 # Replications per fit_batch solve. On the table-1 and table-2 designs a
 # fit in a batch of 64 takes a fifth and a third of the time of a fit
 # alone, and a batch of 256 gains under a tenth more (tools/batch_sweep.py).
-# A batch holds two q x q matrices per dataset (the moment covariance and
-# the whitener), so a system with many moment rows takes fewer datasets
-# per batch, at most BATCH_BYTES of them together.
+# Per dataset a batch holds two q x q matrices (the moment covariance and
+# the whitener) and at most DATA_COPIES n x (c + d) arrays of 8-byte cells
+# at once: the stacked draw and the validated y and x that ingest_batch
+# makes from it are two, and the temporaries of one column at a time stay
+# under a third (the Pearson start and the data products work on
+# CHUNK_ROWS rows at a time). So a system with many moment rows, or a
+# design with many data rows, takes fewer datasets per batch, at most
+# BATCH_BYTES of them together.
 STUDY_BATCH = 64
 BATCH_BYTES = 64 * 2**20
+DATA_COPIES = 3
 
 # the label under which SimReport.failure_kinds counts a fit that stopped
 # at MAX_ITER (converged False)
@@ -208,8 +225,38 @@ def _factor(r_true) -> np.ndarray:
         raise NotPositiveDefinite("true correlation matrix is not positive definite") from exc
 
 
+def _draw(design: SimDesign, replications) -> np.ndarray:
+    """The (B, n, c + d) tables of ``replications``, stacked: each one's
+    standard normals from its own stream, rotated by the Cholesky factor of
+    R_true in one stacked matmul, and each ordinal cut at its thresholds in
+    one searchsorted over the stack."""
+    L = _factor(design.r_true)
+    c = len(design.continuous)
+    z = np.empty((len(replications), design.n, len(L)))
+    for b, rep in enumerate(replications):
+        rng = np.random.default_rng(np.random.SeedSequence([design.seed, int(rep)]))
+        rng.standard_normal(out=z[b])
+    z = z @ L.T
+    for j, (_, cuts) in enumerate(design.ordinal):
+        z[:, :, c + j] = np.searchsorted(cuts, z[:, :, c + j]) + 1
+    return z
+
+
+def _generate_batch(design: SimDesign, replications) -> list:
+    """``generate`` of each of ``replications``: per replication its
+    dataset or the typed error (a MixedCorrError) that ended it."""
+    return ingest_batch(_draw(design, replications), design.specs, standardize=False)
+
+
 def generate(design: SimDesign, replication: int) -> MixedDataset:
     """One replication's dataset, deterministic in (seed, replication).
+
+    The standard normals come from the replication's own stream,
+    ``SeedSequence([seed, replication])``; the rotation by the Cholesky
+    factor of R_true, the cut of each ordinal and ``ingest``'s checks are
+    made once over a stack of replications (``_draw``, ``ingest_batch``),
+    and ``generate`` is that stack of one. A replication's table does not
+    depend on the other replications in its stack, bit for bit.
 
     Continuous draws come from a unit-variance population and are used as
     drawn (no per-sample re-standardization); re-scaling by the sample sd
@@ -217,31 +264,31 @@ def generate(design: SimDesign, replication: int) -> MixedDataset:
     shrink its sampling variance below what the asymptotic formulas (and
     the reference tables) describe.
     """
-    L = _factor(design.r_true)
-    rng = np.random.default_rng(np.random.SeedSequence([design.seed, int(replication)]))
-    c, d = len(design.continuous), len(design.ordinal)
-    z = rng.standard_normal((design.n, c + d)) @ L.T
-    table = np.empty_like(z)
-    table[:, :c] = z[:, :c]
-    for j, (_, cuts) in enumerate(design.ordinal):
-        table[:, c + j] = np.searchsorted(cuts, z[:, c + j]) + 1
-    return ingest(table, design.specs, standardize=False)
+    (data,) = _generate_batch(design, [replication])
+    if isinstance(data, Exception):
+        raise data
+    return data
+
+
+@functools.lru_cache(maxsize=1)
+def _system(specs, mode):
+    """The equation system of a study's variables, built once per process
+    (a worker forked after ``run_study`` built it inherits it)."""
+    return build_system(specs, mode)
 
 
 def _run_block(design: SimDesign, start: int, stop: int):
     """Fit replications start..stop-1 in one batch; returns per replication
     (index, estimates, variances, failure kind), the estimates None and the
     kind named where it failed."""
-    system = build_system(design.specs, design.fit.system_mode)
+    system = _system(design.specs, design.fit.system_mode)
     reps, datasets, out = [], [], []
-    for rep in range(start, stop):
-        try:
-            datasets.append(generate(design, rep))
+    for rep, data in zip(range(start, stop), _generate_batch(design, range(start, stop))):
+        if isinstance(data, Exception):
+            out.append((rep, None, None, type(data).__name__))
+        else:
             reps.append(rep)
-        except NotPositiveDefinite:
-            raise
-        except (MixedCorrError, np.linalg.LinAlgError) as exc:
-            out.append((rep, None, None, type(exc).__name__))
+            datasets.append(data)
     for rep, res in zip(reps, fit_batch(datasets, system, design.fit)):
         if isinstance(res, Exception):
             out.append((rep, None, None, type(res).__name__))
@@ -250,6 +297,13 @@ def _run_block(design: SimDesign, start: int, stop: int):
         else:
             out.append((rep, res.r_hat.values.copy(), res.var_r.copy(), None))
     return out
+
+
+def _dataset_bytes(design: SimDesign, q: int) -> int:
+    """The bytes one dataset of ``design`` takes in a batch, with q moment
+    rows (STUDY_BATCH comment)."""
+    p = len(design.continuous) + len(design.ordinal)
+    return 8 * (2 * q * q + DATA_COPIES * design.n * p)
 
 
 def _usable_cores() -> int:
@@ -264,9 +318,9 @@ def _usable_cores() -> int:
 def run_study(design: SimDesign, workers=None, keep_estimates=False) -> SimReport:
     """Run every replication, aggregate MEAN / COVR / MCOV.
 
-    The replications are fitted in batches of STUDY_BATCH by replication
-    index (module docstring), fewer for a system whose q x q matrices would
-    pass BATCH_BYTES. ``workers`` processes take whole batches: by default
+    The replications are run in batches of STUDY_BATCH by replication
+    index (module docstring), fewer where their q x q matrices and data
+    would pass BATCH_BYTES. ``workers`` processes take whole batches: by default
     one per usable core, never more than the batches; fewer than 1 is a
     ValueError. Replications that fail to converge (or to
     produce a valid dataset) are counted and excluded, by kind in
@@ -279,8 +333,8 @@ def run_study(design: SimDesign, workers=None, keep_estimates=False) -> SimRepor
         workers = _usable_cores()
     if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
         raise ValueError(f"workers must be an integer of at least 1, not {workers!r}")
-    q = build_system(design.specs, design.fit.system_mode).q
-    size = max(1, min(STUDY_BATCH, BATCH_BYTES // (2 * 8 * q * q)))
+    q = _system(design.specs, design.fit.system_mode).q
+    size = max(1, min(STUDY_BATCH, BATCH_BYTES // _dataset_bytes(design, q)))
     batches = [(s, min(s + size, N)) for s in range(0, N, size)]
     workers = min(workers, len(batches))
 

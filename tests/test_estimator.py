@@ -79,7 +79,7 @@ class TestPearsonStart:
         system = mc.build_system(data.specs, mc.MAX_SET)
         corr = np.corrcoef(np.column_stack([data.y, data.x.astype(float)]), rowvar=False)
         want = mc.CorrelationParams.from_matrix(corr, system.c, system.d).values
-        got = estimator._pearson_init(data, system)
+        (got,) = estimator._pearson_init([data], system)
         assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_holds_no_row_copy(self):
@@ -88,7 +88,7 @@ class TestPearsonStart:
         data = mc.generate(design2(n=50_000, replications=2, seed=4), 0)
         system = mc.build_system(data.specs, mc.MAX_SET)
         tracemalloc.start()
-        estimator._pearson_init(data, system)
+        estimator._pearson_init([data], system)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         # a few copies of one chunk of the c + d = 5 columns (the stacked

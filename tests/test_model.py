@@ -107,6 +107,46 @@ class TestIngest:
         assert (data.dropped_rows, gappy.dropped_rows) == (0, 1)
         assert np.array_equal(data.y, gappy.y) and np.array_equal(data.x, gappy.x)
 
+    def test_a_stack_gives_each_table_its_own_error(self):
+        # one stack of tables, each failing its own way or none: each gets
+        # the dataset or the error of ingest's first failed check on it
+        # alone, in ingest's order (column by column; an ordinal's
+        # non-integer, range and empty-category checks before the next's)
+        good = _table22()
+        tables = [good.copy() for _ in range(8)]
+        tables[1][:, 2], tables[1][3, 3] = 1.0, 1.5  # X1 empty before X2 fractional
+        tables[2][3, 2], tables[2][4, 3] = 1.5, 7.0  # X1 fractional before X2 out of range
+        tables[3][3, 2] = -1.5  # fractional and out of range: fractional first
+        tables[4][:, 1] = 2.0  # Y2 constant before X2 out of range
+        tables[4][4, 3] = 7.0
+        tables[5][4, 1] = np.inf
+        tables[6][5, 0] = np.nan  # a dropped row
+        tables[7][:, 3] = 2.0  # X2 takes only its second category
+        out = mc.model.ingest_batch(np.stack(tables), _specs22())
+        expected = [
+            None,
+            "'X1' has no observations in category 2",
+            "'X1' has non-integer cells",
+            "'X1' has non-integer cells",
+            "'Y2' cannot be standardized (sd=0.0)",
+            "infinite cells",
+            None,
+            "'X2' has no observations in category 1",
+        ]
+        for table, res, want in zip(tables, out, expected):
+            if want is None:
+                alone = mc.ingest(table, _specs22())
+                assert isinstance(res, mc.MixedDataset)
+                assert np.array_equal(res.y, alone.y) and np.array_equal(res.x, alone.x)
+                assert res.dropped_rows == alone.dropped_rows
+                assert np.array_equal(res.counts, alone.counts)
+                continue
+            assert isinstance(res, mc.errors.MixedCorrError) and want in str(res)
+            with pytest.raises(type(res)) as err:
+                mc.ingest(table, _specs22())
+            assert str(err.value) == str(res)
+        assert out[6].dropped_rows == 1
+
     def test_infinite_cell_is_error(self):
         table = _table22()
         table[4, 1] = np.inf

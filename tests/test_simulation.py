@@ -13,6 +13,18 @@ from mixedcorr.errors import (
 from conftest import design1, design2
 
 
+def _sparse_design():
+    # at n=40 the top category (P = 0.029) is often unobserved
+    return mc.SimDesign(
+        continuous=("Y1",),
+        ordinal=(("X1", [-0.3, 1.9]),),
+        r_true=np.array([[1.0, 0.4], [0.4, 1.0]]),
+        n=40,
+        replications=12,
+        seed=5,
+    )
+
+
 def _binary_dataset(counts):
     rows = []
     for k in (1, 2):
@@ -66,6 +78,22 @@ class TestGenerate:
         with pytest.raises(NotPositiveDefinite):
             mc.generate(design, 0)
 
+    def test_a_replication_does_not_depend_on_its_stack(self):
+        # a stack that starts mid-study: each replication's draw and
+        # dataset, or its error, are those it gets alone
+        design = _sparse_design()
+        reps = range(5, design.replications)
+        draws = simulation._draw(design, reps)
+        for rep, draw, data in zip(reps, draws, simulation._generate_batch(design, reps)):
+            assert np.array_equal(draw, simulation._draw(design, [rep])[0])
+            try:
+                alone = mc.generate(design, rep)
+            except EmptyCategory as exc:
+                assert isinstance(data, EmptyCategory) and str(data) == str(exc)
+                continue
+            assert np.array_equal(data.y, alone.y) and np.array_equal(data.x, alone.x)
+            assert np.array_equal(data.counts, alone.counts)
+
     def test_continuous_block_used_as_drawn(self):
         data = mc.generate(design1(n=300, replications=2, seed=31), 0)
         assert not data.standardized
@@ -114,15 +142,7 @@ class TestRunStudy:
             mc.run_study(bad, workers=1)
 
     def test_empty_category_replications_counted(self):
-        # at n=40 the top category (P = 0.029) is often unobserved
-        design = mc.SimDesign(
-            continuous=("Y1",),
-            ordinal=(("X1", [-0.3, 1.9]),),
-            r_true=np.array([[1.0, 0.4], [0.4, 1.0]]),
-            n=40,
-            replications=12,
-            seed=5,
-        )
+        design = _sparse_design()
         empty = 0
         for rep in range(design.replications):
             try:
@@ -134,6 +154,27 @@ class TestRunStudy:
         assert report.failures == empty
         assert report.n_used == design.replications - empty
         assert report.failure_kinds == (("EmptyCategory", empty),)
+
+    def test_a_failed_replication_leaves_its_batch_alone(self):
+        # in one batch of the 12 replications, each EmptyCategory is counted
+        # against its own replication, and every other replication gets the
+        # fit it gets alone, bit for bit
+        design = _sparse_design()
+        system = mc.build_system(design.specs, design.fit.system_mode)
+        block = simulation._run_block(design, 0, design.replications)
+        assert sorted(rep for rep, *_ in block) == list(range(design.replications))
+        failed = 0
+        for rep, r_hat, var_r, kind in block:
+            try:
+                data = mc.generate(design, rep)
+            except EmptyCategory:
+                assert (r_hat, var_r, kind) == (None, None, "EmptyCategory")
+                failed += 1
+                continue
+            res = mc.fit(data, system, design.fit)
+            assert kind is None
+            assert np.array_equal(r_hat, res.r_hat.values) and np.array_equal(var_r, res.var_r)
+        assert 0 < failed < design.replications
 
     def test_programming_error_propagates(self, monkeypatch):
         def broken_fit(datasets, system, cfg):
@@ -158,11 +199,13 @@ class TestRunStudy:
 
     def test_batch_size_does_not_change_the_report(self, monkeypatch):
         # a byte budget that allows 3 datasets per batch: 5 batches in
-        # place of 1, the same report
+        # place of 1, the same report. A dataset of the 4 variables takes
+        # two q x q matrices and DATA_COPIES n x 4 arrays
         d = design1(n=150, replications=14, seed=14)
         default = mc.run_study(d, workers=1, keep_estimates=True)
         q = mc.build_system(d.specs, d.fit.system_mode).q
-        monkeypatch.setattr(simulation, "BATCH_BYTES", 3 * 2 * 8 * q * q)
+        per_dataset = 8 * (2 * q * q + simulation.DATA_COPIES * d.n * 4)
+        monkeypatch.setattr(simulation, "BATCH_BYTES", 3 * per_dataset)
         sizes = []
         fit_batch = simulation.fit_batch
 
@@ -175,6 +218,50 @@ class TestRunStudy:
         assert sizes == [3, 3, 3, 3, 2]
         assert np.array_equal(small.estimates, default.estimates)
         assert np.array_equal(small.mcov, default.mcov)
+
+    def test_large_n_designs_take_smaller_batches(self, monkeypatch):
+        # the budget counts each dataset's n x 4 data as well as its q x q
+        # matrices: a budget of 2 datasets at n=1500 takes 17 at n=150, and
+        # the smaller batches leave the report unchanged
+        small = design1(n=150, replications=20, seed=15)
+        large = design1(n=1500, replications=5, seed=15)
+        default = mc.run_study(large, workers=1, keep_estimates=True)
+        q = mc.build_system(large.specs, large.fit.system_mode).q
+
+        def per_dataset(n):
+            return 8 * (2 * q * q + simulation.DATA_COPIES * n * 4)
+
+        monkeypatch.setattr(simulation, "BATCH_BYTES", 2 * per_dataset(1500))
+        sizes = []
+        fit_batch = simulation.fit_batch
+
+        def recorded(datasets, system, cfg):
+            sizes.append(len(datasets))
+            return fit_batch(datasets, system, cfg)
+
+        monkeypatch.setattr(simulation, "fit_batch", recorded)
+        mc.run_study(small, workers=1)
+        assert 2 * per_dataset(1500) // per_dataset(150) == 17
+        assert sizes == [17, 3]
+        sizes.clear()
+        batched = mc.run_study(large, workers=1, keep_estimates=True)
+        assert sizes == [2, 2, 1]
+        assert np.array_equal(batched.estimates, default.estimates)
+        assert np.array_equal(batched.mcov, default.mcov)
+
+    def test_one_system_build_per_process(self, monkeypatch):
+        # a serial study of two batches builds its equation system once
+        builds = []
+        build_system = simulation.build_system
+
+        def counted(specs, mode):
+            builds.append(mode)
+            return build_system(specs, mode)
+
+        simulation._system.cache_clear()
+        monkeypatch.setattr(simulation, "build_system", counted)
+        mc.run_study(design1(n=150, replications=simulation.STUDY_BATCH + 2, seed=16), workers=1)
+        assert builds == [mc.MAX_SET]
 
     def test_a_replication_does_not_depend_on_its_batch(self):
         # replication 70 is fitted in the second batch by the study and

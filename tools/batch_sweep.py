@@ -11,6 +11,9 @@ the best of ``--repeats`` wall times of
   ``assemble_gradient`` call at the batch's start points, which reads the
   model point the first call left (what a solve pass costs in the model);
 - ``fit``: the whole ``fit_batch``, set-up and covariances included;
+- ``replication``: the whole ``simulation._run_block`` over the same
+  replications, which draws, validates, starts and fits each batch (what
+  one study replication costs);
 - ``share_norm_cdf``: the share of ``kernels`` spent in ``norm_cdf``.
 
 Run it with one BLAS thread (OPENBLAS_NUM_THREADS=1) for steady numbers.
@@ -30,7 +33,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 import mixedcorr as mc  # noqa: E402
-from mixedcorr import estimator, moments  # noqa: E402
+from mixedcorr import estimator, moments, simulation  # noqa: E402
 
 SIZES = (1, 4, 16, 64, 256)
 
@@ -65,6 +68,10 @@ def sweep(design, datasets, repeats):
             for b in batches:
                 estimator.fit_batch(data[b], system, design.fit)
 
+        def replications():
+            for b in batches:
+                simulation._run_block(design, b.start, min(b.stop, datasets))
+
         cdf_time = [0.0]
         norm_cdf = moments.norm_cdf
 
@@ -83,6 +90,7 @@ def sweep(design, datasets, repeats):
         rows[size] = {
             "kernels_us": kernel_s / datasets * 1e6,
             "fit_us": best_time(fits, repeats) / datasets * 1e6,
+            "replication_us": best_time(replications, repeats) / datasets * 1e6,
             "share_norm_cdf": cdf_time[0] / kernel_s,
         }
     return rows
@@ -100,10 +108,11 @@ def main(argv=None):
     result = {name: sweep(d, args.datasets, args.repeats) for name, d in designs.items()}
     for name, rows in result.items():
         print(name)
-        print(f"  {'B':>4} {'kernels_us':>11} {'fit_us':>9} {'share_norm_cdf':>15}")
+        print(f"  {'B':>4} {'kernels_us':>11} {'fit_us':>9} {'replication_us':>15}"
+              f" {'share_norm_cdf':>15}")
         for size, row in rows.items():
             print(f"  {size:>4} {row['kernels_us']:>11.1f} {row['fit_us']:>9.1f}"
-                  f" {row['share_norm_cdf']:>15.3f}")
+                  f" {row['replication_us']:>15.1f} {row['share_norm_cdf']:>15.3f}")
     print(json.dumps(result))
 
 
