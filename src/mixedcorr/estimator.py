@@ -697,6 +697,8 @@ def _results(system, cfg, theta, infos, var, weights, wall_time) -> list:
         mats[:, lower, upper] = mats[:, upper, lower] = r_values
         psd = (np.linalg.eigvalsh(mats).min(axis=1) >= -1e-10).tolist()
     sizes = [si - 1 for si in system.s]
+    coefficients = tuple(system.included_coefficients)
+    names = tuple(system.coefficient_names())
     return [
         EstimationResult(
             method=cfg.method,
@@ -704,8 +706,8 @@ def _results(system, cfg, theta, infos, var, weights, wall_time) -> list:
             a_hat=ThresholdSet.from_array(theta[b, : system.n_thr], sizes),
             var_r=var_r[b],
             var_theta=var_theta[b],
-            coefficients=tuple(system.included_coefficients),
-            coefficient_names=tuple(system.coefficient_names()),
+            coefficients=coefficients,
+            coefficient_names=names,
             diagnostics=Diagnostics(
                 converged=info.stop != STOP_MAX_ITER,
                 stop=info.stop,

@@ -30,6 +30,7 @@ __all__ = [
     "MixedDataset",
     "ThresholdSet",
     "CorrelationParams",
+    "cut_codes",
     "ingest",
     "ingest_batch",
 ]
@@ -115,6 +116,24 @@ def _category_counts(x, s):
         for j, sj in enumerate(s)
     ]
     return np.concatenate(per_column, axis=1) if per_column else np.zeros((B, 0), np.int64)
+
+
+def cut_codes(values, cuts) -> np.ndarray:
+    """The code of each non-NaN value v cut at the sorted ``cuts``: 1 + the
+    number of cuts strictly below v, so a value on a cut takes the lower
+    code. Equal to ``np.searchsorted(cuts, values) + 1`` (side left), in the
+    smallest unsigned integer type that holds len(cuts) + 1.
+
+    One vectorised comparison per cut, added into that narrow type: on
+    200k unsorted values this beats the binary search, whose branches are
+    mispredicted, up to about 250 cuts (0.18 against 3.2 ms at 3 cuts, 2.9
+    against 8.8 ms at 40, 13.2 against 13.0 ms at 254; one core of a 2-core
+    x86-64 machine).
+    """
+    codes = np.ones(np.shape(values), np.min_scalar_type(len(cuts) + 1))
+    for a in cuts:
+        codes += values > a
+    return codes
 
 
 def ingest(table, specs, standardize=True) -> MixedDataset:

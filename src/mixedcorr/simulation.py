@@ -14,7 +14,7 @@ too large for it), and a worker process takes whole batches. Per
 replication only the draw is its own: its standard normals come from its
 own stream, ``SeedSequence([seed, replication])``, into its slice of one
 (B, n, c + d) array. The rest is done once per batch: one stacked matmul
-with the Cholesky factor of R_true and one searchsorted per ordinal make
+with the Cholesky factor of R_true and one ``cut_codes`` per ordinal make
 the tables (``_draw``), ``ingest_batch`` makes ``ingest``'s checks over
 the stack and gives a replication that fails one its own typed error,
 the starts come from the category counts those checks made and from
@@ -50,6 +50,7 @@ from .model import (
     VariableSpec,
     _split_specs,
     coefficient_order,
+    cut_codes,
     ingest,  # noqa: F401
     ingest_batch,
 )
@@ -228,8 +229,8 @@ def _factor(r_true) -> np.ndarray:
 def _draw(design: SimDesign, replications) -> np.ndarray:
     """The (B, n, c + d) tables of ``replications``, stacked: each one's
     standard normals from its own stream, rotated by the Cholesky factor of
-    R_true in one stacked matmul, and each ordinal cut at its thresholds in
-    one searchsorted over the stack."""
+    R_true in one stacked matmul, and each ordinal cut at its thresholds by
+    one ``cut_codes`` over the stack."""
     L = _factor(design.r_true)
     c = len(design.continuous)
     z = np.empty((len(replications), design.n, len(L)))
@@ -238,7 +239,7 @@ def _draw(design: SimDesign, replications) -> np.ndarray:
         rng.standard_normal(out=z[b])
     z = z @ L.T
     for j, (_, cuts) in enumerate(design.ordinal):
-        z[:, :, c + j] = np.searchsorted(cuts, z[:, :, c + j]) + 1
+        z[:, :, c + j] = cut_codes(z[:, :, c + j], cuts)
     return z
 
 

@@ -125,6 +125,16 @@ class TestFitCommand:
         assert err.value.category == category
         assert str(err.value).startswith("EmptyCategory:")
 
+    def test_recode_keeps_missing_cells(self):
+        # the labels 10, 20, 30 of a complete column and of one with NaN cells
+        labels = np.array([20.0, 10.0, 30.0, 20.0])
+        with_nan = np.insert(labels, [1, 3], np.nan)
+        for column, expected in ((labels, [2, 1, 3, 2]), (with_nan, [2, np.nan, 1, 3, np.nan, 2])):
+            table = np.column_stack([np.zeros(len(column)), column])
+            s, recode_map = cli._recode_ordinal("X", table[:, 1], 3)
+            assert s == 3 and recode_map == {10: 1, 20: 2, 30: 3}
+            np.testing.assert_array_equal(table, np.column_stack([np.zeros(len(column)), expected]))
+
     def test_arbitrary_labels_recoded(self, tmp_path):
         rng = np.random.default_rng(4)
         codes = rng.choice([10, 20], size=80)
@@ -184,11 +194,18 @@ class TestFitCommand:
             "Y,X\n0.1,1,3\n0.5,2,4\n",
             "id,Y,X\na,0.1,1\nb,0.5,2\n",
             "Y,X\n",
+            # numpy skips the header as one line: a header record over two
+            # lines, and lines ended by CR alone
+            'Y,X,"a\nb"\n0.1,1,2\n',
+            "Y,X\r0.1,1\r0.5,2\r",
+            # the requested columns out of header order
+            "X,Y\n1,0.1\n2,0.5\n",
         ],
         ids=[
             "padded", "crlf", "byte_order_mark", "signs_and_limits", "underscore",
             "quoted_number", "hash_cell", "whitespace_row", "empty_cells_row",
-            "extra_cells", "unrequested_text", "header_only",
+            "extra_cells", "unrequested_text", "header_only", "two_line_header", "cr_only",
+            "reordered",
         ],
     )
     def test_numpy_reader_agrees_with_row_loop(self, tmp_path, monkeypatch, text):
@@ -242,13 +259,21 @@ class TestFitCommand:
         assert _run(argv) == 0
         # one reader, which yields the header only
         assert [r.records for r in readers] == [1]
-        # a missing cell takes the row loop, which reads every record
+        # a missing cell takes the row loop, which reads every record on
+        # from the header with the same reader
         readers.clear()
         lines = data_csv.read_text().splitlines()
         lines[1] = "NA" + lines[1][lines[1].index(","):]
         data_csv.write_text("\n".join(lines) + "\n")
         assert _run(argv) == 0
-        assert [r.records for r in readers] == [1, len(lines)]
+        assert [r.records for r in readers] == [len(lines)]
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_compressed_suffix_read_as_text(self, tmp_path, suffix):
+        # numpy's reader opens a file of this name through a decompressor
+        path = tmp_path / f"input.csv{suffix}"
+        path.write_text("Y,X\n0.1,1\n0.5,2\n")
+        np.testing.assert_array_equal(cli._read_csv(path, ["Y", "X"]), [[0.1, 1.0], [0.5, 2.0]])
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
     def test_unseekable_stream_read_by_row_loop(self, tmp_path):
@@ -622,7 +647,7 @@ class TestSimulateCommand:
             {"ordinal": [{"name": 7, "thresholds": [0.0]},
                          {"name": "X2", "thresholds": [0.0]}]},
             {"name": ["a"]},
-            # np.searchsorted in generate cannot take a nested list
+            # a nested list is not one list of cuts
             {"ordinal": [{"name": "X1", "thresholds": [[0.0]]},
                          {"name": "X2", "thresholds": [0.0]}]},
             {"fit": {"method": "one-step", "covariance": "paper"}},

@@ -10,7 +10,7 @@ from mixedcorr.errors import (
     NonFiniteCell,
     TooFewRows,
 )
-from mixedcorr.model import coefficient_order
+from mixedcorr.model import coefficient_order, cut_codes
 
 
 def _param_count(c, d, s=()):
@@ -254,3 +254,20 @@ class TestThresholdSet:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             mc.ThresholdSet([[0.0, np.inf]])
+
+
+@pytest.mark.parametrize("n_cuts", [1, 2, 3, 7, 40, 300])
+def test_cut_codes_match_searchsorted(n_cuts):
+    # code = 1 + the cuts strictly below the value: a value on a cut takes
+    # the lower code, as np.searchsorted's left side places it; 300 cuts
+    # take codes past the 8-bit range
+    rng = np.random.default_rng(n_cuts)
+    cuts = np.sort(rng.choice(np.linspace(-2.0, 2.0, 801), n_cuts, replace=False))
+    values = np.concatenate([rng.standard_normal(2000) * 1.5, cuts, rng.choice(cuts, 500 - n_cuts)])
+    rng.shuffle(values)
+    for v in (values, values.reshape(2, -1)[:, ::3]):
+        codes = cut_codes(v, cuts)
+        expected = np.searchsorted(cuts, v) + 1
+        assert codes.shape == expected.shape
+        assert np.array_equal(codes, expected)
+        assert np.asarray(codes, dtype=float).tobytes() == expected.astype(float).tobytes()
