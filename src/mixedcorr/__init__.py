@@ -25,24 +25,21 @@ from .moments import (
     MAX_SET,
     MIN_SET,
     EquationSystem,
-    MomentEvaluation,
     WeightMatrix,
     assemble_gradient,
     build_system,
     compute_sigma,
-    eval_moments,
     weight_matrix,
 )
 from .normal import (
     LegendreOrder,
     binorm_cdf_legendre,
-    binorm_cdf_oracle,
     binorm_pdf,
     norm_cdf,
     norm_pdf,
     norm_quantile,
 )
-from .simulation import SimDesign, SimReport, generate, ml_pair_oracle, run_study
+from .simulation import SimDesign, SimReport, generate, run_study
 
 __version__ = "0.1.0"
 
@@ -67,16 +64,13 @@ __all__ = [
     "MAX_SET",
     "MIN_SET",
     "EquationSystem",
-    "MomentEvaluation",
     "WeightMatrix",
     "assemble_gradient",
     "build_system",
     "compute_sigma",
-    "eval_moments",
     "weight_matrix",
     "LegendreOrder",
     "binorm_cdf_legendre",
-    "binorm_cdf_oracle",
     "binorm_pdf",
     "norm_cdf",
     "norm_pdf",
@@ -84,6 +78,5 @@ __all__ = [
     "SimDesign",
     "SimReport",
     "generate",
-    "ml_pair_oracle",
     "run_study",
 ]

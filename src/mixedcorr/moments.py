@@ -67,9 +67,9 @@ standard-library kernel) and the corner CDF gathers its Phi(x)Phi(y)
 from there. The minimizer's gradient at an accepted step
 reads the point its last loss evaluation left, and ``compute_sigma`` (the
 "paper" two-step covariance) the point at a fit's solution, evaluated anew
-only when the solve's last loss evaluation was a rejected trial step. The exact kinds
-(the exact G and the exact-CDF moments) read only ``_bounds`` and evaluate
-no Legendre densities. From the point come
+only when the solve's last loss evaluation was a rejected trial step. The
+exact G reads only ``_bounds`` and evaluates no Legendre densities. From
+the point come
 
     model pool:    0, 1, phi(bounds), Phi(bounds), corner CDF F(x, y; rho)
     gradient pool: 0, 1, phi(bounds), z*phi(bounds),
@@ -133,7 +133,6 @@ from .model import (
 from .normal import (
     LegendreOrder,
     binorm_cdf_legendre,
-    binorm_cdf_oracle,
     binorm_pdf,
     legendre_densities,
     legendre_term_grad,
@@ -147,12 +146,9 @@ __all__ = [
     "CUSTOM",
     "EquationBlock",
     "EquationSystem",
-    "MomentEvaluation",
     "WeightMatrix",
     "build_system",
-    "data_products",
     "model_terms",
-    "eval_moments",
     "assemble_gradient",
     "compute_sigma",
     "weight_matrix",
@@ -524,7 +520,7 @@ def _theta_array(theta, system):
 
 class _Bounds(NamedTuple):
     """The fields of the model at one theta that do not depend on the
-    Legendre order: all the exact kinds read (module docstring). Each has
+    Legendre order: all the exact G reads (module docstring). Each has
     theta's leading batch axes."""
 
     finite: np.ndarray  # bounds with +-inf replaced by 0
@@ -627,43 +623,23 @@ def _products(y, x, system, columns):
     return out
 
 
-def data_products(data, system, include_removed=False) -> np.ndarray:
-    """Per-row data products A such that u_i(theta) = A_i - b(theta)."""
-    columns = slice(None) if include_removed else system.retained
-    return _products(data.y, data.x, system, columns)
-
-
-def _model_pool(theta, system, order=LegendreOrder.THIRD, exact_cdf=False):
+def _model_pool(theta, system, order=LegendreOrder.THIRD):
     """The model pool at theta (see the module docstring)."""
-    if exact_cdf:
-        pt = _bounds(system, theta)
-        corners = np.reshape(
-            [binorm_cdf_oracle(*xyr) for xyr in zip(*(v.ravel() for v in pt[4:]))], pt.x.shape
-        )
-    else:
-        pt = _point(system, theta.tobytes(), theta.shape, order)
-        corners = pt.corners
-    return _pool(pt.pdf, pt.cdf, corners)
+    pt = _point(system, theta.tobytes(), theta.shape, order)
+    return _pool(pt.pdf, pt.cdf, pt.corners)
 
 
-def model_terms(
-    theta,
-    system,
-    order=LegendreOrder.THIRD,
-    include_removed=False,
-    exact_cdf=False,
-) -> np.ndarray:
-    """Model-implied means b(theta), one entry per equation.
+def model_terms(theta, system, order=LegendreOrder.THIRD, include_removed=False) -> np.ndarray:
+    """Model-implied means b(theta) at the Legendre ``order``, one entry
+    per equation: the retained ones, or all q_full with
+    ``include_removed``.
 
     theta may carry leading batch axes, (..., p): the terms then carry the
     same axes, each slice computed as for that theta alone, bit for bit.
-    exact_cdf swaps the Legendre approximation for the slow quadrature
-    oracle; used when verifying the analytic gradient against finite
-    differences of the moments.
     """
     theta = _theta_array(theta, system)
     t = system._tables
-    pool = _model_pool(theta, system, order, exact_cdf)
+    pool = _model_pool(theta, system, order)
     vals = _scales(theta).take(t.b_scale, axis=-1) * _rect(pool, t.b_idx)
     return vals if include_removed else vals.take(system.retained_rows, axis=-1)
 
@@ -748,15 +724,6 @@ def compute_sigma(theta, system, order=LegendreOrder.THIRD) -> np.ndarray:
     return (sigma + sigma.T) / 2.0
 
 
-@dataclass(frozen=True)
-class MomentEvaluation:
-    """Sample moments m, gradient G and moment covariance Omega_hat at one theta."""
-
-    m: np.ndarray
-    G: np.ndarray
-    omega_hat: np.ndarray
-
-
 class CompiledMoments:
     """Dataset-dependent pieces of the moment system, precomputed once.
 
@@ -813,23 +780,6 @@ class CompiledMoments:
         and ``index`` picks the B' datasets it belongs to (all by default)."""
         terms = model_terms(theta, self.system, order, include_removed=True)
         return self.a_mean[index] - terms.take(self.columns, axis=-1)
-
-
-def eval_moments(
-    data, theta, system, order=LegendreOrder.THIRD, exact_cdf=False
-) -> MomentEvaluation:
-    """Sample mean of u, exact-CDF analytic gradient and sample covariance E_n[uu'].
-
-    The data products are summed over fixed chunks of CHUNK_ROWS rows
-    (``CompiledMoments``) in a fixed order, so repeated evaluation is
-    bit-reproducible, and how the rows are grouped does not depend on the
-    worker or BLAS thread count.
-    """
-    compiled = CompiledMoments(data, system)
-    m = compiled.a_mean - model_terms(theta, system, order, exact_cdf=exact_cdf)
-    return MomentEvaluation(
-        m=m, G=assemble_gradient(theta, system), omega_hat=compiled.cov + np.outer(m, m)
-    )
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,10 @@ by Gauss-Legendre quadrature of the integral term:
     order 3:  rho/18 * [5 phi(x,y; (1-sqrt(3/5))/2 rho) + 8 phi(x,y; rho/2)
                         + 5 phi(x,y; (1+sqrt(3/5))/2 rho)]
 
-plus Phi(x)Phi(y).  A slow adaptive-quadrature oracle of the same identity
-is provided for testing.
+plus Phi(x)Phi(y).
 
-The univariate kernels come from the standard library, so importing the
-package loads no scipy: Phi(z) = erfc(-z / sqrt(2)) / 2 by ``math.erfc`` and
-its inverse by ``statistics.NormalDist().inv_cdf`` (Wichura's AS 241), each
+The univariate kernels come from the standard library: Phi(z) =
+erfc(-z / sqrt(2)) / 2 by ``math.erfc`` and its inverse by ``statistics.NormalDist().inv_cdf`` (Wichura's AS 241), each
 evaluated one value at a time. Phi so computed is about ten times slower
 per value than scipy's vectorized ``ndtr``, so the model evaluates it on
 the threshold bounds only and reads Phi at the corners from there.
@@ -44,7 +42,6 @@ __all__ = [
     "norm_quantile",
     "binorm_pdf",
     "binorm_cdf_legendre",
-    "binorm_cdf_oracle",
     "legendre_densities",
     "legendre_term_grad",
 ]
@@ -217,29 +214,3 @@ def legendre_term_grad(xf, yf, rho, densities, order=LegendreOrder.THIRD):
     # one reduction over the node axis, in a fixed order
     return tuple((weights.reshape(axis) * densities * factors).sum(axis=1))
 
-
-def binorm_cdf_oracle(x, y, rho):
-    """High-accuracy bivariate normal CDF via adaptive quadrature over rho.
-
-    Integrates Phi(x,y;rho) = Phi(x)Phi(y) + int_0^rho phi(x,y;r) dr to an
-    absolute tolerance well below 1e-10. Scalar arguments only; slow, meant
-    as a test oracle for binorm_cdf_legendre.
-    """
-    rho = float(_check_rho(rho, RHO_MAX))
-    x = float(x)
-    y = float(y)
-    if x == -np.inf or y == -np.inf:
-        return 0.0
-    if x == np.inf:
-        return norm_cdf(y)
-    if y == np.inf:
-        return norm_cdf(x)
-    base = norm_cdf(x) * norm_cdf(y)
-    if rho == 0.0:
-        return base
-    from scipy import integrate  # test oracle only; kept off the import path
-
-    val, _ = integrate.quad(
-        lambda r: binorm_pdf(x, y, r), 0.0, rho, epsabs=1e-12, epsrel=1e-12, limit=200
-    )
-    return base + val

@@ -39,13 +39,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AllReplicationsFailed, NotPositiveDefinite, UnknownPair
+from .errors import AllReplicationsFailed, NotPositiveDefinite
 # fit and ingest are not called here: they stay module attributes for code
 # that swaps them, as the benchmark's tracer does (bench/workloads.py)
-from .estimator import FitConfig, estimate_thresholds, fit, fit_batch  # noqa: F401
+from .estimator import FitConfig, fit, fit_batch  # noqa: F401
 from .model import (
-    KIND_POLYCHORIC,
-    KIND_POLYSERIAL,
     MixedDataset,
     VariableSpec,
     _split_specs,
@@ -55,9 +53,9 @@ from .model import (
     ingest_batch,
 )
 from .moments import CUSTOM, build_system
-from .normal import LegendreOrder, RHO_MAX, binorm_cdf_oracle
+from .normal import LegendreOrder
 
-__all__ = ["SimDesign", "SimReport", "generate", "run_study", "ml_pair_oracle"]
+__all__ = ["SimDesign", "SimReport", "generate", "run_study"]
 
 # Replications per fit_batch solve. On the table-1 and table-2 designs a
 # fit in a batch of 64 takes a fifth and a third of the time of a fit
@@ -380,67 +378,3 @@ def run_study(design: SimDesign, workers=None, keep_estimates=False) -> SimRepor
         se_estimates=se_series,
     )
 
-
-def _pair_label(data, pair):
-    c, d = data.c, data.d
-    order = coefficient_order(c, d)
-    lab = order[pair] if isinstance(pair, int) else tuple(pair)
-    if lab not in order or lab[0] not in (KIND_POLYSERIAL, KIND_POLYCHORIC):
-        raise UnknownPair(f"{lab} is not a polyserial or polychoric coefficient here")
-    return lab
-
-
-def ml_pair_oracle(data, pair) -> float:
-    """Two-stage ML estimate of a single polyserial or polychoric coefficient.
-
-    Thresholds are fixed at their closed-form estimates; the bivariate
-    likelihood is then maximized over rho alone. Test oracle only.
-    """
-    # scipy is imported here only, off the package's import path
-    from scipy.optimize import minimize_scalar
-    from scipy.special import ndtr
-
-    kind, i, j = _pair_label(data, pair)
-    cuts = estimate_thresholds(data)
-
-    if kind == KIND_POLYCHORIC:
-        i2, j2 = i, j
-        b_i = np.concatenate(([-np.inf], cuts[i2 - 1], [np.inf]))
-        b_j = np.concatenate(([-np.inf], cuts[j2 - 1], [np.inf]))
-        si, sj = data.s[i2 - 1], data.s[j2 - 1]
-        counts = np.zeros((si, sj))
-        for k in range(1, si + 1):
-            for l in range(1, sj + 1):
-                counts[k - 1, l - 1] = np.sum(
-                    (data.x[:, i2 - 1] == k) & (data.x[:, j2 - 1] == l)
-                )
-
-        def nll(rho):
-            total = 0.0
-            for k in range(si):
-                for l in range(sj):
-                    if counts[k, l] == 0:
-                        continue
-                    p = (
-                        binorm_cdf_oracle(b_i[k + 1], b_j[l + 1], rho)
-                        - binorm_cdf_oracle(b_i[k + 1], b_j[l], rho)
-                        - binorm_cdf_oracle(b_i[k], b_j[l + 1], rho)
-                        + binorm_cdf_oracle(b_i[k], b_j[l], rho)
-                    )
-                    total -= counts[k, l] * np.log(max(p, 1e-300))
-            return total
-
-    else:
-        y = data.y[:, i - 1]
-        codes = data.x[:, j - 1]
-        b = np.concatenate(([-np.inf], cuts[j - 1], [np.inf]))
-        upper = b[codes]
-        lower = b[codes - 1]
-
-        def nll(rho):
-            sq = np.sqrt(1.0 - rho * rho)
-            p = ndtr((upper - rho * y) / sq) - ndtr((lower - rho * y) / sq)
-            return -np.sum(np.log(np.maximum(p, 1e-300)))
-
-    res = minimize_scalar(nll, bounds=(-RHO_MAX, RHO_MAX), method="bounded")
-    return float(res.x)

@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 import mixedcorr as mc
-from mixedcorr.moments import data_products, model_terms
-from mixedcorr.normal import LegendreOrder, binorm_cdf_legendre, binorm_cdf_oracle
+from mixedcorr.moments import model_terms
+from mixedcorr.normal import LegendreOrder, binorm_cdf_legendre
 
+import oracles
 from conftest import ACCEPT_SEED, TRUE1, TRUE2, design1, design2
+from oracles import binorm_cdf_oracle, data_products
 
 PHI0 = 0.3989422804014327  # phi(0)
 
@@ -132,8 +134,8 @@ class TestCriterion5GradientCorrectness:
                     up[j] += h
                     dn[j] -= h
                     fd[:, j] = (
-                        mc.eval_moments(data, up, system, exact_cdf=True).m
-                        - mc.eval_moments(data, dn, system, exact_cdf=True).m
+                        oracles.eval_moments(data, up, system, exact_cdf=True).m
+                        - oracles.eval_moments(data, dn, system, exact_cdf=True).m
                     ) / (2 * h)
                 scale = np.maximum(np.abs(G), 1e-4)
                 worst = max(worst, float(np.max(np.abs(G - fd) / scale)))
@@ -247,7 +249,7 @@ class TestCriterion8OracleCrossCheck:
             if not res.diagnostics.converged:
                 continue
             count += 1
-            ml = mc.ml_pair_oracle(data, ("polychoric", 2, 1))
+            ml = oracles.ml_pair_oracle(data, ("polychoric", 2, 1))
             worst = max(worst, abs(res.r_hat.values[0] - ml))
         ok = worst <= 0.03
         _criterion(

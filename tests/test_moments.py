@@ -10,12 +10,13 @@ from mixedcorr.moments import (
     PIVOT_FLOOR,
     CompiledMoments,
     _products,
-    data_products,
     model_terms,
 )
 from mixedcorr.normal import LegendreOrder, binorm_cdf_legendre
 
+import oracles
 from conftest import design1, design2, design243, wide_design
+from oracles import data_products
 
 
 def _theta(system, thresholds, rhos):
@@ -162,7 +163,7 @@ class TestEvalU:
     def test_population_moments_vanish_at_truth(self, four_var_system):
         data = mc.generate(design1(n=200_000, replications=2, seed=55), 0)
         theta = _theta(four_var_system, [0.0, 0.0], [0.3, 0.4, 0.5, 0.6, 0.7, 0.8])
-        ev = mc.eval_moments(data, theta, four_var_system)
+        ev = oracles.eval_moments(data, theta, four_var_system)
         assert np.max(np.abs(ev.m)) < 0.02
 
     def test_degenerate_average(self, four_var_system):
@@ -171,7 +172,7 @@ class TestEvalU:
         x = np.tile(row[2:].astype(np.int64), (8, 1))
         data = mc.MixedDataset(specs=tuple(design1().specs), y=y, x=x)
         theta = _theta(four_var_system, [0.1, -0.2], np.full(6, 0.25))
-        ev = mc.eval_moments(data, theta, four_var_system)
+        ev = oracles.eval_moments(data, theta, four_var_system)
         u = _eval_u(row, theta, four_var_system)
         assert np.allclose(ev.m, u, atol=1e-14)
         assert np.allclose(ev.omega_hat, np.outer(u, u), atol=1e-13)
@@ -262,7 +263,7 @@ class TestCompiledMoments:
         direct = U.T @ U / U.shape[0]
         m = compiled.m(theta)[rows]
         assert np.max(np.abs(m)) > 0.01
-        omega = mc.eval_moments(data, theta, system).omega_hat[rows, rows]
+        omega = oracles.eval_moments(data, theta, system).omega_hat[rows, rows]
         assert np.max(np.abs(omega - direct[rows, rows])) <= 1e-12
         S = np.cov(A[:, rows], rowvar=False, bias=True)
         assert np.max(np.abs(compiled.cov[rows, rows] - S)) <= 1e-12
@@ -285,20 +286,28 @@ class TestCompiledMoments:
         assert np.array_equal(compiled.a_mean, a_mean)
         assert np.array_equal(compiled.cov, cov)
 
-    @pytest.mark.parametrize("name", ["design2", "c0_s342"])
+    @pytest.mark.parametrize("name", ["design2", "c0_s342", "s243_min", "s243_custom"])
     def test_chunks_agree_with_one_pass(self, name):
         # two whole chunks and a partial one, with and without a continuous
-        # column
+        # column, and on design 2/4/3 under the min set and a custom pair set
         n = 2 * CHUNK_ROWS + 17
+        mode, pairs = mc.MAX_SET, None
         if name == "design2":
             data = mc.generate(design2(n=n, replications=2, seed=11), 0)
             specs = data.specs
-        else:
+        elif name == "c0_s342":
             specs = _specs(0, (3, 4, 2))
             rng = np.random.default_rng(4)
             x = np.column_stack([rng.integers(1, s + 1, n) for s in (3, 4, 2)])
             data = mc.MixedDataset(specs=tuple(specs), y=np.empty((n, 0)), x=x)
-        system = mc.build_system(specs, mc.MAX_SET)
+        else:
+            data = mc.generate(design243(n=n, replications=2, seed=11), 0)
+            specs = data.specs
+            if name == "s243_min":
+                mode = mc.MIN_SET
+            else:
+                mode, pairs = mc.CUSTOM, [("polychoric", 3, 2), ("polyserial", 2, 3)]
+        system = mc.build_system(specs, mode, pairs=pairs)
         compiled = CompiledMoments(data, system)
         A = data_products(data, system)
         assert np.max(np.abs(compiled.a_mean - A.mean(axis=0))) <= 1e-13
@@ -441,8 +450,8 @@ class TestGradient:
             up[j] += h
             dn[j] -= h
             fd[:, j] = (
-                mc.eval_moments(data, up, system, exact_cdf=True).m
-                - mc.eval_moments(data, dn, system, exact_cdf=True).m
+                oracles.eval_moments(data, up, system, exact_cdf=True).m
+                - oracles.eval_moments(data, dn, system, exact_cdf=True).m
             ) / (2 * h)
         scale = np.maximum(np.abs(G), 1e-4)
         assert np.max(np.abs(G - fd) / scale) < 1e-6
@@ -470,7 +479,7 @@ class TestGradient:
             up[j] += h
             dn[j] -= h
             fd[:, j] = (
-                mc.eval_moments(data, up, system).m - mc.eval_moments(data, dn, system).m
+                oracles.eval_moments(data, up, system).m - oracles.eval_moments(data, dn, system).m
             ) / (2 * h)
         scale = np.maximum(np.abs(G), 1e-3)
         assert np.max(np.abs(G - fd) / scale) < 5e-3
@@ -565,7 +574,7 @@ class TestWeightMatrix:
         system = four_var_system
         data = mc.generate(design1(n=300, replications=2, seed=21), 0)
         theta = _theta(system, [0.0, 0.0], np.full(6, 0.3))
-        ev = mc.eval_moments(data, theta, system)
+        ev = oracles.eval_moments(data, theta, system)
         w = mc.weight_matrix(ev.omega_hat)
         K = w.whitener
         assert w.pseudo_inverse

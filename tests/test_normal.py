@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -11,12 +12,13 @@ from mixedcorr.errors import OutOfRange, SingularCorrelation
 from mixedcorr.normal import (
     LegendreOrder,
     binorm_cdf_legendre,
-    binorm_cdf_oracle,
     binorm_pdf,
     norm_cdf,
     norm_pdf,
     norm_quantile,
 )
+
+from oracles import binorm_cdf_oracle
 
 INV_ROOT2PI = 0.3989422804014327
 # quarter-plane probability Phi(0,0;rho) = 1/4 + arcsin(rho)/(2 pi)
@@ -288,3 +290,28 @@ def test_import_leaves_oracle_modules_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    # numpy is the package's one third-party dependency: every absolute
+    # import of every module, those inside functions included, names a
+    # standard-library module or numpy
+    package = Path(mixedcorr.__file__).resolve().parent
+    modules = sorted(package.rglob("*.py"))
+    imported = set()
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            imported.update((path.name, name.partition(".")[0]) for name in names)
+    assert len(modules) > 1 and ("moments.py", "numpy") in imported
+    foreign = [
+        (module, name)
+        for module, name in sorted(imported)
+        if name not in sys.stdlib_module_names and name != "numpy"
+    ]
+    assert foreign == []

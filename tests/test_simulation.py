@@ -10,6 +10,7 @@ from mixedcorr.errors import (
     UnknownPair,
 )
 
+import oracles
 from conftest import design1, design2
 
 
@@ -322,7 +323,7 @@ class TestRunStudy:
 class TestMlPairOracle:
     def test_balanced_diagonal_table(self):
         data = _binary_dataset([[40, 10], [10, 40]])
-        rho_ml = mc.ml_pair_oracle(data, ("polychoric", 2, 1))
+        rho_ml = oracles.ml_pair_oracle(data, ("polychoric", 2, 1))
         res = mc.fit(
             data, mc.build_system(data.specs, mc.MAX_SET), mc.FitConfig(method=mc.TWO_STEP)
         )
@@ -330,11 +331,11 @@ class TestMlPairOracle:
 
     def test_independence_table(self):
         data = _binary_dataset([[25, 25], [25, 25]])
-        assert abs(mc.ml_pair_oracle(data, ("polychoric", 2, 1))) < 1e-4
+        assert abs(oracles.ml_pair_oracle(data, ("polychoric", 2, 1))) < 1e-4
 
     def test_near_perfect_agreement(self):
         data = _binary_dataset([[49, 1], [1, 49]])
-        rho_ml = mc.ml_pair_oracle(data, ("polychoric", 2, 1))
+        rho_ml = oracles.ml_pair_oracle(data, ("polychoric", 2, 1))
         res = mc.fit(
             data, mc.build_system(data.specs, mc.MAX_SET), mc.FitConfig(method=mc.TWO_STEP)
         )
@@ -343,13 +344,13 @@ class TestMlPairOracle:
 
     def test_polyserial_pair(self):
         data = mc.generate(design1(n=2000, replications=2, seed=44), 0)
-        rho_ml = mc.ml_pair_oracle(data, ("polyserial", 1, 1))
+        rho_ml = oracles.ml_pair_oracle(data, ("polyserial", 1, 1))
         assert abs(rho_ml - 0.4) < 0.08
 
     def test_rejects_pearson_pair(self):
         data = mc.generate(design1(n=200, replications=2, seed=44), 0)
         with pytest.raises(UnknownPair):
-            mc.ml_pair_oracle(data, ("pearson", 2, 1))
+            oracles.ml_pair_oracle(data, ("pearson", 2, 1))
 
 
 class TestSimDesignIO:
