@@ -59,7 +59,6 @@ from .moments import (
     CUSTOM,
     MAX_SET,
     MIN_SET,
-    CHUNK_ROWS,
     CompiledMoments,
     assemble_gradient,
     compute_sigma,
@@ -228,65 +227,22 @@ def _lower_triangle(c, d):
     return pos.max(axis=1), pos.min(axis=1)
 
 
-def _stacked_columns(datasets, lo, c):
-    """Rows lo.. (at most CHUNK_ROWS) of each dataset's coded data, column
-    by column (y, then x as floats): (B, c + d, rows)."""
-    hi = lo + CHUNK_ROWS
-    first = datasets[0]
-    cols = np.empty((len(datasets), c + first.d, min(hi, first.n) - lo))
-    np.stack([data.y[lo:hi].T for data in datasets], out=cols[:, :c])
-    np.stack([data.x[lo:hi].T for data in datasets], out=cols[:, c:])
-    return cols
-
-
-def _pearson_init(datasets, system) -> np.ndarray:
-    """Pearson correlations of the coded data of each dataset for every
-    coefficient, clamped: (B, k) in the coefficient order.
-
-    The datasets of one n are stacked CHUNK_ROWS rows at a time, column by
-    column. The column means come from the column sums: each continuous
-    column is summed in row order, as one running sum over the chunks (a
-    chunk's first row carries the sum before it), and the sums of the
-    integer codes are exact in any order. The centred (c+d) x (c+d)
-    scatters are summed over the chunks. No n-row copy of the data is
-    made."""
-    c, k = system.c, system.c + system.d
-    # the lower triangle: the scatter is symmetric only up to rounding
-    rows, cols = _lower_triangle(system.c, system.d)
-    ns = np.array([data.n for data in datasets])
-    out = np.empty((len(datasets), rows.size))
-    for n in np.unique(ns).tolist():
-        members = np.flatnonzero(ns == n)
-        group = [datasets[b] for b in members]
-        starts = range(0, n, CHUNK_ROWS)
-        head = _stacked_columns(group, 0, c)
-        y_sum, x_sum = 0.0, 0.0
-        for lo in starts:
-            chunk = head if lo == 0 else _stacked_columns(group, lo, c)
-            if lo:
-                chunk[:, :c, 0] += y_sum
-            y_sum = np.cumsum(chunk[:, :c], axis=2)[:, :, -1]
-            x_sum = x_sum + chunk[:, c:].sum(axis=2)
-        mean = np.concatenate([y_sum, x_sum], axis=1) / n
-        scatter = np.zeros((len(group), k, k))
-        for lo in starts:
-            chunk = head if lo == 0 else _stacked_columns(group, lo, c)
-            chunk -= mean[:, :, None]
-            scatter += chunk @ chunk.mT
-        sd = np.sqrt(np.diagonal(scatter, axis1=1, axis2=2))
-        corr = np.clip(scatter / sd[:, :, None] / sd[:, None, :], -RHO_MAX, RHO_MAX)
-        out[members] = corr[:, rows, cols]
-    return out
-
-
-def _initial_thetas(datasets, system) -> np.ndarray:
+def _initial_thetas(datasets, compiled) -> np.ndarray:
     """The starting theta of each dataset, (B, p): the closed-form
-    thresholds, then the Pearson correlations of every coefficient."""
-    return np.concatenate([_thresholds(datasets), _pearson_init(datasets, system)], axis=1)
+    thresholds, then the Pearson correlations of every coefficient,
+    clamped, from the coded covariances of ``compiled``, the batch of the
+    datasets' data pass."""
+    rows, cols = _lower_triangle(compiled.system.c, compiled.system.d)
+    cov = compiled.coded_cov
+    sd = np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
+    corr = np.clip(cov / sd[:, :, None] / sd[:, None, :], -RHO_MAX, RHO_MAX)
+    return np.concatenate([_thresholds(datasets), corr[:, rows, cols]], axis=1)
 
 
 def _initial_theta(data, system) -> np.ndarray:
-    return _initial_thetas([data], system)[0]
+    """The starting theta of ``data`` alone, from a data pass over no
+    moment row: the start ``fit`` takes, bit for bit."""
+    return _initial_thetas([data], CompiledMoments([data], system, slice(0)))[0]
 
 
 # where the solve ended: the loss, its max |gradient| and Newton decrement
@@ -571,11 +527,12 @@ def fit_batch(datasets, system, cfg=None) -> list:
     over the batch: the datasets' solves run in lockstep through one loss
     evaluation and one gradient per pass (``_minimize``), and their starts,
     weights and covariances are those ``fit`` describes, each dataset's
-    own. The starts (from the category counts ``ingest`` made, and stacked
-    column sums and scatters) and the covariances are computed over the
-    batch in stacked calls; each weight is one ``weight_matrix`` call. A
-    dataset's results do not depend on the other datasets in the batch,
-    bit for bit.
+    own. The data pass (``CompiledMoments``, which reads each dataset's
+    rows once for its moments and its Pearson start), the starts (from the
+    category counts ``ingest`` made, and the pass) and the covariances are
+    computed over the batch in stacked calls; each weight is one
+    ``weight_matrix`` call. A dataset's results do not depend on the other
+    datasets in the batch, bit for bit.
 
     Returns, per dataset in order, its EstimationResult or the typed
     exception (a MixedCorrError, or a LinAlgError) that ended its fit; a
@@ -605,8 +562,8 @@ def fit_batch(datasets, system, cfg=None) -> list:
     solved = []
     if members:
         batch = [datasets[b] for b in members]
-        starts = _initial_thetas(batch, system)
         compiled = CompiledMoments(batch, system, rows)
+        starts = _initial_thetas(batch, compiled)
         weights = [weight_matrix(S[nh:, nh:]) for S in compiled.cov]
         # each K = [0 | K_g] zero-padded to a common shape, for the batch
         K = np.zeros((len(members), rows.size - nh, rows.size))

@@ -44,6 +44,39 @@ The moment vector is linear in per-row data products, so sample moments
 factor as m(theta) = mean(A) - b(theta) with A data-only and b(theta)
 model-implied; the gradient G = -db/dtheta is deterministic.
 
+The data pass (``CompiledMoments``) reads each dataset once, CHUNK_ROWS
+rows at a time, for the column sums and the scatter A'A of the products
+and for those of the coded columns that the Pearson start reads (Y_i, and
+the codes X_v as numbers). Each of these columns is a Y-monomial (1, Y_i
+or Y_i Y_j) times a weight of the row's joint ordinal cell (a product of
+indicators, or a code), so every entry of the sums and scatters is a sum
+over the cells of a weight times the per-cell sum of a Y-monomial of
+degree at most 4. Two routes take the sums:
+
+- cells: each chunk's rows are binned by joint cell, and one weighted
+  ``np.bincount`` per monomial the sums read (at most 15 for c = 2, 70
+  for c = 4) adds its per-cell sums M; the sums and scatters are then
+  contracted from M
+  through index tables cached per system and column set. The pass costs
+  O(n x monomials), the contraction O(q^2 x width), where the width is
+  the cells times the columns' distinct monomials (the classes, at most
+  1 + c + c(c - 1)/2).
+- products: each chunk's products are formed and A_c'A_c added up,
+  O(n q^2).
+
+The contraction replaces the n rows of the scatter by its width, so the
+cell route is the faster while the width is well under n: on systems of
+100 to 729 cells with c = 0 to 2 the two routes cost the same at n of 1.6
+to 2 times the width (one core of a 2-core x86-64 machine). The cell route serves
+data of n rows when the system's width, taken with all 1 + c + c(c - 1)/2
+classes, is at most n / CELL_ROWS and at most CHUNK_ROWS, which keeps its
+gathered q x width values within the size of one chunk of products; the
+product route serves the rest, such as the 5^8 = 390 625 cells of the
+c = 4, d = 8 benchmark system at n = 2000. The route depends only on the
+system and n, so neither the rows a fit compiles nor the batch move it.
+The two routes sum in different orders: their sums agree to rounding
+(1e-13 of the largest entry in the tests).
+
 ``_compile`` is the one walk over the blocks, and the only code that
 branches on the equation kind: it lays out each block's equations and
 retained flags, its weighted rows and its model terms in flat index
@@ -115,6 +148,7 @@ that both sum the same entries:
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -164,9 +198,14 @@ CUSTOM = "custom"
 # its own variance counts as a linear combination of them and is dropped.
 PIVOT_FLOOR = 1e-10
 
-# Rows per chunk of data products: CompiledMoments holds one chunk at a
-# time, and a fixed size fixes the order in which the rows are summed.
+# Rows per chunk of the data pass: CompiledMoments holds one chunk of each
+# dataset at a time, and a fixed size fixes the order in which the rows
+# are summed.
 CHUNK_ROWS = 4096
+
+# The cell route of CompiledMoments serves data with at least CELL_ROWS
+# rows per column of its contraction (``_cells_serve``).
+CELL_ROWS = 2
 
 
 @dataclass(frozen=True)
@@ -733,19 +772,34 @@ class CompiledMoments:
     Omega_hat(theta) = E_n[(a - b)(a - b)'] = cov + m m', where cov is the
     centred covariance of the data products. Both a_mean and cov are data
     only, so repeated evaluation during optimization costs only the model
-    terms.
+    terms. ``coded_cov`` is the centred covariance of the coded data, the
+    c + d columns Y_1..Y_c and the ordinal codes X_1..X_d as numbers, from
+    the same pass: the Pearson start of a fit reads it.
 
-    ``data`` is one dataset, or a list of datasets: then n, a_mean and cov
-    carry a leading batch axis, one slice per dataset, each equal bit for
-    bit to that dataset's own.
+    ``data`` is one dataset, or a list of datasets: then n, a_mean, cov and
+    coded_cov carry a leading batch axis, one slice per dataset, each equal
+    bit for bit to that dataset's own.
 
-    The products are formed CHUNK_ROWS data rows at a time, and each
-    chunk's column sums and scatter matrix A_c'A_c are added to running
-    totals, so the memory held beyond the data is O(CHUNK_ROWS q + q^2),
-    never n x q. The first chunk is taken as is: data of at most
-    CHUNK_ROWS rows gives exactly A.mean(axis=0) and A'A / n of the whole
-    product array, and longer data differs from those one-pass sums by
-    rounding only.
+    Each dataset is read once, CHUNK_ROWS rows at a time, by one of two
+    routes (module docstring), which ``_cells_serve`` picks from the system
+    and n alone, so that neither the rows compiled nor the batch change it:
+
+    - cells: the Y-monomials of degree at most 4 are summed per joint
+      ordinal cell, one bincount per monomial over each chunk of the
+      datasets of one n stacked, and the sums and scatters of the products
+      and of the coded columns are contracted from those per-cell sums.
+      They differ from the one-pass sums of the product array by rounding
+      only. The pass holds one stacked chunk, of at most 16 CHUNK_ROWS
+      rows, per monomial that one of higher degree is built from, never an
+      n-row vector per monomial.
+    - products: each chunk of the data products and of the coded columns
+      is formed, and its column sums and scatter A_c'A_c are added to
+      running totals; the first chunk is taken as is, so data of at most
+      CHUNK_ROWS rows gives exactly A.mean(axis=0) and A'A / n of the
+      whole product array.
+
+    Either way the memory held beyond the data is O(CHUNK_ROWS q + q^2)
+    per dataset, never n x q.
     """
 
     def __init__(self, data, system, rows=slice(None)):
@@ -755,31 +809,209 @@ class CompiledMoments:
         self.system = system
         batch = isinstance(data, list)
         datasets = data if batch else [data]
-        q = self.columns.size
-        self.n = np.array([d.n for d in datasets]) if batch else data.n
+        ns = np.array([d.n for d in datasets], dtype=int)
+        self.n = ns if batch else data.n
+        q, k = self.columns.size, system.c + system.d
         self.a_mean = np.empty((len(datasets), q))
         self.cov = np.empty((len(datasets), q, q))
-        for d, total, scatter in zip(datasets, self.a_mean, self.cov):
-            for lo in range(0, d.n, CHUNK_ROWS):
-                hi = lo + CHUNK_ROWS
-                A = _products(d.y[lo:hi], d.x[lo:hi], system, self.columns)
-                if lo == 0:
-                    np.sum(A, axis=0, out=total)
-                    np.matmul(A.T, A, out=scatter)
-                else:
-                    total += A.sum(axis=0)
-                    scatter += A.T @ A
-            total /= d.n
-            scatter /= d.n
-            scatter -= np.outer(total, total)
+        self.coded_cov = np.empty((len(datasets), k, k))
+        # the datasets of one n share their chunks and their route
+        for n in np.unique(ns).tolist():
+            members = np.flatnonzero(ns == n)
+            group = [datasets[b] for b in members]
+            route = _cell_route if _cells_serve(system, n) else _product_route
+            products, coded = route(group, system, self.columns)
+            self.a_mean[members], self.cov[members] = _centred(*products, n)
+            self.coded_cov[members] = _centred(*coded, n)[1]
         if not batch:
-            self.a_mean, self.cov = self.a_mean[0], self.cov[0]
+            self.a_mean, self.cov, self.coded_cov = self.a_mean[0], self.cov[0], self.coded_cov[0]
 
     def m(self, theta, order=LegendreOrder.THIRD, index=...):
         """The moments at theta: (..., rows). With a batch, theta is (B', p)
         and ``index`` picks the B' datasets it belongs to (all by default)."""
         terms = model_terms(theta, self.system, order, include_removed=True)
         return self.a_mean[index] - terms.take(self.columns, axis=-1)
+
+
+def _centred(sums, scatter, n):
+    """The means and the centred covariance of columns with the column
+    sums ``sums`` (B, k) and scatter matrices ``scatter`` (B, k, k) over n
+    rows."""
+    mean = sums / n
+    cov = scatter / n
+    cov -= mean[:, :, None] * mean[:, None, :]
+    return mean, cov
+
+
+def _cells_serve(system, n):
+    """Whether the cell route serves data of n rows (module docstring):
+    when its contraction width, the joint ordinal cells times the
+    1 + c + c(c - 1)/2 Y-monomials a column of the system can carry, is at
+    most n / CELL_ROWS and at most CHUNK_ROWS."""
+    c = system.c
+    width = math.prod(system.s) * (1 + c + c * (c - 1) // 2)
+    return width * CELL_ROWS <= n and width <= CHUNK_ROWS
+
+
+def _product_route(datasets, system, columns):
+    """The (column sums, scatter) of the data products ``columns`` and of
+    the coded columns of each dataset, (B, k) and (B, k, k) each, from the
+    products and coded columns formed CHUNK_ROWS rows at a time."""
+    B, k = len(datasets), system.c + system.d
+    q = columns.size
+    out = (np.empty((B, q)), np.empty((B, q, q))), (np.empty((B, k)), np.empty((B, k, k)))
+    for b, data in enumerate(datasets):
+        for lo in range(0, data.n, CHUNK_ROWS):
+            hi = lo + CHUNK_ROWS
+            y, x = data.y[lo:hi], data.x[lo:hi]
+            chunks = _products(y, x, system, columns), np.concatenate((y, x), axis=1)
+            for A, (total, scatter) in zip(chunks, out):
+                if lo == 0:
+                    np.sum(A, axis=0, out=total[b])
+                    np.matmul(A.T, A, out=scatter[b])
+                else:
+                    total[b] += A.sum(axis=0)
+                    scatter[b] += A.T @ A
+    return out
+
+
+class _CellTable(NamedTuple):
+    """How the per-cell monomial sums M of a dataset give the column sums
+    and the scatter of k columns, each a Y-monomial e_j times a weight
+    w_j(cell): sum_j = sum_c w_j M[e_j, c] and
+    scatter_jl = sum_c w_j w_l M[e_j + e_l, c]. The columns' distinct
+    monomials are the classes, the constant first; the width W is
+    classes x cells."""
+
+    gather: np.ndarray  # (k, W) position in M of M[e_class + e_l, c], for column l
+    weight: np.ndarray  # (k, W) w_l(c), in every class's block
+    left: np.ndarray  # (k, W) w_j(c) in the block of its own class, 0 elsewhere
+    lower: np.ndarray  # (k, k) True on and below the diagonal
+
+
+def _classes(monomials):
+    """The distinct ``monomials`` and the constant, by degree."""
+    return sorted(set(monomials) | {()}, key=lambda m: (len(m), m))
+
+
+def _cell_table(monomials, weights, position):
+    """The _CellTable of the columns with the ``monomials`` and the cell
+    ``weights`` (k, cells); ``position`` maps a monomial to its row of M."""
+    cells = weights.shape[1]
+    classes = _classes(monomials)
+    rows = np.array(
+        [[position[tuple(sorted(a + e))] for a in classes] for e in monomials], dtype=np.intp
+    ).reshape(len(monomials), len(classes), 1)
+    own = np.equal.outer([classes.index(e) for e in monomials], np.arange(len(classes)))
+    shape = (len(monomials), len(classes) * cells)
+    table = _CellTable(
+        gather=(rows * cells + np.arange(cells)).reshape(shape),
+        weight=np.tile(weights, len(classes)),
+        left=(own[:, :, None] * weights[:, None, :]).reshape(shape),
+        lower=np.tri(len(monomials), dtype=bool),
+    )
+    # cached and shared by every pass over the same columns
+    for a in table:
+        a.setflags(write=False)
+    return table
+
+
+@functools.lru_cache(maxsize=4)
+def _cell_tables(system, columns):
+    """The _CellTables of the data products of the equations whose indices
+    are the bytes ``columns`` and of the coded columns, over the joint
+    ordinal cells of ``system``, and the plan of the pass that sums their
+    monomials.
+
+    A cell is one joint code of the d ordinals, numbered row-major (the
+    last ordinal fastest). A product's monomial, a sorted tuple of 0-based
+    Y indices, is its Y factors, and its weight the product of its
+    indicator factors at each cell; the coded column Y_i is Y_i with
+    weight 1, and X_v the constant monomial with the code of v as weight.
+
+    The plan lists, degree by degree, each monomial the tables read and
+    each one that a monomial of the next degree is built from, as
+    (monomial, its row of M or -1 where it is not summed, whether it is
+    held for the next degree)."""
+    t, c = system._tables, system.c
+    cells = math.prod(system.s)
+    codes = np.indices(system.s).reshape(system.d, cells) + 1
+    # the factor rows 1, Y_1..Y_c and each I(X_v = k), as (monomial, weight)
+    factor_monomials = [()] + [(i,) for i in range(c)] + [()] * t.ind_var.size
+    factor_weights = np.concatenate(
+        (np.ones((1 + c, cells)), codes[t.ind_var] == t.ind_code[:, None])
+    )
+    left, right = t.factors[:, np.frombuffer(columns, dtype=np.intp)]
+    sets = (
+        (
+            [tuple(sorted(factor_monomials[a] + factor_monomials[b])) for a, b in zip(left, right)],
+            factor_weights[left] * factor_weights[right],
+        ),
+        ([(i,) for i in range(c)] + [()] * system.d, np.concatenate((np.ones((c, cells)), codes))),
+    )
+    reads = {tuple(sorted(a + e)) for mons, _ in sets for a in _classes(mons) for e in mons}
+    built = _classes({m[:k] for m in reads for k in range(1, len(m) + 1)})
+    prefixes = {m[:-1] for m in built}
+    position = {m: i for i, m in enumerate(m for m in built if m in reads)}
+    plan = tuple((m, position.get(m, -1), m in prefixes) for m in built)
+    return tuple(_cell_table(mons, weights, position) for mons, weights in sets) + (plan,)
+
+
+def _cell_sums(datasets, system, plan):
+    """The per-cell sums M (B, summed monomials x cells) of the ``plan``'s
+    monomials over each dataset (all of one n), the datasets stacked
+    CHUNK_ROWS rows of each at a time: one weighted bincount per monomial
+    over the stack, dataset b's cell ids offset by b cells."""
+    B, n, cells = len(datasets), datasets[0].n, math.prod(system.s)
+    # the row-major cell id of codes starting at 1, offset by b cells
+    strides = np.array([math.prod(system.s[v + 1 :]) for v in range(system.d)], dtype=np.int64)
+    shift = np.arange(B)[:, None] * cells - strides.sum()
+    bins = B * cells
+    M = np.zeros((sum(row >= 0 for _, row, _ in plan), bins))
+    for lo in range(0, n, CHUNK_ROWS):
+        hi = lo + CHUNK_ROWS
+        x = np.stack([d.x[lo:hi] for d in datasets])
+        ids = np.repeat(shift, x.shape[1], axis=1)
+        for v, stride in enumerate(strides):
+            ids += x[..., v] * stride
+        ids = ids.ravel()
+        y = np.ascontiguousarray(np.concatenate([d.y[lo:hi] for d in datasets]).T)
+        # each monomial is the one it extends times one Y; the constant
+        # is None, which bincount counts
+        held = {}
+        for m, row, keep in plan:
+            v = held.get(m[:-1])
+            w = None if not m else y[m[-1]] if v is None else v * y[m[-1]]
+            if row >= 0:
+                M[row] += np.bincount(ids, w, bins)
+            if keep:
+                held[m] = w
+    # dataset by dataset, the monomials' sums cell by cell
+    return M.reshape(-1, B, cells).transpose(1, 0, 2).reshape(B, -1)
+
+
+def _cell_route(datasets, system, columns):
+    """``_product_route``'s sums from the per-cell monomial sums of each
+    dataset (module docstring). The sums of each column set are contracted
+    by one gather and one stacked matmul, and the scatter's lower triangle
+    is mirrored, so that it is symmetric as A'A is."""
+    *tables, plan = _cell_tables(system, columns.tobytes())
+    B, n, cells = len(datasets), datasets[0].n, math.prod(system.s)
+    out = [(np.empty((B, len(t.lower))), np.empty((B, len(t.lower), len(t.lower)))) for t in tables]
+    # a few datasets at a time: at most 16 CHUNK_ROWS rows of one chunk of
+    # each, and about CHUNK_ROWS x k gathered values, the size of one
+    # chunk of the products
+    width = max(table.gather.shape[1] for table in tables)
+    step = max(1, min(16 * CHUNK_ROWS // min(n, CHUNK_ROWS), CHUNK_ROWS // width))
+    for lo in range(0, B, step):
+        M = _cell_sums(datasets[lo : lo + step], system, plan)
+        for table, (sums, scatter) in zip(tables, out):
+            V = M.take(table.gather, axis=1)
+            V *= table.weight
+            S = table.left @ V.mT
+            sums[lo : lo + step] = V[..., :cells].sum(axis=-1)
+            scatter[lo : lo + step] = np.where(table.lower, S, S.mT)
+    return out
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,8 @@ with the Cholesky factor of R_true and one ``cut_codes`` per ordinal make
 the tables (``_draw``), ``ingest_batch`` makes ``ingest``'s checks over
 the stack and gives a replication that fails one its own typed error,
 the starts come from the category counts those checks made and from
-stacked column sums and scatters, and one ``estimator.fit_batch`` solve
-fits the batch. No result depends on the batch: a replication's table,
+the batch's one data pass (``moments.CompiledMoments``), and one
+``estimator.fit_batch`` solve fits the batch. No result depends on the batch: a replication's table,
 dataset and fit equal, bit for bit, those of ``generate`` and ``fit`` on
 that replication alone, which run the same code as a batch of one. So
 neither the batches nor the worker count change any result, and any
@@ -64,10 +64,10 @@ __all__ = ["SimDesign", "SimReport", "generate", "run_study"]
 # the whitener) and at most DATA_COPIES n x (c + d) arrays of 8-byte cells
 # at once: the stacked draw and the validated y and x that ingest_batch
 # makes from it are two, and the temporaries of one column at a time stay
-# under a third (the Pearson start and the data products work on
-# CHUNK_ROWS rows at a time). So a system with many moment rows, or a
-# design with many data rows, takes fewer datasets per batch, at most
-# BATCH_BYTES of them together.
+# under a third (the data pass works on CHUNK_ROWS rows of each dataset
+# at a time). So a system with many moment rows, or a design with many
+# data rows, takes fewer datasets per batch, at most BATCH_BYTES of them
+# together.
 STUDY_BATCH = 64
 BATCH_BYTES = 64 * 2**20
 DATA_COPIES = 3

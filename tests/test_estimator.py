@@ -80,7 +80,7 @@ class TestPearsonStart:
         system = mc.build_system(data.specs, mc.MAX_SET)
         corr = np.corrcoef(np.column_stack([data.y, data.x.astype(float)]), rowvar=False)
         want = mc.CorrelationParams.from_matrix(corr, system.c, system.d).values
-        (got,) = estimator._pearson_init([data], system)
+        got = _initial_theta(data, system)[system.n_thr :]
         assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_holds_no_row_copy(self):
@@ -88,13 +88,36 @@ class TestPearsonStart:
 
         data = mc.generate(design2(n=50_000, replications=2, seed=4), 0)
         system = mc.build_system(data.specs, mc.MAX_SET)
-        tracemalloc.start()
-        estimator._pearson_init([data], system)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        # a few copies of one chunk of the c + d = 5 columns (the stacked
-        # chunk and its centred copy), far below the 2 MB of one n-row copy
-        assert peak < 4 * moments.CHUNK_ROWS * 5 * 8
+        rows = np.concatenate((np.arange(system.q_h), system.weighted_rows(False)))
+        # the start alone, and the fit's data pass, whose coded covariance
+        # the fit's start reads
+        for start in (lambda: _initial_theta(data, system),
+                      lambda: CompiledMoments([data], system, rows)):
+            tracemalloc.start()
+            start()
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            # a few copies of one chunk of the c + d = 5 columns (the cell
+            # ids, the Y columns and the monomials held), far below the 2 MB
+            # of one n-row copy
+            assert peak < 4 * moments.CHUNK_ROWS * 5 * 8
+
+    @pytest.mark.parametrize("n", [215, 1000, 2 * moments.CHUNK_ROWS + 17])
+    def test_batch_equals_alone(self, n):
+        # the start of each dataset of a batch, from the batch's data pass
+        # over the fit's rows or over none, is its start alone bit for bit,
+        # by either route (design 2 at n = 215 is past the switch to the
+        # product route)
+        data = [mc.generate(design2(n=n, replications=4, seed=4), rep) for rep in range(4)]
+        system = mc.build_system(data[0].specs, mc.MAX_SET)
+        assert moments._cells_serve(system, n) is (n > 215)
+        rows = system.weighted_rows(False)
+        starts = estimator._initial_thetas(data, CompiledMoments(data, system, rows))
+        bare = estimator._initial_thetas(data, CompiledMoments(data, system, slice(0)))
+        for b, one in enumerate(data):
+            alone = _initial_theta(one, system)
+            assert np.array_equal(starts[b], alone)
+            assert np.array_equal(bare[b], alone)
 
 
 class TestMinimizeLoss:

@@ -5,7 +5,9 @@ import pytest
 
 import mixedcorr as mc
 from mixedcorr.errors import UnknownPair
+from mixedcorr import moments
 from mixedcorr.moments import (
+    CELL_ROWS,
     CHUNK_ROWS,
     PIVOT_FLOOR,
     CompiledMoments,
@@ -272,46 +274,68 @@ class TestCompiledMoments:
     @pytest.mark.parametrize("n", [500, CHUNK_ROWS])
     @pytest.mark.parametrize("rows", ["all", "two_step"])
     def test_one_chunk_is_the_one_pass_sum(self, c2d3_system, n, rows):
-        # data of at most CHUNK_ROWS rows is one chunk, taken as is: exactly
-        # the mean and scatter matrix of the whole product array
-        system = c2d3_system
-        rows = slice(None) if rows == "all" else system.weighted_rows(False)
-        data = mc.generate(design2(n=n, replications=2, seed=11), 0)
-        compiled = CompiledMoments(data, system, rows)
-        A = data_products(data, system)[:, rows]
-        a_mean = A.mean(axis=0)
-        cov = A.T @ A
-        cov /= n
-        cov -= np.outer(a_mean, a_mean)
-        assert np.array_equal(compiled.a_mean, a_mean)
-        assert np.array_equal(compiled.cov, cov)
+        # data of at most CHUNK_ROWS rows that the product route serves is
+        # one chunk, taken as is: exactly the mean and scatter matrix of the
+        # whole product array. The wide system is past the switch at any n
+        # (5^8 cells); the cell route serves design 2 and agrees with the
+        # one-pass sums to rounding
+        wide = mc.generate(wide_design(n=n), 0)
+        cases = (
+            (mc.build_system(wide.specs, mc.MAX_SET), wide, False),
+            (c2d3_system, mc.generate(design2(n=n, replications=2, seed=11), 0), True),
+        )
+        for system, data, cells in cases:
+            assert moments._cells_serve(system, n) is cells
+            picked = slice(None) if rows == "all" else system.weighted_rows(False)
+            compiled = CompiledMoments(data, system, picked)
+            A = data_products(data, system)[:, picked]
+            a_mean = A.mean(axis=0)
+            cov = A.T @ A
+            cov /= n
+            cov -= np.outer(a_mean, a_mean)
+            if cells:
+                assert np.max(np.abs(compiled.a_mean - a_mean)) <= 1e-13
+                assert np.max(np.abs(compiled.cov - cov)) <= 1e-13
+            else:
+                assert np.array_equal(compiled.a_mean, a_mean)
+                assert np.array_equal(compiled.cov, cov)
 
-    @pytest.mark.parametrize("name", ["design2", "c0_s342", "s243_min", "s243_custom"])
+    @pytest.mark.parametrize("name", ["design2", "c0_s342", "d0_c3", "s243_min", "s243_custom"])
     def test_chunks_agree_with_one_pass(self, name):
         # two whole chunks and a partial one, with and without a continuous
-        # column, and on design 2/4/3 under the min set and a custom pair set
+        # or an ordinal column, and on design 2/4/3 under the min set and a
+        # custom pair set that leaves an ordinal out; the cell route serves
+        # each, and the coded covariance is that of the coded columns
         n = 2 * CHUNK_ROWS + 17
-        mode, pairs = mc.MAX_SET, None
-        if name == "design2":
-            data = mc.generate(design2(n=n, replications=2, seed=11), 0)
-            specs = data.specs
-        elif name == "c0_s342":
-            specs = _specs(0, (3, 4, 2))
-            rng = np.random.default_rng(4)
-            x = np.column_stack([rng.integers(1, s + 1, n) for s in (3, 4, 2)])
-            data = mc.MixedDataset(specs=tuple(specs), y=np.empty((n, 0)), x=x)
-        else:
-            data = mc.generate(design243(n=n, replications=2, seed=11), 0)
-            specs = data.specs
-            if name == "s243_min":
-                mode = mc.MIN_SET
-            else:
-                mode, pairs = mc.CUSTOM, [("polychoric", 3, 2), ("polyserial", 2, 3)]
-        system = mc.build_system(specs, mode, pairs=pairs)
-        compiled = CompiledMoments(data, system)
-        A = data_products(data, system)
-        assert np.max(np.abs(compiled.a_mean - A.mean(axis=0))) <= 1e-13
-        assert np.max(np.abs(compiled.cov - np.cov(A, rowvar=False, bias=True))) <= 1e-13
+        system, data = _route_case(name, n)
+        assert moments._cells_serve(system, n)
+        _assert_one_pass_sums(CompiledMoments(data, system), data, system)
+
+    @pytest.mark.parametrize("past", [False, True])
+    def test_routes_meet_at_the_switch(self, past):
+        # design 2's contraction is 3^3 cells x 4 monomial classes (1, Y1,
+        # Y2 and Y1 Y2) wide: the cell route serves n from CELL_ROWS times
+        # that, and one row fewer takes the product route
+        n = CELL_ROWS * 27 * 4 - past
+        system, data = _route_case("design2", n)
+        assert moments._cells_serve(system, n) is not past
+        _assert_one_pass_sums(CompiledMoments(data, system), data, system)
+
+    def test_batch_equals_alone(self):
+        # datasets of three n (the cell route in chunks, the product route
+        # past the switch, the cell route in one chunk) in one batch: each
+        # slice is the dataset's own, bit for bit
+        ns = (2 * CHUNK_ROWS + 17, 215, 1000, 1000, 215)
+        data = [_route_case("design2", n, seed)[1] for seed, n in enumerate(ns)]
+        system = mc.build_system(data[0].specs, mc.MAX_SET)
+        rows = system.weighted_rows(False)
+        batch = CompiledMoments(data, system, rows)
+        assert np.array_equal(batch.n, ns)
+        for b, one in enumerate(data):
+            alone = CompiledMoments(one, system, rows)
+            assert np.array_equal(batch.a_mean[b], alone.a_mean)
+            assert np.array_equal(batch.cov[b], alone.cov)
+            assert np.array_equal(batch.coded_cov[b], alone.coded_cov)
 
     def test_memory_does_not_grow_with_n(self, c2d3_system):
         # the whole n x q product array of 100 000 design-2 rows would be
@@ -324,6 +348,42 @@ class TestCompiledMoments:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+
+def _route_case(name, n, seed=11):
+    """The system and a dataset of n rows of one named case."""
+    mode, pairs = mc.MAX_SET, None
+    if name == "design2":
+        data = mc.generate(design2(n=n, replications=2, seed=seed), 0)
+    elif name in ("c0_s342", "d0_c3"):
+        c, s = (0, (3, 4, 2)) if name == "c0_s342" else (3, ())
+        rng = np.random.default_rng(4)
+        x = np.empty((n, 0), int)
+        if s:
+            x = np.column_stack([rng.integers(1, sj + 1, n) for sj in s])
+        # continuous columns off mean 0 and sd 1, as with standardize=False
+        y = 1.5 + 2.0 * rng.standard_normal((n, c))
+        data = mc.MixedDataset(specs=tuple(_specs(c, s)), y=y, x=x)
+    else:
+        data = mc.generate(design243(n=n, replications=2, seed=seed), 0)
+        if name == "s243_min":
+            mode = mc.MIN_SET
+        else:
+            mode, pairs = mc.CUSTOM, [("polychoric", 3, 2), ("polyserial", 2, 3)]
+    return mc.build_system(data.specs, mode, pairs=pairs), data
+
+
+def _assert_one_pass_sums(compiled, data, system):
+    """The means and centred covariances of ``compiled`` are those of the
+    whole product array and of the coded columns, to 1e-13, and each
+    covariance is symmetric, bit for bit, as A'A is."""
+    assert np.array_equal(compiled.cov, compiled.cov.T)
+    assert np.array_equal(compiled.coded_cov, compiled.coded_cov.T)
+    A = data_products(data, system)
+    assert np.max(np.abs(compiled.a_mean - A.mean(axis=0))) <= 1e-13
+    assert np.max(np.abs(compiled.cov - np.cov(A, rowvar=False, bias=True))) <= 1e-13
+    coded = np.cov(np.column_stack([data.y, data.x]), rowvar=False, bias=True)
+    assert np.max(np.abs(compiled.coded_cov - coded)) <= 1e-13 * np.max(np.abs(coded))
 
 
 def _specs(c, s):

@@ -10,6 +10,9 @@ the best of ``--repeats`` wall times of
 - ``kernels``: one ``model_terms`` call and one Legendre
   ``assemble_gradient`` call at the batch's start points, which reads the
   model point the first call left (what a solve pass costs in the model);
+- ``moments``: the batch's data pass, ``moments.CompiledMoments`` over the
+  rows the fit compiles, and the starts it gives
+  (``estimator._initial_thetas``);
 - ``fit``: the whole ``fit_batch``, set-up and covariances included;
 - ``replication``: the whole ``simulation._run_block`` over the same
   replications, which draws, validates, starts and fits each batch (what
@@ -52,6 +55,11 @@ def sweep(design, datasets, repeats):
     data = [mc.generate(design, rep) for rep in range(datasets)]
     starts = np.array([estimator._initial_theta(d, system) for d in data])
     order = design.fit.order
+    # the rows fit_batch compiles: the threshold rows solved in closed
+    # form (none under one-step), then the weighted rows
+    one_step = design.fit.method == mc.ONE_STEP
+    nh = 0 if one_step else system.q_h
+    fit_rows = np.concatenate((np.arange(nh), system.weighted_rows(one_step)))
     rows = {}
     # a size above the dataset count would time the whole set under its label
     for size in (size for size in SIZES if size <= datasets):
@@ -63,6 +71,11 @@ def sweep(design, datasets, repeats):
                 theta = starts[b]
                 moments.model_terms(theta, system, order)
                 moments.assemble_gradient(theta, system, order)
+
+        def data_pass():
+            for b in batches:
+                compiled = moments.CompiledMoments(data[b], system, fit_rows)
+                estimator._initial_thetas(data[b], compiled)
 
         def fits():
             for b in batches:
@@ -89,6 +102,7 @@ def sweep(design, datasets, repeats):
             moments.norm_cdf = norm_cdf
         rows[size] = {
             "kernels_us": kernel_s / datasets * 1e6,
+            "moments_us": best_time(data_pass, repeats) / datasets * 1e6,
             "fit_us": best_time(fits, repeats) / datasets * 1e6,
             "replication_us": best_time(replications, repeats) / datasets * 1e6,
             "share_norm_cdf": cdf_time[0] / kernel_s,
@@ -108,11 +122,12 @@ def main(argv=None):
     result = {name: sweep(d, args.datasets, args.repeats) for name, d in designs.items()}
     for name, rows in result.items():
         print(name)
-        print(f"  {'B':>4} {'kernels_us':>11} {'fit_us':>9} {'replication_us':>15}"
-              f" {'share_norm_cdf':>15}")
+        print(f"  {'B':>4} {'kernels_us':>11} {'moments_us':>11} {'fit_us':>9}"
+              f" {'replication_us':>15} {'share_norm_cdf':>15}")
         for size, row in rows.items():
-            print(f"  {size:>4} {row['kernels_us']:>11.1f} {row['fit_us']:>9.1f}"
-                  f" {row['replication_us']:>15.1f} {row['share_norm_cdf']:>15.3f}")
+            print(f"  {size:>4} {row['kernels_us']:>11.1f} {row['moments_us']:>11.1f}"
+                  f" {row['fit_us']:>9.1f} {row['replication_us']:>15.1f}"
+                  f" {row['share_norm_cdf']:>15.3f}")
     print(json.dumps(result))
 
 
