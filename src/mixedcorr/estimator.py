@@ -23,7 +23,7 @@ each row that is a linear combination of the rows kept before it (Hansen
 1982), and K has a zero column at each dropped one: the solve is then the
 fixed point of the paper's loop over the kept rows, and W_c = K'K a
 generalized inverse of S. Where no kept row depends on some
-free parameter, ``_minimize`` raises DegenerateWeight before any step.
+free parameter, its solve ends with DegenerateWeight before any step.
 The one-step method moves thresholds and correlations jointly; the
 two-step method solves the thresholds in closed form from the marginal
 frequencies, freezes them, and iterates on the correlation vector only.
@@ -54,7 +54,7 @@ import numpy as np
 
 from .errors import DegenerateWeight, EmptyCategory, LineSearchFailure
 from .errors import NonFiniteLoss, SingularCovariance
-from .model import CorrelationParams, ThresholdSet, coefficient_order, coefficient_variables
+from .model import CorrelationParams, ThresholdSet, _lower_triangle
 from .moments import (
     CUSTOM,
     MAX_SET,
@@ -219,14 +219,6 @@ def _thresholds(datasets) -> np.ndarray:
     return norm_quantile(np.delete(cum, first + s - 1, axis=1) / n[:, None])
 
 
-def _lower_triangle(c, d):
-    """The (row, column) of each coefficient of R, in the coefficient
-    order, in the lower triangle of the (c+d) x (c+d) matrix."""
-    pos = np.array([coefficient_variables(c, *lab) for lab in coefficient_order(c, d)],
-                   dtype=int).reshape(-1, 2)
-    return pos.max(axis=1), pos.min(axis=1)
-
-
 def _initial_thetas(datasets, compiled) -> np.ndarray:
     """The starting theta of each dataset, (B, p): the closed-form
     thresholds, then the Pearson correlations of every coefficient,
@@ -269,9 +261,16 @@ def _minimize(compiled, K, x0, free_idx, cfg):
     evaluation, and where any of them is accepted the gradient is taken at
     that same batch of points, which reads the model point the loss
     evaluation left. Returns per dataset (x, _InnerInfo) or the typed
-    exception that ended its solve. Every product is a stacked matmul or
-    vecdot and every other step elementwise, so a dataset's arithmetic does
-    not depend on the other datasets in its batch.
+    exception that ended its solve.
+
+    Every dataset leaves through one exit, the tests that open each pass:
+    there its row ends with a STOP_* reason, or with the error that failed
+    it in the pass before. A failed start (NonFiniteLoss where the loss or
+    gradient is not finite there, DegenerateWeight where no kept row
+    depends on some free parameter) leaves at the first test, before any
+    step. Every product is a stacked matmul or vecdot and every other step
+    elementwise, so a dataset's arithmetic does not depend on the other
+    datasets in its batch.
     """
     system = compiled.system
     # the thresholds are unbounded, the correlations within +-RHO_MAX
@@ -320,44 +319,40 @@ def _minimize(compiled, K, x0, free_idx, cfg):
     weighted = J.any(axis=1)
     JJ = J.mT @ J
     H = np.empty((nb, nfree, nfree))
-    solving = np.ones(nb, dtype=bool)
+    ended = {}  # row -> its STOP_* reason, or None where it failed
     for b in range(nb):
         if not (np.isfinite(f[b]) and np.all(np.isfinite(g[b]))):
             out[b] = NonFiniteLoss("loss or gradient non-finite at the starting point")
-            solving[b] = False
         elif not weighted[b].all():
             out[b] = DegenerateWeight(
                 f"the {cfg.method} covariance is singular: no moment row the weight keeps "
                 f"depends on theta{free_idx[~weighted[b]].tolist()}")
-            solving[b] = False
         else:
             ridge = 1e-10 * max(float(np.trace(JJ[b])) / max(nfree, 1), 1e-30)
             try:
                 H[b] = np.linalg.inv(JJ[b] + ridge * np.eye(nfree))
             except np.linalg.LinAlgError:
                 H[b] = np.eye(nfree)
+            continue
+        # a failed start leaves with its error at the first test; H = I and
+        # g = 0 keep its direction before that test a number, with no warning
+        ended[b] = None
+        H[b], g[b] = np.eye(nfree), 0.0
 
     # the state of the datasets still solving, one row each (ids maps a row
     # to its dataset). Every row takes one trial point per pass, so after
     # ``passes`` passes a row has made 1 + passes loss evaluations and
     # passes - rejected steps; its step is 0.5^k after k rejected trials in
-    # a row. x stays within the bounds: a trial clips its free entries xf
-    ids = np.flatnonzero(solving)
-    if not len(ids):
-        return out
-    n = np.full(nb, compiled.n)
-    if not solving.all():
-        x, f, g, H, K, n = x[ids], f[ids], g[ids], H[ids], K[ids], n[ids]
+    # a row. x stays within the bounds: a trial clips its free entries
+    ids = np.arange(nb)
     hi = hi[free_idx]
     lo = -hi
-    minus_n = -n
-    xf = x[:, free_idx]
-    rejected = np.zeros(len(ids), dtype=int)
-    step = np.ones(len(ids))
+    minus_n = -np.full(nb, compiled.n)
+    rejected = np.zeros(nb, dtype=int)
+    step = np.ones(nb)
     passes = 0
     d, gd = newton(H, g)
     decrement = minus_n * gd
-    ended = {}  # row -> its STOP_* reason, or None where it failed
     while True:
         # the stationarity and iteration tests: a row that took no step
         # passed them at its direction already
@@ -366,7 +361,7 @@ def _minimize(compiled, K, x0, free_idx, cfg):
             tested |= passes - rejected == MAX_ITER
         if tested.any():
             for i in np.flatnonzero(tested).tolist():
-                # a row that failed in the last pass keeps its error
+                # a row that failed keeps its error
                 ended.setdefault(i, STOP_DECREMENT if decrement[i] <= DECREMENT_TOL
                                  else STOP_MAX_ITER)
         if ended:
@@ -381,15 +376,13 @@ def _minimize(compiled, K, x0, free_idx, cfg):
             keep = np.ones(len(ids), dtype=bool)
             keep[list(ended)] = False
             ended = {}
-            ids, x, xf, f, g, H, d, gd, decrement, step, rejected, minus_n, K = (
-                v[keep]
-                for v in (ids, x, xf, f, g, H, d, gd, decrement, step, rejected, minus_n, K)
+            ids, x, f, g, H, d, gd, decrement, step, rejected, minus_n, K = (
+                v[keep] for v in (ids, x, f, g, H, d, gd, decrement, step, rejected, minus_n, K)
             )
 
         passes += 1
-        xnf = np.minimum(np.maximum(xf + step[:, None] * d, lo), hi)
         xn = x.copy()
-        xn[:, free_idx] = xnf
+        xn[:, free_idx] = np.minimum(np.maximum(x.take(free_idx, axis=1) + step[:, None] * d, lo), hi)
         fn, rn = loss_at(xn, ids, K)
         # False where the loss is not finite
         accept = fn <= f + 1e-4 * step * gd + LOSS_RTOL * np.abs(f)
@@ -420,7 +413,9 @@ def _minimize(compiled, K, x0, free_idx, cfg):
                 ended[i] = None
                 out[ids[i]] = NonFiniteLoss("gradient non-finite at an accepted step")
                 accept[i] = every = False
-        s = xnf - xf
+        # take keeps s row-major (x[:, free_idx] is column-major), so each
+        # row's vecdot sums as that of a batch of one
+        s = xn.take(free_idx, axis=1) - x.take(free_idx, axis=1)
         yv = gn - g
         if not every:
             # no update from a rejected trial
@@ -442,10 +437,10 @@ def _minimize(compiled, K, x0, free_idx, cfg):
             )
             H = updated if bent else np.where(curved[:, None, None], updated, H)
         if every:
-            x, xf, f, g = xn, xnf, fn, gn
+            x, f, g = xn, fn, gn
             step.fill(1.0)
         else:
-            x, xf, g = (np.where(accept[:, None], a, b) for a, b in ((xn, x), (xnf, xf), (gn, g)))
+            x, g = np.where(accept[:, None], xn, x), np.where(accept[:, None], gn, g)
             f = np.where(accept, fn, f)
             step[accept] = 1.0
         # a row that took no step keeps its H and g, so this recomputes its

@@ -82,7 +82,8 @@ class MixedDataset:
 
     def __post_init__(self):
         if self.counts is None:
-            object.__setattr__(self, "counts", _category_counts(self.x[None], self.s)[0])
+            counts = [_category_counts(self.x[None, :, j], sj)[0] for j, sj in enumerate(self.s)]
+            object.__setattr__(self, "counts", np.concatenate([np.zeros(0, np.int64), *counts]))
 
     @property
     def n(self) -> int:
@@ -105,17 +106,12 @@ class MixedDataset:
         return tuple(sp.name for sp in self.specs)
 
 
-def _category_counts(x, s):
-    """(B, sum of s) counts of the codes 1..s_j in each column j of the
-    (B, n, d) codes x, column by column: one bincount per column over the
-    whole stack, table b's codes offset by b (s_j + 1)."""
-    B = len(x)
-    per_column = [
-        np.bincount((x[:, :, j] + (np.arange(B) * (sj + 1))[:, None]).ravel(),
-                    minlength=B * (sj + 1)).reshape(B, sj + 1)[:, 1:]
-        for j, sj in enumerate(s)
-    ]
-    return np.concatenate(per_column, axis=1) if per_column else np.zeros((B, 0), np.int64)
+def _category_counts(codes, sj):
+    """(B, s_j) counts of the codes 1..s_j in each row of the (B, n) codes:
+    one bincount over the whole stack, row b's codes offset by b (s_j + 1)."""
+    B = len(codes)
+    offset = (np.arange(B) * (sj + 1))[:, None]
+    return np.bincount((codes + offset).ravel(), minlength=B * (sj + 1)).reshape(B, sj + 1)[:, 1:]
 
 
 def cut_codes(values, cuts) -> np.ndarray:
@@ -144,7 +140,12 @@ def ingest(table, specs, standardize=True) -> MixedDataset:
     1..s_i with every category observed at least once. Continuous columns
     are standardized to sample mean 0 and sd 1 (divisor n-1); pass
     standardize=False only for inputs already standardized by construction
-    (the Monte Carlo generator draws from a unit-variance population).
+    (the Monte Carlo generator draws from a unit-variance population): the
+    fit's Pearson start and its moment covariance S come from one-pass raw
+    sums (sum Z, sum ZZ'), which lose digits on a continuous column far
+    from mean 0 relative to its sd. On c = 1, d = 2, n = 5000 the start
+    moved from ``np.corrcoef`` by 4.5e-13, 6.9e-9 and 9.4e-5 with Y
+    shifted by 1e2, 1e4 and 1e6 sd.
 
     ``ingest`` is ``ingest_batch`` of one table.
     """
@@ -159,9 +160,10 @@ def ingest_batch(tables, specs, standardize=True) -> list:
     each check made once over the stack.
 
     Returns, per table in order, its MixedDataset or the typed error (a
-    MixedCorrError) that ``ingest`` raises on that table alone: the checks
-    are those of ``ingest``, in its order, and a table's first failed check
-    names its error. A stack of the wrong shape raises ValueError. The
+    MixedCorrError) that ``ingest`` raises on that table alone. The checks
+    are those of ``ingest``, made in its order, each over the whole stack;
+    a table fails at the first check that finds a problem in it, and keeps
+    that error. A stack of the wrong shape raises ValueError. The
     complete tables' datasets are views of one stacked y and x, with the
     category counts the checks made; a table with a NaN cell is ingested
     on its own complete rows.
@@ -194,17 +196,20 @@ def _ingest_complete(raw, specs, c, standardize, dropped):
     B, n = raw.shape[:2]
     if n < 2:
         return [TooFewRows(f"need at least 2 complete rows, have {n}") for _ in range(B)]
-    # each check's failed mask over the stack and its error for table i,
-    # in the order ingest makes them
-    checks = []
+    out = [None] * B
+
+    def fail(mask, error):
+        # table i, flagged in mask, fails with error(i) unless it failed before
+        for i in np.flatnonzero(mask).tolist():
+            if out[i] is None:
+                out[i] = error(i)
 
     y = raw[:, :, :c].copy()
     for j in range(c):
         col = y[:, :, j]
         sd = col.std(axis=1, ddof=1)
-        bad = (sd == 0.0) | ~np.isfinite(sd)
-        checks.append((bad, lambda i, j=j, sd=sd: NonFiniteCell(
-            f"continuous column {specs[j].name!r} cannot be standardized (sd={sd[i]})")))
+        fail((sd == 0.0) | ~np.isfinite(sd), lambda i: NonFiniteCell(
+            f"continuous column {specs[j].name!r} cannot be standardized (sd={sd[i]})"))
         if standardize:
             # a failed table's sd of 0 divides without a warning
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -212,7 +217,7 @@ def _ingest_complete(raw, specs, c, standardize, dropped):
 
     ordinal = specs[c:]
     x = np.empty((B, n, len(ordinal)), dtype=np.int64)
-    code_checks = []
+    counts = [np.zeros((B, 0), np.int64)]
     for j, sp in enumerate(ordinal):
         col = raw[:, :, c + j]
         # the range is checked on the floats: a code beyond int64 has no cast
@@ -222,31 +227,21 @@ def _ingest_complete(raw, specs, c, standardize, dropped):
         x[:, :, j] = np.where(outside[:, None], 1.0, col) if outside.any() else col
         fraction = (x[:, :, j] != col).any(axis=1)
         fraction[outside] = (col[outside] != np.round(col[outside])).any(axis=1)
-        code_checks.append((fraction, outside))
-    s = [sp.categories for sp in ordinal]
-    counts = _category_counts(x, s)
-    first = 0
-    for sp, sj, (fraction, outside) in zip(ordinal, s, code_checks):
-        empty = counts[:, first : first + sj] == 0
-        first += sj
-        checks += [
-            (fraction, lambda i, sp=sp: CodeOutOfRange(
-                f"ordinal column {sp.name!r} has non-integer cells")),
-            (outside, lambda i, sp=sp: CodeOutOfRange(
-                f"ordinal column {sp.name!r} has codes outside 1..{sp.categories}")),
-            (empty.any(axis=1), lambda i, sp=sp, empty=empty: EmptyCategory(
-                sp.name, int(np.argmax(empty[i])) + 1)),
-        ]
+        fail(fraction, lambda i: CodeOutOfRange(
+            f"ordinal column {sp.name!r} has non-integer cells"))
+        fail(outside, lambda i: CodeOutOfRange(
+            f"ordinal column {sp.name!r} has codes outside 1..{sp.categories}"))
+        counts.append(_category_counts(x[:, :, j], sp.categories))
+        empty = counts[-1] == 0
+        fail(empty.any(axis=1), lambda i: EmptyCategory(sp.name, int(np.argmax(empty[i])) + 1))
 
+    counts = np.concatenate(counts, axis=1)
     for a in (y, x, counts):
         a.setflags(write=False)
-    failed = np.column_stack([bad for bad, _ in checks] or [np.zeros(B, dtype=bool)])
-    first = np.where(failed.any(axis=1), failed.argmax(axis=1), -1).tolist()
     return [
-        checks[k][1](i) if k >= 0 else MixedDataset(
-            specs=specs, y=y[i], x=x[i], dropped_rows=dropped, standardized=standardize,
-            counts=counts[i])
-        for i, k in enumerate(first)
+        MixedDataset(specs=specs, y=y[i], x=x[i], dropped_rows=dropped, standardized=standardize,
+                     counts=counts[i]) if error is None else error
+        for i, error in enumerate(out)
     ]
 
 
@@ -337,6 +332,15 @@ def coefficient_variables(c: int, kind, i, j):
     )
 
 
+def _lower_triangle(c, d):
+    """The (row, column) of each coefficient of R, in the coefficient
+    order, in the lower triangle of the (c+d) x (c+d) matrix: the one map
+    from a coefficient to its matrix position."""
+    pos = np.array([coefficient_variables(c, *lab) for lab in coefficient_order(c, d)],
+                   dtype=int).reshape(-1, 2)
+    return pos.max(axis=1), pos.min(axis=1)
+
+
 @dataclass(frozen=True)
 class CorrelationParams:
     """Flattened mixed correlation vector with its index map.
@@ -364,19 +368,11 @@ class CorrelationParams:
     def labels(self):
         return coefficient_order(self.c, self.d)
 
-    def matrix_position(self, kind, i, j):
-        """0-based (row, col) of coefficient (kind, i, j) in the lower triangle
-        of the (c+d) square matrix."""
-        a, b = coefficient_variables(self.c, kind, i, j)
-        return max(a, b), min(a, b)
-
     def to_matrix(self) -> np.ndarray:
         """Full symmetric (c+d) x (c+d) matrix with unit diagonal."""
-        p = self.c + self.d
-        mat = np.eye(p)
-        for value, (kind, i, j) in zip(self.values, self.labels):
-            r, s = self.matrix_position(kind, i, j)
-            mat[r, s] = mat[s, r] = value
+        rows, cols = _lower_triangle(self.c, self.d)
+        mat = np.eye(self.c + self.d)
+        mat[rows, cols] = mat[cols, rows] = self.values
         return mat
 
     @staticmethod
@@ -384,6 +380,4 @@ class CorrelationParams:
         mat = np.asarray(mat, dtype=float)
         if mat.shape != (c + d, c + d):
             raise ValueError("matrix has wrong shape")
-        dummy = CorrelationParams(c, d, np.zeros((c + d) * (c + d - 1) // 2))
-        vals = [mat[dummy.matrix_position(*lab)] for lab in dummy.labels]
-        return CorrelationParams(c, d, np.array(vals))
+        return CorrelationParams(c, d, mat[_lower_triangle(c, d)])

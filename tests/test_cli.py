@@ -366,6 +366,8 @@ class TestFitCommand:
             ("Y,X\n", [], "no data rows"),
             (GOOD, ["--ordinal", "X:abc"], "categories must be an integer or 'infer'"),
             ("Y,X\n0.1,1\n0.5,1.5\n-0.3,2\n", [], "non-integer labels"),
+            ("Y,X\n0.5,1\n0.5,2\n0.5,1\n0.5,2\n", [],
+             "continuous column 'Y' cannot be standardized (sd=0.0)"),
             ("Y,X\n0.1,1\n0.5,2\n-0.3,3\n", [], "3 distinct labels exceed s=2"),
             ("Y,X\n0.1,NA\n0.5,.\n", [], "no observed values"),
             ("Y,X\n0.1,0\n0.5,1\n-0.3,2\n", ["--ordinal", "X"], "labels >= 1"),
@@ -384,7 +386,7 @@ class TestFitCommand:
         ],
         ids=[
             "unopenable", "empty", "ragged_row", "header_only", "ordinal_count_text",
-            "non_integer_labels", "too_many_labels", "no_observed_labels",
+            "non_integer_labels", "constant_continuous", "too_many_labels", "no_observed_labels",
             "inferred_label_below_one", "pair_without_colon", "pair_unknown_column",
             "pair_same_column", "pairs_with_system", "pairs_empty",
             "infinite_label_declared", "negative_infinite_label_declared",

@@ -793,6 +793,26 @@ class TestFitBatch:
             else:
                 assert np.array_equal(a, b, equal_nan=True)
 
+    def test_non_finite_start_leaves_the_batch_unchanged(self):
+        # a lockstep solve of two design-1 datasets, the first started at a
+        # NaN Pearson coefficient: that row ends at the first test with
+        # NonFiniteLoss, and the other gets its solve alone, bit for bit
+        data = [mc.generate(design1(n=400, replications=2, seed=9), rep) for rep in (0, 1)]
+        system = mc.build_system(data[0].specs, mc.MAX_SET)
+        rows = system.weighted_rows(True)
+        free = np.flatnonzero(system.active)
+        compiled = CompiledMoments(data, system, rows)
+        K = np.array([weight_matrix(S).whitener for S in compiled.cov])
+        x0 = np.array([_initial_theta(one, system) for one in data])
+        x0[0, system.n_thr] = np.nan
+        out = _minimize(compiled, K, x0, free, ONE_STEP)
+        assert isinstance(out[0], mc.errors.NonFiniteLoss)
+        alone = CompiledMoments(data[1:], system, rows)
+        x, info = _minimize_one(alone, K[1], x0[1], free, ONE_STEP)
+        assert np.array_equal(out[1][0], x)
+        assert out[1][1] == info
+        assert info.iterations > 0
+
     def test_fit_raises_the_batch_exception(self):
         data = _binary_dataset([[40, 0], [10, 40]])
         system = mc.build_system(data.specs, mc.MAX_SET)

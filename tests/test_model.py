@@ -215,14 +215,31 @@ class TestCorrelationParams:
         params = mc.CorrelationParams.from_matrix(r, 2, 2)
         assert np.allclose(params.values, [0.3, 0.4, 0.5, 0.6, 0.7, 0.8])
 
-    @pytest.mark.parametrize("c,d", [(2, 2), (3, 0), (0, 3), (2, 3), (1, 1)])
-    def test_roundtrip(self, c, d):
+    @pytest.mark.parametrize(
+        "c,d,pairs",
+        [(2, 2, None), (3, 0, None), (0, 3, None), (2, 3, None), (1, 1, None),
+         (2, 3, [("pearson", 2, 1), ("polyserial", 1, 3), ("polychoric", 3, 1)])],
+        ids=["2-2", "3-0", "0-3", "2-3", "1-1", "custom-2-3"],
+    )
+    def test_roundtrip(self, c, d, pairs):
         rng = np.random.default_rng(c * 10 + d)
         k = (c + d) * (c + d - 1) // 2
         vals = rng.uniform(-0.9, 0.9, size=k)
+        if pairs is not None:
+            # a custom system's R: NaN at every coefficient it leaves out
+            specs = [mc.VariableSpec(f"Y{i}") for i in range(1, c + 1)]
+            specs += [mc.VariableSpec(f"X{i}", categories=3) for i in range(1, d + 1)]
+            system = mc.build_system(specs, mc.CUSTOM, pairs=pairs)
+            vals[np.setdiff1d(np.arange(k), system.coef_cols - system.n_thr)] = np.nan
+            assert np.isnan(vals).sum() == k - len(pairs)
         params = mc.CorrelationParams(c, d, vals)
-        back = mc.CorrelationParams.from_matrix(params.to_matrix(), c, d)
-        assert np.allclose(back.values, vals, atol=0)
+        mat = params.to_matrix()
+        # NaN at both positions of each excluded pair, and a unit diagonal
+        assert np.isnan(mat).sum() == 2 * np.isnan(vals).sum()
+        assert np.array_equal(np.diag(mat), np.ones(c + d))
+        assert np.array_equal(mat, mat.T, equal_nan=True)
+        back = mc.CorrelationParams.from_matrix(mat, c, d)
+        assert np.array_equal(back.values, vals, equal_nan=True)
 
     def test_bad_length(self):
         with pytest.raises(ValueError):
