@@ -60,6 +60,8 @@ from .moments import (
     MAX_SET,
     MIN_SET,
     CompiledMoments,
+    WeightMatrix,
+    _stacked_whiteners,
     assemble_gradient,
     compute_sigma,
     weight_matrix,
@@ -317,27 +319,37 @@ def _minimize(compiled, K, x0, free_idx, cfg):
     # a free parameter that no kept row depends on (too few data rows, or
     # an empty cell) leaves J'J singular wherever the solve goes
     weighted = J.any(axis=1)
+    finite = np.isfinite(f) & np.isfinite(g).all(axis=1)
+    started = finite & weighted.all(axis=1)
+    if not started.all():
+        J = J[started]
     JJ = J.mT @ J
-    H = np.empty((nb, nfree, nfree))
+    eye = np.eye(nfree)
+    ridge = 1e-10 * np.maximum(np.trace(JJ, axis1=1, axis2=2) / max(nfree, 1), 1e-30)
+    seeds = JJ + ridge[:, None, None] * eye
+    # a seed that inv refuses, and a failed start, keep H = I
+    H = np.tile(eye, (nb, 1, 1))
+    try:
+        H[started] = np.linalg.inv(seeds)
+    except np.linalg.LinAlgError:
+        # one refused seed fails the stack: invert each alone
+        for b, seed in zip(np.flatnonzero(started).tolist(), seeds):
+            try:
+                H[b] = np.linalg.inv(seed)
+            except np.linalg.LinAlgError:
+                pass
     ended = {}  # row -> its STOP_* reason, or None where it failed
-    for b in range(nb):
-        if not (np.isfinite(f[b]) and np.all(np.isfinite(g[b]))):
+    for b in np.flatnonzero(~started).tolist():
+        if not finite[b]:
             out[b] = NonFiniteLoss("loss or gradient non-finite at the starting point")
-        elif not weighted[b].all():
+        else:
             out[b] = DegenerateWeight(
                 f"the {cfg.method} covariance is singular: no moment row the weight keeps "
                 f"depends on theta{free_idx[~weighted[b]].tolist()}")
-        else:
-            ridge = 1e-10 * max(float(np.trace(JJ[b])) / max(nfree, 1), 1e-30)
-            try:
-                H[b] = np.linalg.inv(JJ[b] + ridge * np.eye(nfree))
-            except np.linalg.LinAlgError:
-                H[b] = np.eye(nfree)
-            continue
         # a failed start leaves with its error at the first test; H = I and
         # g = 0 keep its direction before that test a number, with no warning
         ended[b] = None
-        H[b], g[b] = np.eye(nfree), 0.0
+        g[b] = 0.0
 
     # the state of the datasets still solving, one row each (ids maps a row
     # to its dataset). Every row takes one trial point per pass, so after
@@ -524,8 +536,13 @@ def fit_batch(datasets, system, cfg=None) -> list:
     weights and covariances are those ``fit`` describes, each dataset's
     own. The data pass (``CompiledMoments``, which reads each dataset's
     rows once for its moments and its Pearson start), the starts (from the
-    category counts ``ingest`` made, and the pass) and the covariances are
-    computed over the batch in stacked calls; each weight is one
+    category counts ``ingest`` made, and the pass), the weights, the seeds
+    of the solves' inverse Hessians and the covariances are computed over
+    the batch in stacked calls. The weights of a batch of more than one
+    dataset are whitened by one stacked Cholesky factorization and one
+    stacked inverse where each S_gg has at most ``moments.FACTOR_ROWS``
+    rows (``_weights``); a batch of one, and a dataset the stack leaves
+    out (a pivot under the floor, or a stack numpy refuses), takes one
     ``weight_matrix`` call. A dataset's results do not depend on the other
     datasets in the batch, bit for bit.
 
@@ -559,11 +576,7 @@ def fit_batch(datasets, system, cfg=None) -> list:
         batch = [datasets[b] for b in members]
         compiled = CompiledMoments(batch, system, rows)
         starts = _initial_thetas(batch, compiled)
-        weights = [weight_matrix(S[nh:, nh:]) for S in compiled.cov]
-        # each K = [0 | K_g] zero-padded to a common shape, for the batch
-        K = np.zeros((len(members), rows.size - nh, rows.size))
-        for K_b, centred in zip(K, weights):
-            K_b[: len(centred.whitener), nh:] = centred.whitener
+        weights, K = _weights(compiled.cov[:, nh:, nh:], nh)
         for i, res in enumerate(_minimize(compiled, K, starts, free_idx, cfg)):
             if isinstance(res, Exception):
                 out[members[i]] = res
@@ -581,6 +594,27 @@ def fit_batch(datasets, system, cfg=None) -> list:
         for (i, _, _), error, res in zip(solved, singular, results):
             out[members[i]] = res if error is None else error
     return out
+
+
+def _weights(S, nh):
+    """The WeightMatrix of each g block S_gg of a batch, the stack S
+    (B, q, q), and the batch's whiteners zero-padded to a common shape,
+    K = [0 | K_g] of (B, q, nh + q). A batch of more than one dataset is
+    whitened by ``_stacked_whiteners``, bit for bit as alone; a batch of
+    one, and each dataset the stack leaves out, by one ``weight_matrix``
+    call."""
+    B, q = S.shape[:2]
+    K = np.zeros((B, q, nh + q))
+    weights = [None] * B
+    if B > 1:
+        whole, K_whole, condition = _stacked_whiteners(S)
+        K[whole, :, nh:] = K_whole
+        for b, K_b, bound in zip(whole.tolist(), K_whole, condition.tolist()):
+            weights[b] = WeightMatrix(whitener=K_b, condition=bound, pseudo_inverse=False)
+    for b in [b for b, w in enumerate(weights) if w is None]:
+        weights[b] = centred = weight_matrix(S[b])
+        K[b, : len(centred.whitener), nh:] = centred.whitener
+    return weights, K
 
 
 def _sandwiches(theta, compiled, K, ids, rows, nh, cfg):

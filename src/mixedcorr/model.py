@@ -14,6 +14,7 @@ ascending) followed by R.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -332,13 +333,18 @@ def coefficient_variables(c: int, kind, i, j):
     )
 
 
+@functools.cache
 def _lower_triangle(c, d):
     """The (row, column) of each coefficient of R, in the coefficient
     order, in the lower triangle of the (c+d) x (c+d) matrix: the one map
-    from a coefficient to its matrix position."""
+    from a coefficient to its matrix position. Cached per (c, d), so the
+    arrays are read-only."""
     pos = np.array([coefficient_variables(c, *lab) for lab in coefficient_order(c, d)],
                    dtype=int).reshape(-1, 2)
-    return pos.max(axis=1), pos.min(axis=1)
+    rows, cols = pos.max(axis=1), pos.min(axis=1)
+    for a in (rows, cols):
+        a.setflags(write=False)
+    return rows, cols
 
 
 @dataclass(frozen=True)

@@ -37,8 +37,12 @@ PIVOT_FLOOR S_ii, with a zero column at each dropped row. On such a table
 every pivot clears it. A covariance that is singular in the data, such as
 that of a table with an empty cell, drops a row. One recursion reaches K
 (``_kept_whitener``): S is halved on its Schur complement until a block of
-at most 64 rows has every pivot above the floor, which LAPACK factors and
-inverts; a single row under the floor is dropped.
+at most FACTOR_ROWS = 64 rows has every pivot above the floor, which LAPACK
+factors and inverts; a single row under the floor is dropped. The weights
+of a batch of datasets, each of at most FACTOR_ROWS rows, are factored and
+inverted as one stack (``_stacked_whiteners``): LAPACK treats each matrix
+of a stack as a lone one, so a dataset whose pivots all clear the floor
+gets its own K bit for bit, and any other is whitened alone.
 
 The moment vector is linear in per-row data products, so sample moments
 factor as m(theta) = mean(A) - b(theta) with A data-only and b(theta)
@@ -197,6 +201,10 @@ CUSTOM = "custom"
 # variance, given the rows kept before it, is at or below PIVOT_FLOOR times
 # its own variance counts as a linear combination of them and is dropped.
 PIVOT_FLOOR = 1e-10
+
+# The largest block of S that the whitener factors and inverts by LAPACK
+# whole; a larger one is halved (``_kept_whitener``).
+FACTOR_ROWS = 64
 
 # Rows per chunk of the data pass: CompiledMoments holds one chunk of each
 # dataset at a time, and a fixed size fixes the order in which the rows
@@ -789,7 +797,7 @@ class CompiledMoments:
       datasets of one n stacked, and the sums and scatters of the products
       and of the coded columns are contracted from those per-cell sums.
       They differ from the one-pass sums of the product array by rounding
-      only. The pass holds one stacked chunk, of at most 16 CHUNK_ROWS
+      only. The pass holds one stacked chunk, of at most 4 CHUNK_ROWS
       rows, per monomial that one of higher degree is built from, never an
       n-row vector per monomial.
     - products: each chunk of the data products and of the coded columns
@@ -998,11 +1006,15 @@ def _cell_route(datasets, system, columns):
     *tables, plan = _cell_tables(system, columns.tobytes())
     B, n, cells = len(datasets), datasets[0].n, math.prod(system.s)
     out = [(np.empty((B, len(t.lower))), np.empty((B, len(t.lower), len(t.lower)))) for t in tables]
-    # a few datasets at a time: at most 16 CHUNK_ROWS rows of one chunk of
-    # each, and about CHUNK_ROWS x k gathered values, the size of one
-    # chunk of the products
+    # a few datasets at a time: at most 4 CHUNK_ROWS rows of one chunk of
+    # each, so that a stacked column of the pass (128 KiB of floats) stays
+    # in cache, which halved the pass over 64 table-1 datasets of 1000 rows
+    # against 16 CHUNK_ROWS (one core of a 2-core x86-64 machine); and
+    # about CHUNK_ROWS x k gathered values, the size of one chunk of the
+    # products. A bin sums the same rows in the same order whatever the
+    # datasets stacked with it
     width = max(table.gather.shape[1] for table in tables)
-    step = max(1, min(16 * CHUNK_ROWS // min(n, CHUNK_ROWS), CHUNK_ROWS // width))
+    step = max(1, min(4 * CHUNK_ROWS // min(n, CHUNK_ROWS), CHUNK_ROWS // width))
     for lo in range(0, B, step):
         M = _cell_sums(datasets[lo : lo + step], system, plan)
         for table, (sums, scatter) in zip(tables, out):
@@ -1032,18 +1044,16 @@ def _kept_whitener(S, floor):
     over the rows kept in order while each one's pivot, its residual
     variance given the rows kept before it, exceeds its ``floor``; K has a
     row per kept row and a zero column at each dropped one. A block of at
-    most 64 rows whose pivots all clear the floor is factored and inverted
-    by LAPACK, its rounding above the diagonal dropped. Any other block is
+    most FACTOR_ROWS rows whose pivots all clear the floor is factored and
+    inverted by LAPACK (``_whole_whiteners``, a stack of one), its
+    rounding above the diagonal dropped. Any other block is
     halved (Du Croz & Higham 1992): with W = S_ba K_a', the second half's
     rows in the first half's factor, the second half is the Schur
     complement S_bb - W W' and K = [[K_a, 0], [-K_b W K_a, K_b]]."""
-    if len(S) <= 64:
-        try:
-            L = np.linalg.cholesky(S)
-            if np.all(np.diagonal(L) ** 2 > floor):
-                return np.tril(np.linalg.inv(L))
-        except np.linalg.LinAlgError:
-            pass
+    if len(S) <= FACTOR_ROWS:
+        whole, K = _whole_whiteners(S[None], floor[None])
+        if whole.size:
+            return K[0]
         if len(S) == 1:
             return np.empty((0, 1))
     h = len(S) // 2
@@ -1063,7 +1073,10 @@ def weight_matrix(omega_hat) -> WeightMatrix:
     kept rows, with a zero column at each dropped row, and K S K' = I.
     ``_kept_whitener`` is the one recursion that reaches K (module
     docstring). Where no row is dropped, K is lower-triangular, and on at
-    most 64 rows it is the LAPACK inverse of the one Cholesky factor of S.
+    most FACTOR_ROWS (64) rows it is the LAPACK inverse of the one Cholesky
+    factor of S. A batched fit whitens such weights as one stack
+    (``_stacked_whiteners``), which gives each dataset this call's result
+    bit for bit.
 
     ``condition`` is |S|_1 |K|_1 |K|_inf. With S_k the covariance of the
     kept rows, |S_k|_1 <= |S|_1 and |S_k^-1|_1 = |K'K|_1 <= |K|_inf |K|_1,
@@ -1071,5 +1084,44 @@ def weight_matrix(omega_hat) -> WeightMatrix:
     """
     omega = np.asarray(omega_hat, dtype=float)
     K = _kept_whitener(omega, PIVOT_FLOOR * np.diagonal(omega))
-    bound = np.linalg.norm(omega, 1) * np.linalg.norm(K, 1) * np.linalg.norm(K, np.inf)
-    return WeightMatrix(whitener=K, condition=float(bound), pseudo_inverse=len(K) < len(omega))
+    return WeightMatrix(whitener=K, condition=float(_condition(omega, K)),
+                        pseudo_inverse=len(K) < len(omega))
+
+
+def _condition(S, K):
+    """|S|_1 |K|_1 |K|_inf of each S and its whitener K, (..., q, q) each."""
+    axes = (-2, -1)
+    return (np.linalg.norm(S, 1, axes) * np.linalg.norm(K, 1, axes)
+            * np.linalg.norm(K, np.inf, axes))
+
+
+def _whole_whiteners(S, floor):
+    """The indices of the matrices of the stack S (B, q, q) whose Cholesky
+    pivots all clear their ``floor`` (B, q), and the LAPACK inverses
+    K = tril(inv(L)) of their factors, by one stacked factorization and
+    one stacked inverse; none where numpy refuses the stack. LAPACK
+    factors and inverts each matrix of a stack as it does a lone one, so
+    each K is that of its matrix alone, bit for bit."""
+    try:
+        L = np.linalg.cholesky(S)
+        whole = np.flatnonzero(np.all(np.diagonal(L, axis1=1, axis2=2) ** 2 > floor, axis=1))
+        return whole, np.tril(np.linalg.inv(L if whole.size == len(S) else L[whole]))
+    except np.linalg.LinAlgError:
+        return np.empty(0, dtype=np.intp), np.empty((0,) + S.shape[1:])
+
+
+def _stacked_whiteners(S):
+    """``weight_matrix`` of each covariance of the stack S (B, q, q),
+    q <= FACTOR_ROWS, whose pivots all clear the floor, as one stack
+    (``_whole_whiteners``): each dataset's K and condition are its own
+    call's, bit for bit.
+
+    Returns the indices of the datasets so whitened, their whiteners
+    (B', q, q) and their conditions (B',). A dataset with a pivot under the
+    floor is not among them, and where numpy refuses the stack (an
+    indefinite S) none is: its weight is ``weight_matrix``'s alone, as is
+    every weight of more than FACTOR_ROWS rows."""
+    if S.shape[-1] > FACTOR_ROWS:
+        return np.empty(0, dtype=np.intp), np.empty((0,) + S.shape[1:]), np.empty(0)
+    whole, K = _whole_whiteners(S, PIVOT_FLOOR * np.diagonal(S, axis1=1, axis2=2))
+    return whole, K, _condition(S if whole.size == len(S) else S[whole], K)

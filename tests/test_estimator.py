@@ -778,14 +778,17 @@ class TestFitBatch:
         inv, calls = np.linalg.inv, []
 
         def seeded(a):
-            # the first 6 x 6 inverse is the first dataset's seed of H
+            # the first stack of 6 x 6 inverses is the batch's seeds of H,
+            # the first dataset's first
             calls.append(a.shape)
-            if calls.count((6, 6)) == 1 and a.shape == (6, 6):
-                return np.full(a.shape, np.nan)
-            return inv(a)
+            out = inv(a)
+            if calls.count((2, 6, 6)) == 1 and a.shape == (2, 6, 6):
+                out[0] = np.nan
+            return out
 
         monkeypatch.setattr(np.linalg, "inv", seeded)
         out = estimator.fit_batch(data, system)
+        assert calls.count((2, 6, 6)) == 1
         assert out[0].diagnostics.converged
         for a, b in zip(_fit_record(out[1]), alone):
             if isinstance(a, dict):
@@ -838,6 +841,129 @@ class TestFitBatch:
         other = mc.build_system(design2().specs, mc.MAX_SET)
         with pytest.raises(ValueError, match="do not match"):
             estimator.fit_batch([data], other)
+
+
+def _g_blocks(datasets, system, one_step=False):
+    """The weighted (g) blocks S_gg of the datasets' covariances, stacked,
+    and nh, as ``fit_batch`` whitens them."""
+    nh = 0 if one_step else system.q_h
+    rows = np.concatenate((np.arange(nh), system.weighted_rows(one_step)))
+    return CompiledMoments(datasets, system, rows).cov[:, nh:, nh:], nh
+
+
+class TestBatchWhitening:
+    """A batch's weights, whitened as a stack, are each dataset's own
+    ``weight_matrix`` result, bit for bit."""
+
+    def _check(self, S, nh):
+        weights, K = estimator._weights(S, nh)
+        assert K.shape == (len(S), S.shape[1], nh + S.shape[1])
+        for S_b, w, K_b in zip(S, weights, K):
+            alone = weight_matrix(S_b)
+            assert np.array_equal(w.whitener, alone.whitener)
+            assert w.condition == alone.condition
+            assert w.pseudo_inverse is alone.pseudo_inverse
+            kept = len(alone.whitener)
+            assert np.array_equal(K_b[:kept, nh:], alone.whitener)
+            assert not K_b[kept:].any() and not K_b[:, :nh].any()
+        return weights
+
+    @pytest.mark.parametrize("design", [design1, design2], ids=["design1", "design2"])
+    def test_batches_of_64_are_one_stack(self, design):
+        datasets = [mc.generate(design(replications=64, seed=41), rep) for rep in range(64)]
+        system = mc.build_system(datasets[0].specs, mc.MAX_SET)
+        S, nh = _g_blocks(datasets, system)
+        assert moments._stacked_whiteners(S)[0].tolist() == list(range(64))
+        self._check(S, nh)
+
+    def test_a_dropped_row_leaves_the_stack_to_the_others(self):
+        # the empty-cell dataset's S drops rows: its factor has a pivot
+        # under the floor, and the other datasets keep their stacked
+        # weights, or rounding makes it indefinite and numpy refuses the
+        # stack (on one x86-64 machine the one-step S took the first way,
+        # the two-step S the second)
+        empty = _empty_cell_data()
+        datasets = [mc.generate(design243(n=300, replications=300), rep) for rep in range(3)]
+        datasets.insert(1, empty)
+        system = mc.build_system(empty.specs, mc.MAX_SET)
+        for one_step in (False, True):
+            S, nh = _g_blocks(datasets, system, one_step)
+            assert moments._stacked_whiteners(S)[0].tolist() in ([], [0, 2, 3])
+            pseudo = [w.pseudo_inverse for w in self._check(S, nh)]
+            assert pseudo == [False, True, False, False]
+
+    def test_an_indefinite_s_is_whitened_alone_with_the_rest(self):
+        # numpy refuses the Cholesky factorization of a stack that holds an
+        # indefinite S, so every dataset takes its own weight_matrix call
+        datasets = [mc.generate(design1(replications=4, seed=42), rep) for rep in range(4)]
+        system = mc.build_system(datasets[0].specs, mc.MAX_SET)
+        S, nh = _g_blocks(datasets, system)
+        S = S.copy()
+        S[2] -= 2.0 * np.eye(len(S[2])) * np.linalg.eigvalsh(S[2]).max()
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(S)
+        assert moments._stacked_whiteners(S)[0].size == 0
+        self._check(S, nh)
+
+    def test_wide_weights_are_whitened_alone(self):
+        # 618-row weights are halved on their Schur complement by
+        # weight_matrix, never factored whole in a stack
+        datasets = [mc.generate(wide_design(), rep) for rep in range(2)]
+        system = mc.build_system(datasets[0].specs, mc.MAX_SET)
+        S, nh = _g_blocks(datasets, system)
+        assert S.shape[1] == 618
+        assert moments._stacked_whiteners(S)[0].size == 0
+        self._check(S, nh)
+
+
+class TestBatchedStart:
+    def test_failed_and_refused_starts_leave_the_batch_unchanged(self, monkeypatch):
+        # one-step solves of 2x2 tables started together: a NaN start
+        # (NonFiniteLoss), an empty cell (DegenerateWeight), a J'J + ridge
+        # that np.linalg.inv refuses (its H seeded by the identity) and
+        # normal datasets. Each ends as its lone solve, bit for bit
+        tables = ([[40, 10], [10, 40]], [[30, 20], [15, 35]], [[40, 0], [10, 40]],
+                  [[45, 5], [12, 38]], [[25, 25], [20, 30]])
+        data = [_binary_dataset(t) for t in tables]
+        system = mc.build_system(data[0].specs, mc.MAX_SET)
+        rows = system.weighted_rows(True)
+        free = np.flatnonzero(system.active)
+        K = estimator._weights(CompiledMoments(data, system, rows).cov, 0)[1]
+        x0 = np.array([_initial_theta(one, system) for one in data])
+        x0[0, 0] = np.nan
+        inv, refused = np.linalg.inv, []
+
+        def refuse_first(a):
+            refused.append(a[0].copy())
+            raise np.linalg.LinAlgError("refused")
+
+        def refuse_seed(a):
+            if any(np.array_equal(m, refused[0]) for m in a.reshape(-1, *a.shape[-2:])):
+                raise np.linalg.LinAlgError("refused")
+            return inv(a)
+
+        def alone(b):
+            compiled = CompiledMoments(data[b : b + 1], system, rows)
+            return _minimize(compiled, K[b : b + 1], x0[b : b + 1], free, ONE_STEP)[0]
+
+        def same(res, want):
+            if isinstance(want, Exception):
+                return (type(res), res.args) == (type(want), want.args)
+            return np.array_equal(res[0], want[0]) and res[1] == want[1]
+
+        # the seed of dataset 3, which its lone solve is refused
+        monkeypatch.setattr(np.linalg, "inv", refuse_first)
+        refused_alone = alone(3)
+        monkeypatch.setattr(np.linalg, "inv", refuse_seed)
+        expected = [alone(b) for b in range(len(data))]
+        assert same(expected[3], refused_alone)
+        out = _minimize(CompiledMoments(data, system, rows), K, x0, free, ONE_STEP)
+        assert isinstance(out[0], mc.errors.NonFiniteLoss)
+        assert isinstance(out[2], mc.errors.DegenerateWeight)
+        assert all(same(res, want) for res, want in zip(out, expected))
+        # the identity seed takes another path than the refused J'J would
+        monkeypatch.setattr(np.linalg, "inv", inv)
+        assert not same(alone(3), refused_alone)
 
 
 class TestFitConfigValidation:

@@ -13,6 +13,9 @@ the best of ``--repeats`` wall times of
 - ``moments``: the batch's data pass, ``moments.CompiledMoments`` over the
   rows the fit compiles, and the starts it gives
   (``estimator._initial_thetas``);
+- ``weight``: the batch's whitening, ``estimator._weights`` of the g blocks
+  of the covariances that pass gives: one stacked Cholesky factorization
+  and inverse for B > 1, one ``weight_matrix`` call at B = 1;
 - ``fit``: the whole ``fit_batch``, set-up and covariances included;
 - ``replication``: the whole ``simulation._run_block`` over the same
   replications, which draws, validates, starts and fits each batch (what
@@ -77,6 +80,13 @@ def sweep(design, datasets, repeats):
                 compiled = moments.CompiledMoments(data[b], system, fit_rows)
                 estimator._initial_thetas(data[b], compiled)
 
+        covs = [moments.CompiledMoments(data[b], system, fit_rows).cov[:, nh:, nh:]
+                for b in batches]
+
+        def whitening():
+            for S in covs:
+                estimator._weights(S, nh)
+
         def fits():
             for b in batches:
                 estimator.fit_batch(data[b], system, design.fit)
@@ -103,6 +113,7 @@ def sweep(design, datasets, repeats):
         rows[size] = {
             "kernels_us": kernel_s / datasets * 1e6,
             "moments_us": best_time(data_pass, repeats) / datasets * 1e6,
+            "weight_us": best_time(whitening, repeats) / datasets * 1e6,
             "fit_us": best_time(fits, repeats) / datasets * 1e6,
             "replication_us": best_time(replications, repeats) / datasets * 1e6,
             "share_norm_cdf": cdf_time[0] / kernel_s,
@@ -122,11 +133,11 @@ def main(argv=None):
     result = {name: sweep(d, args.datasets, args.repeats) for name, d in designs.items()}
     for name, rows in result.items():
         print(name)
-        print(f"  {'B':>4} {'kernels_us':>11} {'moments_us':>11} {'fit_us':>9}"
+        print(f"  {'B':>4} {'kernels_us':>11} {'moments_us':>11} {'weight_us':>10} {'fit_us':>9}"
               f" {'replication_us':>15} {'share_norm_cdf':>15}")
         for size, row in rows.items():
             print(f"  {size:>4} {row['kernels_us']:>11.1f} {row['moments_us']:>11.1f}"
-                  f" {row['fit_us']:>9.1f} {row['replication_us']:>15.1f}"
+                  f" {row['weight_us']:>10.1f} {row['fit_us']:>9.1f} {row['replication_us']:>15.1f}"
                   f" {row['share_norm_cdf']:>15.3f}")
     print(json.dumps(result))
 
